@@ -20,15 +20,20 @@ from .ccp import (
 )
 from .conic_solver import ConeProblem, SolverConfig, SolverResult, SolverStatus, lift, solve
 from .errors import (
+    AscentViolation,
     DiameterExceeded,
     DimensionMismatch,
+    FeasibilityViolation,
     InfeasibleInitial,
     InvalidPolygon,
+    InvariantViolation,
     NonConvexConstraint,
     OptigonError,
     SubproblemFailure,
+    UpperBoundViolation,
 )
 from .formulation import (
+    ConeTemplate,
     ConvexSubproblem,
     DcProgram,
     DecisionLayout,

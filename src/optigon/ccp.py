@@ -1,8 +1,9 @@
 """Sequential convex optimization over the difference-of-convex program.
 
-Starting from a feasible polygon, each outer iteration builds the convex
-restriction at the current iterate, solves it with the cone solver, and
-accepts the optimum (pure ascent, no line search). The loop stops when the
+Starting from a feasible polygon, each outer iteration rewrites the
+triangle-area rows of the n-gon's cone template at the current iterate,
+solves the resulting convex restriction with the cone solver, and accepts
+the optimum (pure ascent, no line search). The loop stops when the
 relative step ||z_k - z_{k-1}|| / ||z_k|| falls below epsilon. Every
 iterate is feasible for the original program and the objective never
 decreases beyond solver noise; both are enforced at runtime.
@@ -17,16 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import verification
-from .conic_solver import SolverConfig, SolverResult, SolverStatus, lift, solve
-from .errors import InfeasibleInitial, SubproblemFailure
-from .formulation import (
-    DcProgram,
-    build_program,
-    build_restriction,
-    evaluate,
-    polygon_to_vector,
-    vector_to_polygon,
+from .conic_solver import SolverConfig, SolverResult, SolverStatus, solve
+from .errors import (
+    AscentViolation,
+    FeasibilityViolation,
+    InfeasibleInitial,
+    SubproblemFailure,
+    UpperBoundViolation,
 )
+from .formulation import ConeTemplate, polygon_to_vector, vector_to_polygon
 from .geometry import (
     Polygon,
     area,
@@ -139,7 +139,7 @@ def default_initial_polygon(n: int) -> Polygon:
 
 
 def step(
-    prog: DcProgram,
+    template: ConeTemplate,
     z_k: np.ndarray,
     cfg: CcpConfig,
     warm_start: np.ndarray | None = None,
@@ -148,9 +148,7 @@ def step(
 
     Raises SubproblemFailure unless the subproblem reached optimality.
     """
-    sub = build_restriction(prog, z_k)
-    cone = lift(sub)
-    result = solve(cone, cfg.solver, warm_start=warm_start)
+    result = solve(template.at(z_k), cfg.solver, warm_start=warm_start)
     if result.status is SolverStatus.INFEASIBLE:
         # restrictions at feasible points are always feasible; this is a bug
         raise SubproblemFailure(
@@ -183,7 +181,7 @@ def maximize_area(
     if n < 4:
         raise ValueError(f"n must be >= 4, got {n}")
 
-    prog = build_program(n)
+    template = ConeTemplate(n)
     if initial is None:
         initial = default_initial_polygon(n)
     else:
@@ -191,7 +189,7 @@ def maximize_area(
             raise InfeasibleInitial(f"initial polygon has {initial.n} vertices, expected {n}")
         initial.validate(cfg.tol_feas)
     z = polygon_to_vector(initial)
-    report = evaluate(prog, z)
+    report = template.evaluate(z)
     if report.min_residual() < -cfg.tol_feas:
         raise InfeasibleInitial(
             f"initial polygon violates the program by {-report.min_residual():.3e}"
@@ -200,7 +198,7 @@ def maximize_area(
     area_cap = upper_bound(n) + 10.0 * cfg.solver.tol_solver
     slack = 10.0 * cfg.solver.tol_solver
     trace = CcpTrace()
-    _record(trace, cfg, prog, k=0, z=z, rel_step=None, solver=None)
+    _verify_iterate(_record(trace, template, k=0, z=z, rel_step=None, solver=None), cfg, n)
 
     status = CcpStatus.OUTER_LIMIT
     message = ""
@@ -210,7 +208,7 @@ def maximize_area(
     while k < cfg.max_outer_iterations:
         try:
             z_next, solver_result = step(
-                prog, z, cfg, warm_start=z if cfg.warm_start else None
+                template, z, cfg, warm_start=z if cfg.warm_start else None
             )
         except SubproblemFailure as exc:
             status = CcpStatus.SUBPROBLEM_FAILURE
@@ -221,22 +219,28 @@ def maximize_area(
         rel = _relative_step(z_next, z, cfg.step_norm)
         z = z_next
 
-        rec = _record(trace, cfg, prog, k=k, z=z, rel_step=rel, solver=solver_result)
-        # ascent, feasibility, and boundedness hold up to solver noise;
-        # violations indicate a solver or formulation defect
+        rec = _record(trace, template, k=k, z=z, rel_step=rel, solver=solver_result)
+        # ascent, boundedness, and feasibility hold up to solver noise;
+        # violations indicate a solver or formulation defect. They are checked
+        # before the structure check, which rejects a polygon that is not small
         if rec.objective < objective_prev - slack or rec.area < area_prev - slack:
-            raise RuntimeError(
+            raise AscentViolation(
                 f"ascent violated at iteration {k}: objective "
-                f"{objective_prev} -> {rec.objective}, area {area_prev} -> {rec.area}"
-            )
-        if rec.max_violation > slack:
-            raise RuntimeError(
-                f"iterate {k} infeasible beyond solver noise: {rec.max_violation:.3e}"
+                f"{objective_prev} -> {rec.objective}, area {area_prev} -> {rec.area}",
+                k, z,
             )
         if rec.area > area_cap:
-            raise RuntimeError(
-                f"area {rec.area} exceeds the closed-form upper bound {area_cap}"
+            raise UpperBoundViolation(
+                f"area {rec.area} at iteration {k} exceeds the closed-form upper "
+                f"bound {area_cap}",
+                k, z,
             )
+        if rec.max_violation > slack:
+            raise FeasibilityViolation(
+                f"iterate {k} infeasible beyond solver noise: {rec.max_violation:.3e}",
+                k, z,
+            )
+        _verify_iterate(rec, cfg, n)
         objective_prev = rec.objective
         area_prev = rec.area
         log.info(
@@ -291,14 +295,9 @@ def _relative_step(z_new: np.ndarray, z_old: np.ndarray, norm: StepNorm) -> floa
     return num / max(denom, 1e-300)
 
 
-def _record(trace, cfg, prog, *, k, z, rel_step, solver) -> IterateRecord:
-    report = evaluate(prog, z)
-    polygon = vector_to_polygon(z, prog.n)
-    structure = None
-    if cfg.record_trace and cfg.verify_iterates and prog.n % 2 == 0 and prog.n >= 6:
-        structure = verification.verify_structure(
-            polygon, tol=verification.TOL_INTERMEDIATE
-        )
+def _record(trace, template, *, k, z, rel_step, solver) -> IterateRecord:
+    report = template.evaluate(z)
+    polygon = vector_to_polygon(z, template.n)
     rec = IterateRecord(
         k=k,
         z=z.copy(),
@@ -308,7 +307,13 @@ def _record(trace, cfg, prog, *, k, z, rel_step, solver) -> IterateRecord:
         solver_status=solver.status.value if solver else "initial",
         solver_iterations=solver.iterations if solver else 0,
         max_violation=max(0.0, -report.min_residual()),
-        structure=structure,
     )
     trace.records.append(rec)
     return rec
+
+
+def _verify_iterate(rec: IterateRecord, cfg: CcpConfig, n: int) -> None:
+    if cfg.record_trace and cfg.verify_iterates and n % 2 == 0 and n >= 6:
+        rec.structure = verification.verify_structure(
+            vector_to_polygon(rec.z, n), tol=verification.TOL_INTERMEDIATE
+        )

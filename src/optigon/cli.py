@@ -137,12 +137,12 @@ def _sweep_entry(item) -> CcpResult:
 def _emit_results(results: list[CcpResult], args) -> int:
     ok = [r for r in results if r.polygon is not None]
     failed = [r for r in results if r.polygon is None]
-    rows = [reporting.sweep_row(r) for r in ok]
+    reports = [verification.verify_structure(r.polygon) for r in ok]
+    rows = [reporting.sweep_row(r, report.passed) for r, report in zip(ok, reports)]
 
     if args.format == "json":
         payload = []
-        for r in ok:
-            report = verification.verify_structure(r.polygon)
+        for r, report in zip(ok, reports):
             payload.append(
                 {
                     "n": r.n,
@@ -162,8 +162,7 @@ def _emit_results(results: list[CcpResult], args) -> int:
     else:
         if rows:
             print(reporting.render_table_text(rows), end="")
-        for r in ok:
-            report = verification.verify_structure(r.polygon)
+        for r, report in zip(ok, reports):
             print(
                 f"n={r.n} area={r.area:.10f} k={r.iterations} status={r.status.value} "
                 f"structure={'pass' if report.passed else 'FAIL'} "
@@ -175,9 +174,9 @@ def _emit_results(results: list[CcpResult], args) -> int:
     for r in failed:
         print(f"n={r.n} failed: {r.message}", file=sys.stderr)
 
-    for r in ok:
+    for r, report in zip(ok, reports):
         if args.out is not None:
-            for path in reporting.export_run(r, args.out):
+            for path in reporting.export_run(r, args.out, report):
                 print(f"wrote {path}", file=sys.stderr)
         if args.svg is not None and len(ok) == 1:
             args.svg.write_text(reporting.render_svg(r.polygon), encoding="utf-8")

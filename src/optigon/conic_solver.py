@@ -1,21 +1,23 @@
-"""Second-order-cone solver for the convex restrictions.
+"""Second-order-cone interior-point solver for the convex restrictions.
 
-Each restriction constraint sum_k l_k(z)^2 <= b(z) (b affine) lifts to the
-standard cone membership
+Solves a `ConeProblem` (built once per n by `formulation.ConeTemplate`, or
+by `formulation.lift` from a restriction object)
 
-    ((1 + b)/2, l_1, ..., l_k, (1 - b)/2)  in  Q^{k+2},
+    minimize c^T x   subject to   G x + s = h,   s in R^p_+ x (Q^4)^m.
 
-since ((1+b)/2)^2 - ((1-b)/2)^2 = b. Linear constraints 0 <= b(z) become
-rows of a nonnegative-orthant block. The lifted problem is solved as
+Every block is Q^4, and G is held in fixed-shape arrays: coefficients of
+shape (4, K, m) over K <= 5 columns per block, nonnegative rows as
+index/coefficient vectors. Between restrictions of one n only the n-2
+triangle-area blocks change, never the column pattern. Cone vectors are
+flat with the second-order part viewed as a (4, m) array, so the blockwise
+Jordan-algebra and scaling operations are numpy expressions over all blocks.
 
-    minimize c^T x   subject to   G x + s = h,   s in K,
-
-with K a product of the nonnegative orthant and second-order cones, by a
-primal-dual interior-point method: Nesterov-Todd scaling per cone block,
-Mehrotra predictor-corrector steps, and a dense Cholesky factorization of
-the reduced KKT system G^T W^{-2} G. Problem sizes here (dim <= 380, a few
-thousand cone blocks) make dense reduced-KKT linear algebra entirely
-adequate. No randomness anywhere: results are deterministic.
+Primal-dual method: Nesterov-Todd scaling per block, Mehrotra
+predictor-corrector steps, and a dense Cholesky factorization of the reduced
+KKT matrix G^T W^{-2} G, scattered from per-block K x K pieces through flat
+indices fixed by the column pattern. Problem sizes here (dim <= 380, a few
+thousand blocks) make dense reduced-KKT linear algebra adequate. No
+randomness anywhere: results are deterministic.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import NonConvexConstraint
-from .formulation import ConvexSubproblem, Family, LinearForm
+from .formulation import ConeProblem, lift
 
 __all__ = ["ConeProblem", "SolverConfig", "SolverResult", "SolverStatus", "lift", "solve"]
 
@@ -82,265 +82,134 @@ class SolverResult:
         return self.status is SolverStatus.OPTIMAL
 
 
-@dataclass(frozen=True)
-class ConeProblem:
-    """maximize f^T x over an intersection of cone and sign constraints,
-    stored internally in minimization form c = -f."""
-
-    c: np.ndarray
-    G: sp.csr_matrix
-    h: np.ndarray
-    n_nonneg: int
-    soc_dims: np.ndarray
-    nonneg_families: tuple[Family, ...] = ()
-    soc_families: tuple[Family, ...] = ()
-
-    @property
-    def dim(self) -> int:
-        return self.G.shape[1]
-
-    @property
-    def n_rows(self) -> int:
-        return self.G.shape[0]
-
-    @property
-    def n_soc(self) -> int:
-        return len(self.soc_dims)
-
-    @property
-    def degree(self) -> int:
-        return self.n_nonneg + self.n_soc
-
-
-def lift(sub: ConvexSubproblem) -> ConeProblem:
-    """Rewrite a convex restriction as a cone problem.
-
-    Raises NonConvexConstraint if a constraint lacks the expected
-    sum-of-squares-below-affine structure (defensive; programs built by the
-    formulation module always have it).
-    """
-    dim = sub.dim
-    rows_i: list[int] = []
-    rows_j: list[int] = []
-    rows_v: list[float] = []
-    h: list[float] = []
-    row = 0
-
-    def add_row(form: LinearForm, scale: float, offset_shift: float) -> None:
-        # cone slack s_row = offset_shift + scale * form(z); G row = -scale*coeffs
-        nonlocal row
-        for j, cval in zip(form.indices, form.coeffs):
-            rows_i.append(row)
-            rows_j.append(j)
-            rows_v.append(-scale * cval)
-        h.append(offset_shift + scale * form.offset)
-        row += 1
-
-    nonneg_families: list[Family] = []
-    soc_blocks: list[tuple[Family, tuple[LinearForm, ...], LinearForm]] = []
-    for con in sub.constraints:
-        if not isinstance(con.bound, LinearForm) or not all(
-            isinstance(f, LinearForm) for f in con.squares
-        ):
-            raise NonConvexConstraint(
-                f"constraint {con.family} is not in sum-of-squares <= affine form"
-            )
-        if con.squares:
-            soc_blocks.append((con.family, con.squares, con.bound))
-        else:
-            nonneg_families.append(con.family)
-
-    # nonnegative-orthant rows first
-    for con in sub.constraints:
-        if not con.squares:
-            add_row(con.bound, 1.0, 0.0)
-
-    # one second-order-cone block per quadratic constraint
-    soc_dims = []
-    for _, squares, bound in soc_blocks:
-        add_row(bound, 0.5, 0.5)           # (1 + b)/2
-        for form in squares:
-            add_row(form, 1.0, 0.0)        # l_k
-        add_row(bound, -0.5, 0.5)          # (1 - b)/2
-        soc_dims.append(len(squares) + 2)
-
-    G = sp.coo_matrix(
-        (rows_v, (rows_i, rows_j)), shape=(row, dim)
-    ).tocsr()
-    f = sub.objective.gradient(dim)
-    return ConeProblem(
-        c=-f,
-        G=G,
-        h=np.asarray(h),
-        n_nonneg=len(nonneg_families),
-        soc_dims=np.asarray(soc_dims, dtype=int),
-        nonneg_families=tuple(nonneg_families),
-        soc_families=tuple(block[0] for block in soc_blocks),
-    )
-
-
 # ---------------------------------------------------------------------------
-# vectorized second-order-cone block operations
+# Jordan algebra of R^p_+ x (Q^4)^m on flat cone vectors
 
-class _SocOps:
-    """Blockwise Jordan-algebra and scaling operations on the cone segment."""
+_REFLECT = np.array([[1.0], [-1.0], [-1.0], [-1.0]])  # J u = (u_0, -u_1)
 
-    def __init__(self, dims: np.ndarray):
-        self.dims = np.asarray(dims, dtype=int)
-        self.nblocks = len(self.dims)
-        self.size = int(self.dims.sum())
-        self.starts = np.concatenate(([0], np.cumsum(self.dims)[:-1])).astype(int)
-        self.block_of_row = np.repeat(np.arange(self.nblocks), self.dims)
-        self.is_head = np.zeros(self.size, dtype=bool)
-        self.is_head[self.starts] = True
 
-    def expand(self, per_block: np.ndarray) -> np.ndarray:
-        return np.repeat(per_block, self.dims)
+def _split(v: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    return v[:p], v[p:].reshape(4, -1)
 
-    def bdot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(u * v, self.starts)
 
-    def heads(self, u: np.ndarray) -> np.ndarray:
-        return u[self.starts]
+def _join(nn: np.ndarray, soc: np.ndarray) -> np.ndarray:
+    return np.concatenate([nn, soc.ravel()])
 
-    def jdet(self, u: np.ndarray) -> np.ndarray:
-        # u_0^2 - |u_1|^2 = 2 u_0^2 - u^T u
-        return 2.0 * self.heads(u) ** 2 - self.bdot(u, u)
 
-    def reflect(self, u: np.ndarray) -> np.ndarray:
-        # J u = (u_0, -u_1)
-        out = -u.copy()
-        out[self.starts] = u[self.starts]
-        return out
+def _bdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("jb,jb->b", u, v)
 
-    def identity(self) -> np.ndarray:
-        e = np.zeros(self.size)
-        e[self.starts] = 1.0
-        return e
 
-    def margins(self, u: np.ndarray) -> np.ndarray:
-        # u_0 - |u_1| per block, positive iff strictly interior
-        tail_sq = np.maximum(self.bdot(u, u) - self.heads(u) ** 2, 0.0)
-        return self.heads(u) - np.sqrt(tail_sq)
+def _jdet(u: np.ndarray) -> np.ndarray:
+    # u_0^2 - |u_1|^2 = 2 u_0^2 - u^T u
+    return 2.0 * u[0] ** 2 - _bdot(u, u)
 
-    def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # Jordan product (u^T v, u_0 v_1 + v_0 u_1)
-        out = self.expand(self.heads(u)) * v + self.expand(self.heads(v)) * u
-        out[self.starts] = self.bdot(u, v)
-        return out
 
-    def inv_mul(self, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
-        # solve lam o p = d
-        det = self.jdet(lam)
-        l0 = self.heads(lam)
-        d0 = self.heads(d)
-        cross = self.bdot(lam, d) - l0 * d0
-        p0 = (l0 * d0 - cross) / det
-        out = (d - self.expand(p0) * lam) / self.expand(l0)
-        out[self.starts] = p0
-        return out
+def _margins(u: np.ndarray) -> np.ndarray:
+    # u_0 - |u_1| per block, positive iff strictly interior
+    return u[0] - np.sqrt(np.maximum(_bdot(u, u) - u[0] ** 2, 0.0))
+
+
+def _min_margin(v: np.ndarray, p: int) -> float:
+    nn, soc = _split(v, p)
+    return float(min(nn.min(initial=np.inf), _margins(soc).min(initial=np.inf)))
+
+
+def _identity(p: int, m: int) -> np.ndarray:
+    return np.concatenate([np.ones(p), np.ones(m), np.zeros(3 * m)])
+
+
+def _mul(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """Jordan product: elementwise on the orthant, (u^T v, u_0 v_1 + v_0 u_1)
+    on each block."""
+    u_nn, u_soc = _split(u, p)
+    v_nn, v_soc = _split(v, p)
+    soc = u_soc[0] * v_soc + v_soc[0] * u_soc
+    soc[0] = _bdot(u_soc, v_soc)
+    return _join(u_nn * v_nn, soc)
+
+
+def _inv_mul(lam: np.ndarray, d: np.ndarray, p: int) -> np.ndarray:
+    """The solution x of lam o x = d."""
+    lam_nn, lam_soc = _split(lam, p)
+    d_nn, d_soc = _split(d, p)
+    l0 = lam_soc[0]
+    d0 = d_soc[0]
+    cross = _bdot(lam_soc, d_soc) - l0 * d0
+    x0 = (l0 * d0 - cross) / _jdet(lam_soc)
+    soc = (d_soc - x0 * lam_soc) / l0
+    soc[0] = x0
+    return _join(d_nn / lam_nn, soc)
 
 
 class _Scaling:
-    """Nesterov-Todd scaling for the full cone (orthant + SOC blocks)."""
+    """Nesterov-Todd scaling W at (s, z): W z = W^{-1} s = lam."""
 
-    def __init__(self, s_nn, z_nn, s_soc, z_soc, ops: _SocOps | None):
-        self.ops = ops
-        self.w_nn = np.sqrt(s_nn / z_nn) if s_nn.size else s_nn
-        self.lam_nn = np.sqrt(s_nn * z_nn) if s_nn.size else s_nn
-        if ops is not None and ops.size:
-            rs = ops.jdet(s_soc)
-            rz = ops.jdet(z_soc)
-            if (rs <= 0).any() or (rz <= 0).any():
-                raise FloatingPointError("cone iterate left the interior")
-            sbar = s_soc / ops.expand(np.sqrt(rs))
-            zbar = z_soc / ops.expand(np.sqrt(rz))
-            gamma = np.sqrt((1.0 + ops.bdot(sbar, zbar)) / 2.0)
-            wbar = (sbar + ops.reflect(zbar)) / ops.expand(2.0 * gamma)
-            self.eta = (rs / rz) ** 0.25
-            self.wbar = wbar
-            self.lam_soc = ops.expand((rs * rz) ** 0.25) * self._wbar_mul(zbar)
-        else:
-            self.eta = np.zeros(0)
-            self.wbar = np.zeros(0)
-            self.lam_soc = np.zeros(0)
+    def __init__(self, s: np.ndarray, z: np.ndarray, p: int):
+        self.p = p
+        s_nn, s_soc = _split(s, p)
+        z_nn, z_soc = _split(z, p)
+        rs = _jdet(s_soc)
+        rz = _jdet(z_soc)
+        if (rs <= 0).any() or (rz <= 0).any():
+            raise FloatingPointError("cone iterate left the interior")
+        sbar = s_soc / np.sqrt(rs)
+        zbar = z_soc / np.sqrt(rz)
+        gamma = np.sqrt((1.0 + _bdot(sbar, zbar)) / 2.0)
+        self.w_nn = np.sqrt(s_nn / z_nn)
+        self.wbar = (sbar + zbar * _REFLECT) / (2.0 * gamma)
+        self.eta = (rs / rz) ** 0.25
+        lam_soc = (rs * rz) ** 0.25 * self._wbar_mul(zbar)
+        self.lam = _join(np.sqrt(s_nn * z_nn), lam_soc)
 
     def _wbar_mul(self, u: np.ndarray) -> np.ndarray:
-        ops = self.ops
-        d = ops.bdot(self.wbar, u)
-        w0 = ops.heads(self.wbar)
-        u0 = ops.heads(u)
+        w = self.wbar
+        d = _bdot(w, u)
+        w0 = w[0]
+        u0 = u[0]
         coef = u0 + (d - w0 * u0) / (1.0 + w0)
-        out = u + ops.expand(coef) * self.wbar
-        out[ops.starts] = d
+        out = u + coef * w
+        out[0] = d
         return out
 
-    def _wbar_inv_mul(self, u: np.ndarray) -> np.ndarray:
-        return self.ops.reflect(self._wbar_mul(self.ops.reflect(u)))
-
-    def apply_w(self, u_nn, u_soc, inverse=False):
+    def apply(self, u: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """W u, or W^{-1} u."""
+        nn, soc = _split(u, self.p)
         if inverse:
-            nn = u_nn / self.w_nn if u_nn.size else u_nn
-            soc = (
-                self._wbar_inv_mul(u_soc) / self.ops.expand(self.eta)
-                if u_soc.size
-                else u_soc
-            )
-        else:
-            nn = u_nn * self.w_nn if u_nn.size else u_nn
-            soc = (
-                self._wbar_mul(u_soc) * self.ops.expand(self.eta)
-                if u_soc.size
-                else u_soc
-            )
-        return nn, soc
+            soc = self._wbar_mul(soc * _REFLECT) * _REFLECT / self.eta
+            return _join(nn / self.w_nn, soc)
+        return _join(nn * self.w_nn, self._wbar_mul(soc) * self.eta)
 
-    def apply_w2_inv(self, u_nn, u_soc):
-        nn = u_nn / self.w_nn ** 2 if u_nn.size else u_nn
-        if u_soc.size:
-            ops = self.ops
-            v = ops.reflect(self.wbar)
-            coef = 2.0 * ops.bdot(v, u_soc)
-            soc = (ops.expand(coef) * v - ops.reflect(u_soc)) / ops.expand(self.eta ** 2)
-        else:
-            soc = u_soc
-        return nn, soc
+    def apply_inv_sq(self, u: np.ndarray) -> np.ndarray:
+        """W^{-2} u; on a block (2 v v^T - J) u / eta^2 with v = J wbar."""
+        nn, soc = _split(u, self.p)
+        v = self.wbar * _REFLECT
+        soc = (2.0 * _bdot(v, soc) * v - soc * _REFLECT) / self.eta**2
+        return _join(nn / self.w_nn**2, soc)
 
 
-def _soc_max_step(ops: _SocOps, u: np.ndarray, du: np.ndarray) -> float:
-    """Largest t with u + t*du inside the cone product (u strictly interior)."""
-    c0 = ops.jdet(u)
-    u0 = ops.heads(u)
-    d0 = ops.heads(du)
-    c1 = 2.0 * (2.0 * u0 * d0 - ops.bdot(u, du))
-    c2 = ops.jdet(du)
-    t = np.full(ops.nblocks, np.inf)
-    scale = np.abs(c0) + np.abs(c1) + 1.0
-    quad = np.abs(c2) > 1e-14 * scale
+def _max_step(u: np.ndarray, du: np.ndarray, p: int) -> float:
+    """Largest t with u + t*du inside the cone (u strictly interior)."""
+    u_nn, u_soc = _split(u, p)
+    d_nn, d_soc = _split(du, p)
+    neg = d_nn < 0
+    t_nn = (u_nn[neg] / -d_nn[neg]).min(initial=np.inf)
+    # jdet(u + t du) = c0 + c1 t + c2 t^2 on each block
+    c0 = _jdet(u_soc)
+    c1 = 2.0 * (2.0 * u_soc[0] * d_soc[0] - _bdot(u_soc, d_soc))
+    c2 = _jdet(d_soc)
+    t = np.full(len(c0), np.inf)
+    quad = np.abs(c2) > 1e-14 * (np.abs(c0) + np.abs(c1) + 1.0)
     lin = ~quad & (c1 < 0)
     t[lin] = -c0[lin] / c1[lin]
-    if quad.any():
-        a, b, c = c2[quad], c1[quad], c0[quad]
-        disc = b * b - 4.0 * a * c
-        tq = np.full(a.shape, np.inf)
-        real = disc >= 0
-        sq = np.sqrt(np.where(real, disc, 0.0))
-        r1 = np.where(real, (-b - sq) / (2.0 * a), np.inf)
-        r2 = np.where(real, (-b + sq) / (2.0 * a), np.inf)
-        lo = np.minimum(r1, r2)
-        hi = np.maximum(r1, r2)
-        pos_lo = np.where(real & (lo > 0), lo, np.inf)
-        pos_hi = np.where(real & (hi > 0), hi, np.inf)
-        tq = np.minimum(pos_lo, pos_hi)
-        t[quad] = tq
-    return float(t.min()) if t.size else np.inf
-
-
-def _nonneg_max_step(u: np.ndarray, du: np.ndarray) -> float:
-    neg = du < 0
-    if not neg.any():
-        return np.inf
-    return float((u[neg] / -du[neg]).min())
+    a, b, c = c2[quad], c1[quad], c0[quad]
+    disc = b * b - 4.0 * a * c
+    real = disc >= 0
+    sq = np.sqrt(np.where(real, disc, 0.0))
+    r1 = np.where(real, (-b - sq) / (2.0 * a), np.inf)
+    r2 = np.where(real, (-b + sq) / (2.0 * a), np.inf)
+    t[quad] = np.minimum(np.where(r1 > 0, r1, np.inf), np.where(r2 > 0, r2, np.inf))
+    return float(min(t_nn, t.min(initial=np.inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,38 +236,18 @@ def solve(
     return result
 
 
-def _solve_inner(cone, cfg, warm_start):
+def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
     n = cone.dim
     p = cone.n_nonneg
-    ops = _SocOps(cone.soc_dims) if cone.n_soc else None
-    G = cone.G
     h = cone.h
     c = cone.c
-    degree = max(cone.degree, 1)
+    degree = max(p + cone.n_soc, 1)
+    e = _identity(p, cone.n_soc)
 
-    G_nn = G[:p]
-    G_soc = G[p:]
-    e_nn = np.ones(p)
-    e_soc = ops.identity() if ops else np.zeros(0)
+    x, s, z = _initial_point(cone, warm_start)
 
-    # static pieces of the reduced KKT assembly
-    if ops:
-        group = sp.csr_matrix(
-            (np.ones(ops.size), ops.block_of_row, np.arange(ops.size + 1)),
-            shape=(ops.size, ops.nblocks),
-        ).T.tocsr()
-        rho_base = np.where(ops.is_head, -1.0, 1.0)
-
-    def split(v):
-        return v[:p], v[p:]
-
-    def join(nn, soc):
-        return np.concatenate([nn, soc])
-
-    x, s, z = _initial_point(cone, ops, warm_start)
-
-    h_scale = max(1.0, np.abs(h).max() if h.size else 0.0)
-    c_scale = max(1.0, np.abs(c).max() if c.size else 0.0)
+    h_scale = max(1.0, np.abs(h).max(initial=0.0))
+    c_scale = max(1.0, np.abs(c).max(initial=0.0))
 
     best = None
     trace: list[str] = []
@@ -410,12 +259,12 @@ def _solve_inner(cone, cfg, warm_start):
     alpha = 0.0
     sigma = 0.0
     for iteration in range(cfg.max_iterations + 1):
-        r_x = G.T @ z + c
-        r_z = G @ x + s - h
+        r_x = cone.rmatvec(z) + c
+        r_z = cone.matvec(x) + s - h
         gap = float(s @ z)
         pobj_min = float(c @ x)
         dobj_min = float(-h @ z)
-        pres = float(np.abs(r_z).max() / h_scale) if r_z.size else 0.0
+        pres = float(np.abs(r_z).max(initial=0.0) / h_scale)
         dres = float(np.abs(r_x).max() / c_scale)
         mu = gap / degree
 
@@ -449,25 +298,16 @@ def _solve_inner(cone, cfg, warm_start):
             status = SolverStatus.ITERATION_LIMIT
             break
 
-        s_nn, s_soc = split(s)
-        z_nn, z_soc = split(z)
         try:
-            W = _Scaling(s_nn, z_nn, s_soc, z_soc, ops)
+            W = _Scaling(s, z, p)
         except FloatingPointError:
             status = SolverStatus.NUMERICAL_FAILURE
             break
 
         # reduced KKT matrix H = G^T W^{-2} G (+ regularization)
-        terms = []
-        if p:
-            terms.append(G_nn.T @ sp.diags(z_nn / s_nn) @ G_nn)
-        if ops:
-            v = ops.reflect(W.wbar)
-            inv_eta2 = W.eta ** -2
-            U = group @ (sp.diags(v) @ G_soc)
-            terms.append(U.T @ sp.diags(2.0 * inv_eta2) @ U)
-            terms.append(G_soc.T @ sp.diags(rho_base * ops.expand(inv_eta2)) @ G_soc)
-        H = sum(terms).toarray()
+        inv_eta2 = W.eta**-2
+        d = _join(z[:p] / s[:p], -_REFLECT * inv_eta2)
+        H = cone.gram(d, W.wbar * _REFLECT, 2.0 * inv_eta2)
         H = 0.5 * (H + H.T)
 
         factor = None
@@ -483,30 +323,13 @@ def _solve_inner(cone, cfg, warm_start):
             break
 
         def newton_base(bx, bz, ds_rhs):
-            d_nn, d_soc = split(ds_rhs)
-            dt_nn = d_nn / W.lam_nn if p else d_nn
-            dt_soc = ops.inv_mul(W.lam_soc, d_soc) if ops else d_soc
-            wd_nn, wd_soc = W.apply_w(dt_nn, dt_soc)
-            t = bz - join(wd_nn, wd_soc)
-            t_nn, t_soc = split(t)
-            wt_nn, wt_soc = W.apply_w2_inv(t_nn, t_soc)
-            rhs = bx + G.T @ join(wt_nn, wt_soc)
-            dx = cho_solve(factor, rhs)
-            r = G @ dx - t
-            r_nn, r_soc = split(r)
-            dz_nn, dz_soc = W.apply_w2_inv(r_nn, r_soc)
-            dz = join(dz_nn, dz_soc)
-            dzt_nn, dzt_soc = W.apply_w(dz_nn, dz_soc)
-            dst_nn = dt_nn - dzt_nn
-            dst_soc = dt_soc - dzt_soc
-            ds_nn, ds_soc = W.apply_w(dst_nn, dst_soc)
-            return (
-                dx,
-                join(ds_nn, ds_soc),
-                dz,
-                join(dst_nn, dst_soc),
-                join(dzt_nn, dzt_soc),
-            )
+            dt = _inv_mul(W.lam, ds_rhs, p)
+            t = bz - W.apply(dt)
+            dx = cho_solve(factor, bx + cone.rmatvec(W.apply_inv_sq(t)))
+            dz = W.apply_inv_sq(cone.matvec(dx) - t)
+            dzt = W.apply(dz)
+            dst = dt - dzt
+            return dx, W.apply(dst), dz, dst, dzt
 
         def newton(bx, bz, ds_rhs):
             # the rhs -> direction map is linear, so iterative refinement is
@@ -517,14 +340,10 @@ def _solve_inner(cone, cfg, warm_start):
             best = None
             for _ in range(8):
                 dx, ds, dz, dst, dzt = direction
-                e1 = bx - G.T @ dz
-                e2 = bz - (G @ dx + ds)
-                lam_dir_nn = W.lam_nn * (dst[:p] + dzt[:p])
-                lam_dir_soc = (
-                    ops.mul(W.lam_soc, dst[p:] + dzt[p:]) if ops else np.zeros(0)
-                )
-                e3 = ds_rhs - join(lam_dir_nn, lam_dir_soc)
-                err = max(np.abs(e1).max(), np.abs(e2).max(), np.abs(e3).max())
+                e1 = bx - cone.rmatvec(dz)
+                e2 = bz - (cone.matvec(dx) + ds)
+                e3 = ds_rhs - _mul(W.lam, dst + dzt, p)
+                err = max(np.abs(e1).max(), np.abs(e2).max(initial=0.0), np.abs(e3).max(initial=0.0))
                 improved = best is None or err < best[0]
                 if improved:
                     best = (err, direction)
@@ -535,31 +354,17 @@ def _solve_inner(cone, cfg, warm_start):
             return best[1]
 
         def max_step(dst, dzt):
-            a = np.inf
-            if p:
-                a = min(a, _nonneg_max_step(W.lam_nn, dst[:p]))
-                a = min(a, _nonneg_max_step(W.lam_nn, dzt[:p]))
-            if ops:
-                a = min(a, _soc_max_step(ops, W.lam_soc, dst[p:]))
-                a = min(a, _soc_max_step(ops, W.lam_soc, dzt[p:]))
-            return a
+            return min(_max_step(W.lam, dst, p), _max_step(W.lam, dzt, p))
 
         # predictor (affine scaling) direction
-        lam_sq_nn = W.lam_nn ** 2
-        lam_sq_soc = ops.mul(W.lam_soc, W.lam_soc) if ops else np.zeros(0)
-        ds_aff_rhs = -join(lam_sq_nn, lam_sq_soc)
-        dx_a, ds_a, dz_a, dst_a, dzt_a = newton(-r_x, -r_z, ds_aff_rhs)
+        lam_sq = _mul(W.lam, W.lam, p)
+        dx_a, ds_a, dz_a, dst_a, dzt_a = newton(-r_x, -r_z, -lam_sq)
         alpha_aff = min(1.0, max_step(dst_a, dzt_a))
         gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
         sigma = min(1.0, max(0.0, gap_aff / gap) ** 3) if gap > 0 else 0.0
 
         # combined predictor-corrector direction
-        corr_nn = dst_a[:p] * dzt_a[:p]
-        corr_soc = ops.mul(dst_a[p:], dzt_a[p:]) if ops else np.zeros(0)
-        ds_rhs = join(
-            sigma * mu * e_nn - lam_sq_nn - corr_nn,
-            sigma * mu * e_soc - lam_sq_soc - corr_soc,
-        )
+        ds_rhs = sigma * mu * e - lam_sq - _mul(dst_a, dzt_a, p)
         dx, ds, dz, dst, dzt = newton(-r_x, -r_z, ds_rhs)
 
         alpha = min(1.0, cfg.step_fraction * max_step(dst, dzt))
@@ -571,7 +376,7 @@ def _solve_inner(cone, cfg, warm_start):
         for _ in range(30):
             s_new = s + alpha * ds
             z_new = z + alpha * dz
-            if _interior(s_new, z_new, p, ops):
+            if _min_margin(s_new, p) > 0 and _min_margin(z_new, p) > 0:
                 break
             alpha *= 0.7
         else:
@@ -585,60 +390,31 @@ def _solve_inner(cone, cfg, warm_start):
     score, bx_, bs_, bz_, pres, dres, gap, pobj_min = best
     if status is not SolverStatus.OPTIMAL:
         x, s, z = bx_, bs_, bz_
-    viol = _primal_violation(cone, x, ops)
-    dual_res = float(np.abs(G.T @ z + c).max())
     return SolverResult(
         status=status,
         primal=x,
         objective=float(-(c @ x)),
-        max_primal_residual=viol,
-        max_dual_residual=dual_res,
+        max_primal_residual=max(0.0, -_min_margin(h - cone.matvec(x), p)),
+        max_dual_residual=float(np.abs(cone.rmatvec(z) + c).max()),
         duality_gap=gap,
         iterations=iters,
         trace=tuple(trace),
     )
 
 
-def _interior(s, z, p, ops) -> bool:
-    if p and (s[:p].min() <= 0 or z[:p].min() <= 0):
-        return False
-    if ops:
-        for v in (s[p:], z[p:]):
-            if ops.margins(v).min() <= 0:
-                return False
-    return True
-
-
-def _primal_violation(cone, x, ops) -> float:
-    """Worst violation of the original cone constraints by h - Gx."""
-    s = cone.h - cone.G @ x
-    p = cone.n_nonneg
-    worst = 0.0
-    if p:
-        worst = max(worst, float(np.maximum(-s[:p], 0.0).max()))
-    if ops:
-        worst = max(worst, float(np.maximum(-ops.margins(s[p:]), 0.0).max()))
-    return worst
-
-
-def _initial_point(cone, ops, warm_start):
+def _initial_point(cone: ConeProblem, warm_start):
     """Least-squares start pushed strictly inside the cone, or a blend of
     the warm-start point with the cone's central ray."""
-    G, h, c, p = cone.G, cone.h, cone.c, cone.n_nonneg
+    h, c, p = cone.h, cone.c, cone.n_nonneg
     n = cone.dim
-    e = np.ones(p)
-    e = np.concatenate([e, ops.identity() if ops else np.zeros(0)])
+    e = _identity(p, cone.n_soc)
 
-    GtG = (G.T @ G).toarray()
+    GtG = cone.gram(np.ones(cone.n_rows))
     GtG += 1e-12 * max(1.0, np.trace(GtG) / max(n, 1)) * np.eye(n)
     factor = cho_factor(GtG, lower=True)
 
     def push(v, target):
-        margin = np.inf
-        if p:
-            margin = min(margin, float(v[:p].min()))
-        if ops:
-            margin = min(margin, float(ops.margins(v[p:]).min()))
+        margin = _min_margin(v, p)
         if margin < target:
             return v + (target - margin) * e
         return v
@@ -648,22 +424,12 @@ def _initial_point(cone, ops, warm_start):
         if x.shape != (n,):
             raise ValueError(f"warm start must have shape ({n},), got {x.shape}")
         # shift toward the cone's central ray, then enforce an interior margin
-        s = push(0.99 * (h - G @ x) + 0.01 * e, 1e-4)
+        s = push(0.99 * (h - cone.matvec(x)) + 0.01 * e, 1e-4)
     else:
-        x = cho_solve(factor, G.T @ h)
-        s = h - G @ x
-        s = push(s, 1.0) if _min_margin(s, p, ops) <= 1e-10 else s
+        x = cho_solve(factor, cone.rmatvec(h))
+        s = h - cone.matvec(x)
+        s = push(s, 1.0) if _min_margin(s, p) <= 1e-10 else s
 
-    zw = cho_solve(factor, -c)
-    z = G @ zw
-    z = push(z, 1.0) if _min_margin(z, p, ops) <= 1e-10 else z
+    z = cone.matvec(cho_solve(factor, -c))
+    z = push(z, 1.0) if _min_margin(z, p) <= 1e-10 else z
     return x, s, z
-
-
-def _min_margin(v, p, ops) -> float:
-    margin = np.inf
-    if p:
-        margin = min(margin, float(v[:p].min()))
-    if ops:
-        margin = min(margin, float(ops.margins(v[p:]).min()))
-    return margin

@@ -31,3 +31,26 @@ class SubproblemFailure(OptigonError, RuntimeError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
+
+
+class InvariantViolation(OptigonError, RuntimeError):
+    """An outer iterate broke a property the method guarantees, which points
+    to a solver or formulation defect. Carries the outer iteration k and the
+    offending iterate (decision vector)."""
+
+    def __init__(self, message, k, iterate):
+        super().__init__(message)
+        self.k = k
+        self.iterate = iterate
+
+
+class AscentViolation(InvariantViolation):
+    """The objective or the area decreased beyond solver noise."""
+
+
+class FeasibilityViolation(InvariantViolation):
+    """An iterate violates the area program beyond solver noise."""
+
+
+class UpperBoundViolation(InvariantViolation):
+    """An iterate's area exceeds the closed-form upper bound for its n."""

@@ -150,16 +150,23 @@ def trace_csv(result: CcpResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_run(result: CcpResult, out_dir: str | Path) -> list[Path]:
+def export_run(
+    result: CcpResult,
+    out_dir: str | Path,
+    report: verification.StructureReport | None = None,
+) -> list[Path]:
     """Write polygon JSON, trace CSV, structure JSON, and SVG for one run.
 
     Files land in a per-n subdirectory and carry a content hash in their
-    names so identical runs export to identical trees.
+    names so identical runs export to identical trees. `report` is the
+    run's structure report at the default tolerance; it is computed here
+    when not given.
     """
     if result.polygon is None:
         raise ValueError(f"run for n={result.n} produced no polygon: {result.message}")
     target = Path(out_dir) / f"n{result.n:03d}"
-    report = verification.verify_structure(result.polygon)
+    if report is None:
+        report = verification.verify_structure(result.polygon)
     artifacts = {
         "polygon": (polygon_to_json(result.polygon), ".json"),
         "trace": (trace_csv(result), ".csv"),

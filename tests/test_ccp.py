@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from optigon import ccp, cli
 from optigon.ccp import (
     CcpConfig,
     CcpStatus,
@@ -11,9 +12,21 @@ from optigon.ccp import (
     run_sweep,
     step,
 )
-from optigon.conic_solver import SolverConfig
-from optigon.errors import InfeasibleInitial, SubproblemFailure
-from optigon.formulation import build_program, evaluate, polygon_to_vector, vector_to_polygon
+from optigon.conic_solver import SolverConfig, SolverResult, SolverStatus
+from optigon.errors import (
+    AscentViolation,
+    FeasibilityViolation,
+    InfeasibleInitial,
+    SubproblemFailure,
+    UpperBoundViolation,
+)
+from optigon.formulation import (
+    ConeTemplate,
+    build_program,
+    evaluate,
+    polygon_to_vector,
+    vector_to_polygon,
+)
 from optigon.geometry import Polygon, area, build_pendant_polygon, diameter, upper_bound
 
 # best known maximal areas (published optimum values)
@@ -73,26 +86,26 @@ class TestHexagonRun:
 
 class TestStep:
     def test_single_step_reaches_published_first_iterate(self):
-        prog = build_program(6)
         z0 = polygon_to_vector(build_pendant_polygon(6))
-        z1, result = step(prog, z0, CcpConfig())
+        z1, result = step(ConeTemplate(6), z0, CcpConfig())
         assert result.optimal
         assert area(vector_to_polygon(z1, 6)) == pytest.approx(0.6749414624, abs=1e-6)
 
     def test_second_step(self):
-        prog = build_program(6)
+        template = ConeTemplate(6)
         cfg = CcpConfig()
         z0 = polygon_to_vector(build_pendant_polygon(6))
-        z1, _ = step(prog, z0, cfg)
-        z2, _ = step(prog, z1, cfg)
+        z1, _ = step(template, z0, cfg)
+        z2, _ = step(template, z1, cfg)
         assert area(vector_to_polygon(z2, 6)) == pytest.approx(0.6749808685, abs=1e-6)
 
     def test_step_preserves_feasibility_and_ascent(self):
         prog = build_program(8)
+        template = ConeTemplate(8)
         cfg = CcpConfig()
         z = polygon_to_vector(build_pendant_polygon(8))
         for _ in range(3):
-            z_next, result = step(prog, z, cfg, warm_start=z)
+            z_next, result = step(template, z, cfg, warm_start=z)
             assert evaluate(prog, z_next).min_residual() >= -1e-8
             assert evaluate(prog, z_next).objective >= (
                 evaluate(prog, z).objective - cfg.solver.tol_solver
@@ -100,21 +113,19 @@ class TestStep:
             z = z_next
 
     def test_step_from_critical_point_is_fixed(self, hexagon_result):
-        prog = build_program(6)
         cfg = CcpConfig()
         z_star = polygon_to_vector(hexagon_result.polygon)
-        z_next, _ = step(prog, z_star, cfg)
+        z_next, _ = step(ConeTemplate(6), z_star, cfg)
         rel = np.linalg.norm(z_next - z_star) / np.linalg.norm(z_next)
         assert rel <= cfg.epsilon
         new_area = area(vector_to_polygon(z_next, 6))
         assert abs(new_area - hexagon_result.area) <= 1e-8
 
     def test_subproblem_failure_raises(self):
-        prog = build_program(6)
         cfg = CcpConfig(solver=SolverConfig(max_iterations=2))
         z0 = polygon_to_vector(build_pendant_polygon(6))
         with pytest.raises(SubproblemFailure):
-            step(prog, z0, cfg)
+            step(ConeTemplate(6), z0, cfg)
 
 
 class TestRestart:
@@ -196,3 +207,47 @@ class TestSweep:
         assert len(results) == 2
         assert all(r.status is CcpStatus.SUBPROBLEM_FAILURE for r in results)
         assert all(r.message for r in results)
+
+
+def _scale_u(factor):
+    def change(z, n):
+        z[2 * (n - 1):] *= factor
+        return z
+    return change
+
+
+def _grow_polygon(z, n):
+    # every length by 5%, fan areas kept tight: feasible nowhere, area +10%
+    z[: 2 * (n - 1)] *= 1.05
+    z[2 * (n - 1):] *= 1.05**2
+    return z
+
+
+class TestInvariants:
+    """Each runtime invariant of the outer loop has a typed error and makes
+    `optigon solve` exit 1 without a traceback."""
+
+    @pytest.mark.parametrize(
+        "error, change",
+        [
+            (AscentViolation, _scale_u(0.5)),
+            (FeasibilityViolation, _scale_u(2.0)),
+            (UpperBoundViolation, _grow_polygon),
+        ],
+        ids=["ascent", "feasibility", "upper_bound"],
+    )
+    def test_broken_step_raises_typed_error(self, monkeypatch, capsys, error, change):
+        def broken_step(template, z_k, cfg, warm_start=None):
+            z = change(z_k.copy(), template.n)
+            return z, SolverResult(SolverStatus.OPTIMAL, z, 0.0, 0.0, 0.0, 0.0, 1)
+
+        monkeypatch.setattr(ccp, "step", broken_step)
+        with pytest.raises(error) as info:
+            maximize_area(6)
+        assert info.value.k == 1
+        expected = change(polygon_to_vector(build_pendant_polygon(6)), 6)
+        assert np.array_equal(info.value.iterate, expected)
+
+        assert cli.main(["solve", "--n", "6"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from optigon import cli, reporting, verification
+from optigon.ccp import maximize_area
 from optigon.cli import main
 from optigon.geometry import build_pendant_polygon, save_polygon
 
@@ -74,6 +76,61 @@ class TestSweep:
 
     def test_rejects_odd_range(self, capsys):
         assert main(["sweep", "--from", "5", "--to", "9"]) == 2
+
+
+class TestVerifyOnce:
+    """The CLI verifies each result once and passes the report on; the output
+    equals what the self-verifying building blocks produce."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        return {n: maximize_area(n) for n in (6, 8)}
+
+    @staticmethod
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_one_verification_per_result(self, fmt, results, tmp_path, monkeypatch, capsys):
+        ok = [results[6], results[8]]
+        expected_dir = tmp_path / "expected"
+        for r in ok:
+            reporting.export_run(r, expected_dir)
+        reports = [verification.verify_structure(r.polygon) for r in ok]
+        rows = [reporting.sweep_row(r) for r in ok]
+        if fmt == "csv":
+            expected_out = reporting.render_table_csv(rows)
+        elif fmt == "text":
+            expected_out = reporting.render_table_text(rows) + "".join(
+                f"n={r.n} area={r.area:.10f} k={r.iterations} status={r.status.value} "
+                f"structure=pass max_defect={rep.max_defect:.2e}\n"
+                for r, rep in zip(ok, reports)
+            )
+        else:
+            expected_out = json.dumps(
+                [{"n": r.n, "area": r.area, "iterations": r.iterations,
+                  "status": r.status.value, "structure_pass": rep.passed,
+                  "vertices": [list(map(float, v)) for v in r.polygon.vertices]}
+                 for r, rep in zip(ok, reports)],
+                indent=2,
+            ) + "\n"
+
+        calls = []
+        real_verify = verification.verify_structure
+
+        def counting_verify(polygon, *args, **kwargs):
+            calls.append(polygon)
+            return real_verify(polygon, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_sweep_entry", lambda item: results[item[0]])
+        monkeypatch.setattr(verification, "verify_structure", counting_verify)
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        args = ["sweep", "--from", "6", "--to", "8", "--format", fmt, "--out", str(out_dir)]
+        assert main(args) == 0
+        assert len(calls) == 2
+        assert capsys.readouterr().out == expected_out
+        assert self.tree(out_dir) == self.tree(expected_dir)
 
 
 class TestLogging:

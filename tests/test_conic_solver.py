@@ -6,18 +6,23 @@ independent grid-plus-coordinate-descent oracle on the symmetric slice.
 """
 
 import math
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import optigon
 from optigon.conic_solver import (
     SolverConfig,
     SolverStatus,
+    _inv_mul,
+    _mul,
     _Scaling,
-    _SocOps,
     lift,
     solve,
 )
@@ -69,6 +74,10 @@ def hexagon_restriction():
     return prog, z0, build_restriction(prog, z0)
 
 
+def dense_G(cone):
+    return np.column_stack([cone.matvec(e) for e in np.eye(cone.dim)])
+
+
 class TestLift:
     def test_hexagon_block_structure(self, hexagon_restriction):
         _, _, sub = hexagon_restriction
@@ -78,7 +87,10 @@ class TestLift:
         assert cone.soc_families.count(Family.DISTANCE) == 10
         assert cone.soc_families.count(Family.RADIUS) == 5
         assert cone.soc_families.count(Family.TRIANGLE_AREA) == 4
-        assert all(d == 4 for d in cone.soc_dims)  # arity 2 everywhere
+        # every block is Q^4 over at most 5 columns
+        assert cone.soc_coef.shape[0::2] == (4, 19)
+        assert cone.soc_cols.shape[1] == 19
+        assert cone.soc_coef.shape[1] == cone.soc_cols.shape[0] <= 5
         assert cone.dim == 14
         assert cone.n_rows == 9 + 19 * 4
 
@@ -87,20 +99,54 @@ class TestLift:
         cone = lift(sub)
         # rows: (1+1)/2, x, y, (1-1)/2 with no x-dependence in the bound rows
         assert cone.h == pytest.approx([1.0, 0.0, 0.0, 0.0])
-        dense = cone.G.toarray()
+        dense = dense_G(cone)
         assert dense[0] == pytest.approx([0.0, 0.0])
         assert dense[3] == pytest.approx([0.0, 0.0])
 
     def test_rejects_malformed_constraint(self):
         bad = RestrictionConstraint(
             family=Family.RADIUS,
-            squares=("not a linear form",),
+            squares=("not a linear form", LinearForm((1,), (1.0,))),
             bound=LinearForm((), (), 1.0),
             vertices=(1,),
         )
         sub = mini_problem(LinearForm((0,), (1.0,)), [bad], 2)
         with pytest.raises(NonConvexConstraint):
             lift(sub)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_rejects_blocks_other_than_q4(self, count):
+        squares = tuple(LinearForm((k % 2,), (1.0,)) for k in range(count))
+        con = RestrictionConstraint(Family.RADIUS, squares, LinearForm((), (), 1.0), (1,))
+        with pytest.raises(NonConvexConstraint):
+            lift(mini_problem(LinearForm((0,), (1.0,)), [con], 2))
+
+
+class TestConeOperators:
+    """matvec, rmatvec and gram against dense products with G."""
+
+    @pytest.fixture(params=["hexagon", "octagon"])
+    def cone(self, request):
+        n = 6 if request.param == "hexagon" else 8
+        prog = build_program(n)
+        return lift(build_restriction(prog, polygon_to_vector(build_pendant_polygon(n))))
+
+    def test_rmatvec_is_transpose(self, cone):
+        y = RNG.normal(size=cone.n_rows)
+        assert cone.rmatvec(y) == pytest.approx(dense_G(cone).T @ y, abs=1e-12)
+
+    def test_gram_matches_dense_product(self, cone):
+        p, m = cone.n_nonneg, cone.n_soc
+        d = RNG.uniform(0.5, 2.0, cone.n_rows)
+        v = RNG.normal(size=(4, m))
+        beta = RNG.uniform(0.5, 2.0, m)
+        M = np.diag(d)
+        for b in range(m):
+            rows = p + b + m * np.arange(4)  # row j of block b
+            M[np.ix_(rows, rows)] += beta[b] * np.outer(v[:, b], v[:, b])
+        G = dense_G(cone)
+        assert cone.gram(d, v, beta) == pytest.approx(G.T @ M @ G, abs=1e-12)
+        assert cone.gram(np.ones(cone.n_rows)) == pytest.approx(G.T @ G, abs=1e-12)
 
 
 class TestAnalyticOptima:
@@ -206,40 +252,50 @@ class TestSolverCertificates:
 
 
 class TestConeAlgebra:
-    def interior_point(self, ops, rng):
-        v = rng.normal(size=ops.size)
-        heads = np.sqrt(np.maximum(ops.bdot(v, v) - v[ops.starts] ** 2, 0.0))
-        v[ops.starts] = heads + rng.uniform(0.2, 1.0, ops.nblocks)
-        return v
+    """Jordan algebra and NT scaling on R^p_+ x (Q^4)^m with several blocks."""
+
+    P, M = 3, 5
+
+    def interior_point(self, rng):
+        nn = rng.uniform(0.2, 2.0, self.P)
+        soc = rng.normal(size=(4, self.M))
+        soc[0] = np.linalg.norm(soc[1:], axis=0) + rng.uniform(0.2, 1.0, self.M)
+        return np.concatenate([nn, soc.ravel()])
 
     def test_jordan_inverse_product(self):
         rng = np.random.default_rng(3)
-        ops = _SocOps(np.array([3, 4, 5]))
-        lam = self.interior_point(ops, rng)
-        d = rng.normal(size=ops.size)
-        assert ops.mul(lam, ops.inv_mul(lam, d)) == pytest.approx(d, abs=1e-10)
+        lam = self.interior_point(rng)
+        d = rng.normal(size=lam.size)
+        assert _mul(lam, _inv_mul(lam, d, self.P), self.P) == pytest.approx(d, abs=1e-10)
 
     def test_nt_scaling_maps_s_and_z_to_same_point(self):
         rng = np.random.default_rng(4)
-        ops = _SocOps(np.array([4, 4, 6]))
-        s = self.interior_point(ops, rng)
-        z = self.interior_point(ops, rng)
-        W = _Scaling(np.zeros(0), np.zeros(0), s, z, ops)
-        _, wz = W.apply_w(np.zeros(0), z)
-        _, wis = W.apply_w(np.zeros(0), s, inverse=True)
-        assert wz == pytest.approx(wis, rel=1e-9)
-        assert wz == pytest.approx(W.lam_soc, rel=1e-9)
+        s = self.interior_point(rng)
+        z = self.interior_point(rng)
+        W = _Scaling(s, z, self.P)
+        assert W.apply(z) == pytest.approx(W.apply(s, inverse=True), rel=1e-9)
+        assert W.apply(z) == pytest.approx(W.lam, rel=1e-9)
 
     def test_scaling_round_trip(self):
         rng = np.random.default_rng(5)
-        ops = _SocOps(np.array([4, 5]))
-        s = self.interior_point(ops, rng)
-        z = self.interior_point(ops, rng)
-        W = _Scaling(np.zeros(0), np.zeros(0), s, z, ops)
-        u = rng.normal(size=ops.size)
-        _, wu = W.apply_w(np.zeros(0), u)
-        _, back = W.apply_w(np.zeros(0), wu, inverse=True)
-        assert back == pytest.approx(u, abs=1e-11)
+        s = self.interior_point(rng)
+        z = self.interior_point(rng)
+        W = _Scaling(s, z, self.P)
+        u = rng.normal(size=s.size)
+        assert W.apply(W.apply(u), inverse=True) == pytest.approx(u, abs=1e-11)
+        # W^{-2} undoes two applications of W
+        assert W.apply_inv_sq(W.apply(W.apply(u))) == pytest.approx(u, abs=1e-10)
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # a fresh interpreter that imports this same optigon package
+    src = str(Path(optigon.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import optigon; " \
+        "print(optigon.__file__, 'scipy.sparse' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == [optigon.__file__, "False"]
 
 
 # ---------------------------------------------------------------------------

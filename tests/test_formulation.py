@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from optigon.errors import DimensionMismatch
 from optigon.formulation import (
+    ConeTemplate,
     Family,
     build_program,
     build_restriction,
     describe_program,
     describe_subproblem,
     evaluate,
+    lift,
     polygon_to_vector,
     vector_to_polygon,
 )
@@ -184,6 +186,78 @@ class TestBuildRestriction:
         bad[0] = np.inf
         with pytest.raises(DimensionMismatch):
             build_restriction(prog6, bad)
+
+
+def dense_G(cone):
+    return np.column_stack([cone.matvec(e) for e in np.eye(cone.dim)])
+
+
+def reference_points(n):
+    """Start polygon, random points, the origin, and a random point with
+    exact zeros (the pendant start also has its apex at x = 0 exactly)."""
+    rng = np.random.default_rng(n)
+    dim = 3 * n - 4
+    start = (build_pendant_polygon(n) if n >= 6 and n % 2 == 0 else build_regular_polygon(n))
+    with_zeros = rng.uniform(-1.0, 1.0, dim)
+    with_zeros[::3] = 0.0
+    return [polygon_to_vector(start), rng.uniform(-1.0, 1.0, dim),
+            rng.uniform(-2.0, 2.0, dim), np.zeros(dim), with_zeros]
+
+
+class TestConeTemplate:
+    @pytest.mark.parametrize("n", [5, 6, 7, 16, 32])
+    def test_matches_lifted_restriction(self, n):
+        prog = build_program(n)
+        template = ConeTemplate(n)
+        for c in reference_points(n):
+            reference = lift(build_restriction(prog, c))
+            cone = template.at(c)
+            assert cone.nonneg_families == reference.nonneg_families
+            assert cone.soc_families == reference.soc_families
+            assert np.array_equal(cone.c, reference.c)
+            # G rows are the same products; h differs only in how the
+            # tangent offset g(c) - grad g(c)^T c is rounded
+            assert np.array_equal(dense_G(cone), dense_G(reference))
+            np.testing.assert_allclose(cone.h, reference.h, rtol=0, atol=1e-14)
+
+    def test_rewrite_keeps_no_state(self):
+        first, second = reference_points(8)[:2]
+        template = ConeTemplate(8)
+        template.at(second)
+        fresh = ConeTemplate(8).at(first)
+        cone = template.at(first)
+        assert np.array_equal(cone.soc_coef, fresh.soc_coef)
+        assert np.array_equal(cone.h, fresh.h)
+
+    def test_block_shape(self):
+        cone = ConeTemplate(16).at(reference_points(16)[0])
+        m = 15 * 14 // 2 + 15 + 14
+        assert cone.soc_coef.shape == (4, 5, m)
+        assert cone.soc_cols.shape == (5, m)
+        assert cone.nn_cols.shape == cone.nn_coef.shape == (1, 15 + 14)
+        assert cone.n_rows == 29 + 4 * m
+
+    @pytest.mark.parametrize("n", [5, 6, 16, 32])
+    def test_residuals_match_evaluate(self, n):
+        prog = build_program(n)
+        template = ConeTemplate(n)
+        for z in reference_points(n):
+            expected = evaluate(prog, z)
+            report = template.evaluate(z)
+            assert report.objective == pytest.approx(expected.objective, abs=1e-13)
+            for family in Family:
+                np.testing.assert_allclose(
+                    report.by_family(family), expected.by_family(family), rtol=0, atol=1e-13
+                )
+
+    def test_rejects_bad_reference(self):
+        template = ConeTemplate(6)
+        with pytest.raises(DimensionMismatch):
+            template.at(np.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            template.at(np.full(14, np.nan))
+        with pytest.raises(ValueError):
+            ConeTemplate(3)
 
 
 class TestTangentUnderestimation:
