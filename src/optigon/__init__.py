@@ -13,7 +13,6 @@ from .ccp import (
     CcpResult,
     CcpStatus,
     CcpTrace,
-    StepNorm,
     maximize_area,
     run_sweep,
     step,

@@ -7,6 +7,16 @@ the optimum (pure ascent, no line search). The loop stops when the
 relative step ||z_k - z_{k-1}|| / ||z_k|| falls below epsilon. Every
 iterate is feasible for the original program and the objective never
 decreases beyond solver noise; both are enforced at runtime.
+
+Distance screening: of the ~n^2/2 pairwise distance constraints only about
+n reach unit distance near an optimum, so each restriction is solved with
+the distance blocks of the pairs at least 1 - SCREEN_MARGIN apart at the
+current iterate only (every other constraint family is always kept). That
+cone is a relaxation of the full restriction. A guard then computes every
+pair's distance at the candidate; if a dropped pair exceeds 1, it is added
+back, together with the pairs now within the margin, and the restriction is
+solved again. Distance constraints are not linearized, so a candidate that
+passes the guard satisfies the full restriction and is its optimum.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +52,10 @@ __all__ = [
     "CcpStatus",
     "CcpTrace",
     "IterateRecord",
-    "StepNorm",
+    "SCREEN_MARGIN",
+    "StepResult",
     "default_initial_polygon",
+    "failed_result",
     "maximize_area",
     "run_sweep",
     "step",
@@ -50,10 +63,9 @@ __all__ = [
 
 log = logging.getLogger("optigon.ccp")
 
-
-class StepNorm(enum.Enum):
-    EUCLIDEAN = "euclidean"
-    MAX_ABS = "max_abs"
+# a distance pair enters a restriction when it is at least 1 - SCREEN_MARGIN
+# apart at the reference point; a margin >= 1 keeps every pair
+SCREEN_MARGIN = 0.02
 
 
 class CcpStatus(enum.Enum):
@@ -70,7 +82,6 @@ class CcpConfig:
     max_outer_iterations: int = 1000
     solver: SolverConfig = field(default_factory=SolverConfig)
     record_trace: bool = True
-    step_norm: StepNorm = StepNorm.EUCLIDEAN
     tol_feas: float = 1e-8
     warm_start: bool = True
     verify_iterates: bool = True
@@ -99,6 +110,8 @@ class IterateRecord:
     solver_status: str
     solver_iterations: int
     max_violation: float
+    pairs_kept: int = 0  # distance pairs in the cone of the step's final solve
+    resolves: int = 0  # solves repeated because a dropped pair was violated
     structure: verification.StructureReport | None = None
 
 
@@ -138,32 +151,51 @@ def default_initial_polygon(n: int) -> Polygon:
     return build_regular_polygon(n)
 
 
+class StepResult(NamedTuple):
+    """The next iterate, the result of the step's final solve, the distance
+    pairs in that solve's cone, and the solves repeated by the guard."""
+
+    z: np.ndarray
+    solver: SolverResult
+    pairs_kept: int
+    resolves: int
+
+
 def step(
     template: ConeTemplate,
     z_k: np.ndarray,
     cfg: CcpConfig,
     warm_start: np.ndarray | None = None,
-) -> tuple[np.ndarray, SolverResult]:
-    """One outer iteration: solve the convex restriction built at z_k.
+) -> StepResult:
+    """One outer iteration: solve the convex restriction built at z_k on the
+    distance pairs near unit distance, re-solving with any dropped pair the
+    candidate violates until none is (see the module docstring).
 
-    Raises SubproblemFailure unless the subproblem reached optimality.
+    Raises SubproblemFailure unless every solve reached optimality.
     """
-    result = solve(template.at(z_k), cfg.solver, warm_start=warm_start)
-    if result.status is SolverStatus.INFEASIBLE:
-        # restrictions at feasible points are always feasible; this is a bug
-        raise SubproblemFailure(
-            "subproblem reported infeasible; restriction was built at an "
-            "infeasible reference point",
-            result,
-        )
-    if result.status is not SolverStatus.OPTIMAL:
-        raise SubproblemFailure(
-            f"subproblem solve failed with status {result.status.value} "
-            f"(primal residual {result.max_primal_residual:.2e}, "
-            f"gap {result.duality_gap:.2e})",
-            result,
-        )
-    return result.primal, result
+    full = template.at(z_k)
+    keep = _near_unit(template.distance_sq(z_k))
+    resolves = 0
+    while True:
+        cone = full if keep.all() else template.screened(keep)
+        result = solve(cone, cfg.solver, warm_start=warm_start)
+        if result.status is not SolverStatus.OPTIMAL:
+            raise SubproblemFailure(
+                f"subproblem solve failed with status {result.status.value} "
+                f"(primal residual {result.max_primal_residual:.2e}, "
+                f"gap {result.duality_gap:.2e})",
+                result,
+            )
+        d2 = template.distance_sq(result.primal)
+        violated = ~keep & (d2 > 1.0)
+        if not violated.any():
+            return StepResult(result.primal, result, int(keep.sum()), resolves)
+        keep |= violated | _near_unit(d2)
+        resolves += 1
+
+
+def _near_unit(d2: np.ndarray) -> np.ndarray:
+    return np.sqrt(d2) >= 1.0 - SCREEN_MARGIN
 
 
 def maximize_area(
@@ -207,7 +239,7 @@ def maximize_area(
     area_prev = area(initial)
     while k < cfg.max_outer_iterations:
         try:
-            z_next, solver_result = step(
+            z_next, solver_result, pairs_kept, resolves = step(
                 template, z, cfg, warm_start=z if cfg.warm_start else None
             )
         except SubproblemFailure as exc:
@@ -216,10 +248,13 @@ def maximize_area(
             log.warning("n=%d: %s", n, message)
             break
         k += 1
-        rel = _relative_step(z_next, z, cfg.step_norm)
+        rel = float(np.linalg.norm(z_next - z)) / max(float(np.linalg.norm(z_next)), 1e-300)
         z = z_next
 
-        rec = _record(trace, template, k=k, z=z, rel_step=rel, solver=solver_result)
+        rec = _record(
+            trace, template, k=k, z=z, rel_step=rel, solver=solver_result,
+            pairs_kept=pairs_kept, resolves=resolves,
+        )
         # ascent, boundedness, and feasibility hold up to solver noise;
         # violations indicate a solver or formulation defect. They are checked
         # before the structure check, which rejects a polygon that is not small
@@ -244,8 +279,8 @@ def maximize_area(
         objective_prev = rec.objective
         area_prev = rec.area
         log.info(
-            "n=%d k=%d area=%.10f rel_step=%.3e solver_iters=%d",
-            n, k, rec.area, rel, solver_result.iterations,
+            "n=%d k=%d area=%.10f rel_step=%.3e solver_iters=%d pairs=%d resolves=%d",
+            n, k, rec.area, rel, solver_result.iterations, pairs_kept, resolves,
         )
         if rel <= cfg.epsilon:
             status = CcpStatus.CONVERGED
@@ -271,31 +306,26 @@ def run_sweep(n_values, cfg: CcpConfig | None = None) -> list[CcpResult]:
             results.append(maximize_area(n, cfg))
         except Exception as exc:  # noqa: BLE001 - sweep must never abort
             log.warning("n=%d failed: %s", n, exc)
-            results.append(
-                CcpResult(
-                    n=n,
-                    polygon=None,
-                    area=float("nan"),
-                    iterations=0,
-                    status=CcpStatus.SUBPROBLEM_FAILURE,
-                    trace=None,
-                    message=str(exc),
-                )
-            )
+            results.append(failed_result(n, str(exc)))
     return results
 
 
-def _relative_step(z_new: np.ndarray, z_old: np.ndarray, norm: StepNorm) -> float:
-    if norm is StepNorm.EUCLIDEAN:
-        denom = float(np.linalg.norm(z_new))
-        num = float(np.linalg.norm(z_new - z_old))
-    else:
-        denom = float(np.abs(z_new).max())
-        num = float(np.abs(z_new - z_old).max())
-    return num / max(denom, 1e-300)
+def failed_result(n: int, message: str) -> CcpResult:
+    """The sweep entry of a run that raised or whose process died."""
+    return CcpResult(
+        n=n,
+        polygon=None,
+        area=float("nan"),
+        iterations=0,
+        status=CcpStatus.SUBPROBLEM_FAILURE,
+        trace=None,
+        message=message,
+    )
 
 
-def _record(trace, template, *, k, z, rel_step, solver) -> IterateRecord:
+def _record(
+    trace, template, *, k, z, rel_step, solver, pairs_kept=0, resolves=0
+) -> IterateRecord:
     report = template.evaluate(z)
     polygon = vector_to_polygon(z, template.n)
     rec = IterateRecord(
@@ -307,6 +337,8 @@ def _record(trace, template, *, k, z, rel_step, solver) -> IterateRecord:
         solver_status=solver.status.value if solver else "initial",
         solver_iterations=solver.iterations if solver else 0,
         max_violation=max(0.0, -report.min_residual()),
+        pairs_kept=pairs_kept,
+        resolves=resolves,
     )
     trace.records.append(rec)
     return rec

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import reporting, verification
-from .ccp import CcpConfig, CcpResult, CcpStatus, maximize_area
+from .ccp import CcpConfig, CcpResult, CcpStatus, failed_result, maximize_area
 from .conic_solver import SolverConfig
 from .errors import OptigonError
 from .geometry import load_polygon, pendant_area, upper_bound
@@ -120,11 +120,34 @@ def _cmd_sweep(args) -> int:
         _require_headline_n(n)
     cfg = _config_from(args)
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_entry, [(n, cfg) for n in ns]))
+        results = _pool_sweep(ns, cfg, args.jobs)
     else:
         results = [_sweep_entry((n, cfg)) for n in ns]
     return _emit_results(results, args)
+
+
+def _pool_sweep(ns: list[int], cfg: CcpConfig, jobs: int) -> list[CcpResult]:
+    """Run each n in a process pool. A worker that dies breaks the pool and
+    every entry still in it; those entries run again, each in a pool of its
+    own, so only the entry whose worker dies again is lost."""
+    results: dict[int, CcpResult] = {}
+    for n in _run_pool(ns, cfg, jobs, results):
+        if _run_pool([n], cfg, 1, results):
+            results[n] = failed_result(n, "worker process died")
+    return [results[n] for n in ns]
+
+
+def _run_pool(ns, cfg, jobs, results) -> list[int]:
+    """Fill results for the entries that finish; return those the pool lost."""
+    broken = []
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = {n: pool.submit(_sweep_entry, (n, cfg)) for n in ns}
+        for n, future in futures.items():
+            try:
+                results[n] = future.result()
+            except concurrent.futures.BrokenExecutor:
+                broken.append(n)
+    return broken
 
 
 def _sweep_entry(item) -> CcpResult:

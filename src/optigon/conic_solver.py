@@ -5,11 +5,18 @@ by `formulation.lift` from a restriction object)
 
     minimize c^T x   subject to   G x + s = h,   s in R^p_+ x (Q^4)^m.
 
+The outer loop passes `ConeTemplate.screened`, a copy of the restriction
+holding only the distance blocks of the pairs near unit distance, or the
+template's full cone when every pair is kept; the solver treats both alike,
+and each re-solve after the outer loop's guard adds dropped pairs is one
+more call here.
+
 Every block is Q^4, and G is held in fixed-shape arrays: coefficients of
 shape (4, K, m) over K <= 5 columns per block, nonnegative rows as
 index/coefficient vectors. Between restrictions of one n only the n-2
-triangle-area blocks change, never the column pattern. Cone vectors are
-flat with the second-order part viewed as a (4, m) array, so the blockwise
+triangle-area blocks change; each cone (the template's, or a screened
+copy) keeps one column pattern. Cone vectors are flat with the
+second-order part viewed as a (4, m) array, so the blockwise
 Jordan-algebra and scaling operations are numpy expressions over all blocks.
 
 Primal-dual method: Nesterov-Todd scaling per block, Mehrotra
@@ -38,7 +45,6 @@ log = logging.getLogger("optigon.solver")
 
 class SolverStatus(enum.Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     ITERATION_LIMIT = "iteration_limit"
     NUMERICAL_FAILURE = "numerical_failure"
 

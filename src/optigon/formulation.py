@@ -40,8 +40,6 @@ __all__ = [
     "lift",
     "polygon_to_vector",
     "vector_to_polygon",
-    "describe_program",
-    "describe_subproblem",
 ]
 
 
@@ -100,12 +98,6 @@ class LinearForm:
         for i, c in zip(self.indices, self.coeffs):
             g[i] += c
         return g
-
-    def __str__(self) -> str:
-        terms = [f"{c:+g}*z[{i}]" for i, c in zip(self.indices, self.coeffs)]
-        if self.offset or not terms:
-            terms.append(f"{self.offset:+g}")
-        return " ".join(terms)
 
 
 ZERO_FORM = LinearForm(indices=(), coeffs=(), offset=0.0)
@@ -544,7 +536,9 @@ class ConeTemplate:
     Built once per n, with the rows of lift(build_restriction(prog, c)) in
     the same order. Restrictions differ only in the n-2 triangle-area
     blocks, whose first and last rows hold the tangent of g at c; `at`
-    rewrites those rows of G and h in place.
+    rewrites those rows of G and h in place. `screened` copies the current
+    restriction without some distance blocks; `distance_sq` gives every
+    distance pair's squared length, to choose and to check those blocks.
     """
 
     def __init__(self, n: int):
@@ -557,6 +551,7 @@ class ConeTemplate:
         i, j = np.triu_indices(n - 1, k=1)  # distance pairs, in program order
         t = np.arange(n - 2)                # triangle (t + 1, t + 2)
         pairs, verts, tris = len(i), n - 1, n - 2
+        self.n_pairs = pairs
         dist, rad = slice(0, pairs), slice(pairs, pairs + verts)
         self._tri = slice(pairs + verts, pairs + verts + tris)
 
@@ -610,6 +605,36 @@ class ConeTemplate:
         self._h_soc[3, self._tri] = 0.5 - 0.5 * offset
         return self.cone
 
+    def screened(self, keep: np.ndarray) -> ConeProblem:
+        """The restriction last built by `at`, holding only the distance
+        blocks of the pairs where the boolean mask `keep` (one entry per
+        pair, in program order) is true; every other row is kept. A copy:
+        later calls to `at` leave it unchanged."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (self.n_pairs,):
+            raise ValueError(f"keep must be a boolean mask of shape ({self.n_pairs},)")
+        cone = self.cone
+        blocks = np.concatenate([keep, np.ones(cone.n_soc - self.n_pairs, dtype=bool)])
+        return ConeProblem(
+            c=cone.c,
+            h=np.concatenate([cone.h[: cone.n_nonneg], self._h_soc[:, blocks].ravel()]),
+            nn_cols=cone.nn_cols,
+            nn_coef=cone.nn_coef,
+            # contiguous like the template's arrays, so that einsum sums in
+            # the same order and every row equals the full cone's
+            soc_cols=np.ascontiguousarray(cone.soc_cols[:, blocks]),
+            soc_coef=np.ascontiguousarray(cone.soc_coef[:, :, blocks]),
+            nonneg_families=cone.nonneg_families,
+            soc_families=(Family.DISTANCE,) * int(keep.sum())
+            + cone.soc_families[self.n_pairs:],
+        )
+
+    def distance_sq(self, z: np.ndarray) -> np.ndarray:
+        """Squared distance at z of every distance pair, in program order."""
+        z = _checked(z, self.layout.dim)
+        x_i, x_j, y_i, y_j = z[self.cone.soc_cols[:4, : self.n_pairs]]
+        return (x_j - x_i) ** 2 + (y_j - y_i) ** 2
+
     def evaluate(self, z: np.ndarray) -> EvaluationReport:
         """Program residuals g_i(z) - h_i(z), in cone row order, and the
         objective. Leaves the template linearized at z."""
@@ -646,31 +671,3 @@ def vector_to_polygon(z: np.ndarray, n: int) -> Polygon:
     v[1:, 0] = z[: n - 1]
     v[1:, 1] = z[n - 1 : 2 * (n - 1)]
     return Polygon(v)
-
-
-def describe_program(prog: DcProgram) -> str:
-    """Human-readable dump of every constraint's linear forms (for bug reports)."""
-    lines = [f"dc program: n={prog.n} dim={prog.dim}"]
-    lines.append(f"objective: maximize {prog.objective_g.affine}")
-    for k, con in enumerate(prog.constraints):
-        lines.append(f"[{k}] {con.family.value} vertices={con.vertices}")
-        for form in con.g.squares:
-            lines.append(f"    g square: ({form})^2")
-        if con.g.affine.indices or con.g.affine.offset:
-            lines.append(f"    g affine: {con.g.affine}")
-        for form in con.h.squares:
-            lines.append(f"    h square: ({form})^2")
-        if con.h.affine.indices or con.h.affine.offset:
-            lines.append(f"    h affine: {con.h.affine}")
-    return "\n".join(lines)
-
-
-def describe_subproblem(sub: ConvexSubproblem) -> str:
-    lines = [f"convex restriction: dim={sub.dim}"]
-    lines.append(f"objective: maximize {sub.objective}")
-    for k, con in enumerate(sub.constraints):
-        lines.append(f"[{k}] {con.family.value} vertices={con.vertices}")
-        for form in con.squares:
-            lines.append(f"    square: ({form})^2")
-        lines.append(f"    bound: {con.bound}")
-    return "\n".join(lines)

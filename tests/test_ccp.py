@@ -7,12 +7,12 @@ from optigon import ccp, cli
 from optigon.ccp import (
     CcpConfig,
     CcpStatus,
-    StepNorm,
+    StepResult,
     maximize_area,
     run_sweep,
     step,
 )
-from optigon.conic_solver import SolverConfig, SolverResult, SolverStatus
+from optigon.conic_solver import SolverConfig, SolverResult, SolverStatus, solve
 from optigon.errors import (
     AscentViolation,
     FeasibilityViolation,
@@ -87,7 +87,7 @@ class TestHexagonRun:
 class TestStep:
     def test_single_step_reaches_published_first_iterate(self):
         z0 = polygon_to_vector(build_pendant_polygon(6))
-        z1, result = step(ConeTemplate(6), z0, CcpConfig())
+        z1, result, *_ = step(ConeTemplate(6), z0, CcpConfig())
         assert result.optimal
         assert area(vector_to_polygon(z1, 6)) == pytest.approx(0.6749414624, abs=1e-6)
 
@@ -95,8 +95,8 @@ class TestStep:
         template = ConeTemplate(6)
         cfg = CcpConfig()
         z0 = polygon_to_vector(build_pendant_polygon(6))
-        z1, _ = step(template, z0, cfg)
-        z2, _ = step(template, z1, cfg)
+        z1 = step(template, z0, cfg).z
+        z2 = step(template, z1, cfg).z
         assert area(vector_to_polygon(z2, 6)) == pytest.approx(0.6749808685, abs=1e-6)
 
     def test_step_preserves_feasibility_and_ascent(self):
@@ -105,7 +105,7 @@ class TestStep:
         cfg = CcpConfig()
         z = polygon_to_vector(build_pendant_polygon(8))
         for _ in range(3):
-            z_next, result = step(template, z, cfg, warm_start=z)
+            z_next = step(template, z, cfg, warm_start=z).z
             assert evaluate(prog, z_next).min_residual() >= -1e-8
             assert evaluate(prog, z_next).objective >= (
                 evaluate(prog, z).objective - cfg.solver.tol_solver
@@ -115,7 +115,7 @@ class TestStep:
     def test_step_from_critical_point_is_fixed(self, hexagon_result):
         cfg = CcpConfig()
         z_star = polygon_to_vector(hexagon_result.polygon)
-        z_next, _ = step(ConeTemplate(6), z_star, cfg)
+        z_next = step(ConeTemplate(6), z_star, cfg).z
         rel = np.linalg.norm(z_next - z_star) / np.linalg.norm(z_next)
         assert rel <= cfg.epsilon
         new_area = area(vector_to_polygon(z_next, 6))
@@ -126,6 +126,48 @@ class TestStep:
         z0 = polygon_to_vector(build_pendant_polygon(6))
         with pytest.raises(SubproblemFailure):
             step(ConeTemplate(6), z0, cfg)
+
+
+class TestScreening:
+    """Each restriction is solved on the distance pairs near unit distance;
+    dropped pairs are checked at the candidate and added back if violated."""
+
+    @pytest.mark.parametrize("n", [6, 16, 32])
+    def test_keeping_every_pair_is_the_full_solve(self, monkeypatch, n):
+        monkeypatch.setattr(ccp, "SCREEN_MARGIN", 1.0)
+        template = ConeTemplate(n)
+        cfg = CcpConfig()
+        z0 = polygon_to_vector(build_pendant_polygon(n))
+        full = solve(template.at(z0), cfg.solver, warm_start=z0)
+        z1, screened, kept, resolves = step(template, z0, cfg, warm_start=z0)
+        assert (kept, resolves) == (template.n_pairs, 0)
+        assert np.array_equal(z1, full.primal)
+        assert np.array_equal(screened.primal, full.primal)
+        assert (screened.status, screened.objective, screened.max_primal_residual,
+                screened.max_dual_residual, screened.duality_gap, screened.iterations) == (
+            full.status, full.objective, full.max_primal_residual,
+            full.max_dual_residual, full.duality_gap, full.iterations)
+
+    def test_guard_adds_violated_pairs(self, monkeypatch):
+        # two unit chords of the pendant 12-gon round below 1, so margin 0
+        # drops them and the first candidate violates them; the tighter
+        # solver tolerance makes the two optima comparable to 1e-7 (at 1e-9
+        # they agree to ~2e-6, the IPM's own primal accuracy here)
+        monkeypatch.setattr(ccp, "SCREEN_MARGIN", 0.0)
+        template = ConeTemplate(12)
+        cfg = CcpConfig(solver=SolverConfig(tol_solver=1e-11))
+        z0 = polygon_to_vector(build_pendant_polygon(12))
+        z1, result, kept, resolves = step(template, z0, cfg, warm_start=z0)
+        assert resolves >= 1
+        assert 0 < kept < template.n_pairs
+        full = solve(template.at(z0), cfg.solver, warm_start=z0)
+        assert np.abs(z1 - full.primal).max() <= 1e-7
+        assert template.evaluate(z1).min_residual() >= -cfg.solver.tol_solver
+
+    def test_records_carry_screening_counts(self, hexagon_result):
+        first, *steps = hexagon_result.trace.records
+        assert (first.pairs_kept, first.resolves) == (0, 0)
+        assert all(0 < rec.pairs_kept <= 10 and rec.resolves >= 0 for rec in steps)
 
 
 class TestRestart:
@@ -173,11 +215,6 @@ class TestConfig:
     def test_solver_tolerance_coupling(self):
         with pytest.raises(ValueError):
             CcpConfig(epsilon=1e-5, solver=SolverConfig(tol_solver=1e-6)).validate()
-
-    def test_max_abs_norm_converges_to_same_area(self):
-        result = maximize_area(6, CcpConfig(step_norm=StepNorm.MAX_ABS))
-        assert result.status is CcpStatus.CONVERGED
-        assert result.area == pytest.approx(KNOWN_AREA[6], abs=1e-7)
 
     def test_trace_can_be_disabled(self):
         result = maximize_area(6, CcpConfig(record_trace=False))
@@ -239,7 +276,7 @@ class TestInvariants:
     def test_broken_step_raises_typed_error(self, monkeypatch, capsys, error, change):
         def broken_step(template, z_k, cfg, warm_start=None):
             z = change(z_k.copy(), template.n)
-            return z, SolverResult(SolverStatus.OPTIMAL, z, 0.0, 0.0, 0.0, 0.0, 1)
+            return StepResult(z, SolverResult(SolverStatus.OPTIMAL, z, 0.0, 0.0, 0.0, 0.0, 1), 0, 0)
 
         monkeypatch.setattr(ccp, "step", broken_step)
         with pytest.raises(error) as info:

@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
-from optigon import cli, reporting, verification
+from optigon import ccp, cli, reporting, verification
 from optigon.ccp import maximize_area
 from optigon.cli import main
 from optigon.geometry import build_pendant_polygon, save_polygon
@@ -73,6 +75,27 @@ class TestSweep:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("6,") and lines[2].startswith("8,")
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crash is injected by patching the parent before workers fork",
+    )
+    def test_crashed_worker_fails_only_its_entry(self, monkeypatch, capsys):
+        solve = ccp.maximize_area
+
+        def crash_on_8(n, cfg=None, initial=None):
+            if n == 8:
+                os._exit(1)
+            return solve(n, cfg, initial)
+
+        monkeypatch.setattr(ccp, "maximize_area", crash_on_8)
+        argv = ["sweep", "--from", "6", "--to", "10", "--jobs", "2", "--format", "csv"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 3
+        assert lines[1].startswith("6,") and lines[2].startswith("10,")
+        assert "n=8 failed: worker process died" in captured.err
 
     def test_rejects_odd_range(self, capsys):
         assert main(["sweep", "--from", "5", "--to", "9"]) == 2

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optigon
+from optigon import ccp
 from optigon.conic_solver import (
     SolverConfig,
     SolverStatus,
@@ -26,8 +27,9 @@ from optigon.conic_solver import (
     lift,
     solve,
 )
-from optigon.errors import NonConvexConstraint
+from optigon.errors import NonConvexConstraint, SubproblemFailure
 from optigon.formulation import (
+    ConeTemplate,
     ConvexSubproblem,
     Family,
     LinearForm,
@@ -249,6 +251,30 @@ class TestSolverCertificates:
             SolverConfig(max_iterations=0).validate()
         with pytest.raises(ValueError):
             SolverConfig(step_fraction=1.5).validate()
+
+
+class TestInfeasible:
+    """The solver has no infeasibility certificate: an infeasible problem
+    ends in NUMERICAL_FAILURE, and the outer step raises on it."""
+
+    @pytest.fixture(scope="class")
+    def infeasible_lp(self):
+        # x >= 2 and x <= 1
+        cons = [
+            RestrictionConstraint(Family.HALF_PLANE, (), LinearForm((0,), (1.0,), -2.0), (1,)),
+            RestrictionConstraint(Family.HALF_PLANE, (), LinearForm((0,), (-1.0,), 1.0), (1,)),
+        ]
+        return solve(lift(mini_problem(LinearForm((0,), (1.0,)), cons, 1)))
+
+    def test_infeasible_lp_is_numerical_failure(self, infeasible_lp):
+        assert infeasible_lp.status is SolverStatus.NUMERICAL_FAILURE
+
+    def test_step_raises_on_it(self, monkeypatch, infeasible_lp):
+        monkeypatch.setattr(ccp, "solve", lambda cone, cfg, warm_start=None: infeasible_lp)
+        z0 = polygon_to_vector(build_pendant_polygon(6))
+        with pytest.raises(SubproblemFailure) as info:
+            ccp.step(ConeTemplate(6), z0, ccp.CcpConfig())
+        assert info.value.result is infeasible_lp
 
 
 class TestConeAlgebra:

@@ -11,8 +11,6 @@ from optigon.formulation import (
     Family,
     build_program,
     build_restriction,
-    describe_program,
-    describe_subproblem,
     evaluate,
     lift,
     polygon_to_vector,
@@ -250,6 +248,37 @@ class TestConeTemplate:
                     report.by_family(family), expected.by_family(family), rtol=0, atol=1e-13
                 )
 
+    @pytest.mark.parametrize("n", [6, 32])
+    def test_screened_rows_match_full(self, n):
+        template = ConeTemplate(n)
+        rng = np.random.default_rng(n)
+        keep = rng.random(template.n_pairs) < 0.3
+        for z in reference_points(n):
+            full = template.at(z)
+            sub = template.screened(keep)
+            blocks = np.concatenate([keep, np.ones(full.n_soc - template.n_pairs, bool)])
+            rows = np.concatenate(
+                [np.ones(full.n_nonneg, bool), np.tile(blocks, 4)]
+            )
+            assert sub.n_soc == int(blocks.sum())
+            assert sub.soc_families == tuple(
+                f for f, k in zip(full.soc_families, blocks) if k
+            )
+            assert np.array_equal(sub.h, full.h[rows])
+            x = rng.uniform(-1.0, 1.0, full.dim)
+            assert np.array_equal(sub.matvec(x), full.matvec(x)[rows])
+        with pytest.raises(ValueError):
+            template.screened(keep[1:])
+
+    @pytest.mark.parametrize("n", [6, 32])
+    def test_distance_sq_in_pair_order(self, n):
+        template = ConeTemplate(n)
+        i, j = np.triu_indices(n - 1, k=1)
+        for z in reference_points(n):
+            v = vector_to_polygon(z, n).vertices[1:]
+            expected = ((v[j] - v[i]) ** 2).sum(axis=1)
+            assert np.array_equal(template.distance_sq(z), expected)
+
     def test_rejects_bad_reference(self):
         template = ConeTemplate(6)
         with pytest.raises(DimensionMismatch):
@@ -324,13 +353,3 @@ class TestVectorPacking:
         with pytest.raises(DimensionMismatch):
             vector_to_polygon(np.zeros(9), 6)
 
-
-class TestDebugDump:
-    def test_program_dump_lists_families(self, prog6):
-        text = describe_program(prog6)
-        for family in Family:
-            assert family.value in text
-
-    def test_subproblem_dump(self, prog6, pendant6_vector):
-        text = describe_subproblem(build_restriction(prog6, pendant6_vector))
-        assert "bound" in text and "triangle_area" in text
