@@ -17,6 +17,11 @@ pair's distance at the candidate; if a dropped pair exceeds 1, it is added
 back, together with the pairs now within the margin, and the restriction is
 solved again. Distance constraints are not linearized, so a candidate that
 passes the guard satisfies the full restriction and is its optimum.
+
+Settings: epsilon and the outer-iteration cap here, the tolerance and
+iteration cap of `SolverConfig`. Every run records its iterates, warm-starts
+each subproblem at the current iterate, and checks the structure of every
+iterate of an even n >= 6.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .errors import (
 )
 from .formulation import ConeTemplate, polygon_to_vector, vector_to_polygon
 from .geometry import (
+    TOL_FEAS,
     Polygon,
     area,
     build_pendant_polygon,
@@ -81,10 +87,6 @@ class CcpConfig:
     epsilon: float = 1e-5
     max_outer_iterations: int = 1000
     solver: SolverConfig = field(default_factory=SolverConfig)
-    record_trace: bool = True
-    tol_feas: float = 1e-8
-    warm_start: bool = True
-    verify_iterates: bool = True
 
     def validate(self) -> None:
         if not self.epsilon > 0:
@@ -173,12 +175,11 @@ def step(
 
     Raises SubproblemFailure unless every solve reached optimality.
     """
-    full = template.at(z_k)
+    template.at(z_k)
     keep = _near_unit(template.distance_sq(z_k))
     resolves = 0
     while True:
-        cone = full if keep.all() else template.screened(keep)
-        result = solve(cone, cfg.solver, warm_start=warm_start)
+        result = solve(template.screened(keep), cfg.solver, warm_start=warm_start)
         if result.status is not SolverStatus.OPTIMAL:
             raise SubproblemFailure(
                 f"subproblem solve failed with status {result.status.value} "
@@ -206,7 +207,7 @@ def maximize_area(
     """Run the outer loop for an n-gon and return the final polygon.
 
     The default initial iterate is the pendant-vertex polygon. A supplied
-    initial polygon must be feasible within cfg.tol_feas.
+    initial polygon must be feasible within TOL_FEAS.
     """
     cfg = cfg or CcpConfig()
     cfg.validate()
@@ -219,10 +220,10 @@ def maximize_area(
     else:
         if initial.n != n:
             raise InfeasibleInitial(f"initial polygon has {initial.n} vertices, expected {n}")
-        initial.validate(cfg.tol_feas)
+        initial.validate(TOL_FEAS)
     z = polygon_to_vector(initial)
     report = template.evaluate(z)
-    if report.min_residual() < -cfg.tol_feas:
+    if report.min_residual() < -TOL_FEAS:
         raise InfeasibleInitial(
             f"initial polygon violates the program by {-report.min_residual():.3e}"
         )
@@ -230,7 +231,7 @@ def maximize_area(
     area_cap = upper_bound(n) + 10.0 * cfg.solver.tol_solver
     slack = 10.0 * cfg.solver.tol_solver
     trace = CcpTrace()
-    _verify_iterate(_record(trace, template, k=0, z=z, rel_step=None, solver=None), cfg, n)
+    _verify_iterate(_record(trace, template, k=0, z=z, rel_step=None, solver=None), n)
 
     status = CcpStatus.OUTER_LIMIT
     message = ""
@@ -239,9 +240,7 @@ def maximize_area(
     area_prev = area(initial)
     while k < cfg.max_outer_iterations:
         try:
-            z_next, solver_result, pairs_kept, resolves = step(
-                template, z, cfg, warm_start=z if cfg.warm_start else None
-            )
+            z_next, solver_result, pairs_kept, resolves = step(template, z, cfg, warm_start=z)
         except SubproblemFailure as exc:
             status = CcpStatus.SUBPROBLEM_FAILURE
             message = str(exc)
@@ -275,7 +274,7 @@ def maximize_area(
                 f"iterate {k} infeasible beyond solver noise: {rec.max_violation:.3e}",
                 k, z,
             )
-        _verify_iterate(rec, cfg, n)
+        _verify_iterate(rec, n)
         objective_prev = rec.objective
         area_prev = rec.area
         log.info(
@@ -293,7 +292,7 @@ def maximize_area(
         area=area(polygon),
         iterations=k,
         status=status,
-        trace=trace if cfg.record_trace else None,
+        trace=trace,
         message=message,
     )
 
@@ -344,8 +343,8 @@ def _record(
     return rec
 
 
-def _verify_iterate(rec: IterateRecord, cfg: CcpConfig, n: int) -> None:
-    if cfg.record_trace and cfg.verify_iterates and n % 2 == 0 and n >= 6:
+def _verify_iterate(rec: IterateRecord, n: int) -> None:
+    if n % 2 == 0 and n >= 6:
         rec.structure = verification.verify_structure(
             vector_to_polygon(rec.z, n), tol=verification.TOL_INTERMEDIATE
         )

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import reporting, verification
-from .ccp import CcpConfig, CcpResult, CcpStatus, failed_result, maximize_area
+from .ccp import CcpConfig, CcpResult, CcpStatus, failed_result, maximize_area, run_sweep
 from .conic_solver import SolverConfig
 from .errors import OptigonError
 from .geometry import load_polygon, pendant_area, upper_bound
@@ -151,8 +151,6 @@ def _run_pool(ns, cfg, jobs, results) -> list[int]:
 
 
 def _sweep_entry(item) -> CcpResult:
-    from .ccp import run_sweep
-
     n, cfg = item
     return run_sweep([n], cfg)[0]
 
@@ -191,7 +189,7 @@ def _emit_results(results: list[CcpResult], args) -> int:
                 f"structure={'pass' if report.passed else 'FAIL'} "
                 f"max_defect={report.max_defect:.2e}"
             )
-        if args.trace and len(ok) == 1 and ok[0].trace is not None:
+        if args.trace and len(ok) == 1:
             print(reporting.trace_csv(ok[0]), end="")
 
     for r in failed:

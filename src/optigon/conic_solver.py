@@ -6,10 +6,9 @@ by `formulation.lift` from a restriction object)
     minimize c^T x   subject to   G x + s = h,   s in R^p_+ x (Q^4)^m.
 
 The outer loop passes `ConeTemplate.screened`, a copy of the restriction
-holding only the distance blocks of the pairs near unit distance, or the
-template's full cone when every pair is kept; the solver treats both alike,
-and each re-solve after the outer loop's guard adds dropped pairs is one
-more call here.
+holding only the distance blocks of the pairs near unit distance; each
+re-solve after the outer loop's guard adds dropped pairs is one more call
+here.
 
 Every block is Q^4, and G is held in fixed-shape arrays: coefficients of
 shape (4, K, m) over K <= 5 columns per block, nonnegative rows as
@@ -25,6 +24,11 @@ KKT matrix G^T W^{-2} G, scattered from per-block K x K pieces through flat
 indices fixed by the column pattern. Problem sizes here (dim <= 380, a few
 thousand blocks) make dense reduced-KKT linear algebra adequate. No
 randomness anywhere: results are deterministic.
+
+Settings: the tolerance and iteration cap of `SolverConfig`. At DEBUG
+(`OPTIGON_LOG=debug`) the `optigon.solver` logger writes one line per IPM
+iteration: primal and dual objective, gap, both residuals, and the step
+length and sigma of the step that led there.
 """
 
 from __future__ import annotations
@@ -41,6 +45,11 @@ from .formulation import ConeProblem, lift
 __all__ = ["ConeProblem", "SolverConfig", "SolverResult", "SolverStatus", "lift", "solve"]
 
 log = logging.getLogger("optigon.solver")
+
+# fraction of the distance to the cone boundary taken by each step
+STEP_FRACTION = 0.99
+# initial diagonal shift of the reduced KKT matrix
+REGULARIZATION = 1e-12
 
 
 class SolverStatus(enum.Enum):
@@ -59,17 +68,12 @@ class SolverConfig:
 
     tol_solver: float = 1e-9
     max_iterations: int = 200
-    step_fraction: float = 0.99
-    regularization: float = 1e-12
-    record_trace: bool = False
 
     def validate(self) -> None:
         if not self.tol_solver > 0:
             raise ValueError("tol_solver must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0.0 < self.step_fraction < 1.0:
-            raise ValueError("step_fraction must lie in (0, 1)")
 
 
 @dataclass
@@ -81,7 +85,6 @@ class SolverResult:
     max_dual_residual: float
     duality_gap: float
     iterations: int
-    trace: tuple[str, ...] = ()
 
     @property
     def optimal(self) -> bool:
@@ -178,12 +181,9 @@ class _Scaling:
         out[0] = d
         return out
 
-    def apply(self, u: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """W u, or W^{-1} u."""
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """W u."""
         nn, soc = _split(u, self.p)
-        if inverse:
-            soc = self._wbar_mul(soc * _REFLECT) * _REFLECT / self.eta
-            return _join(nn / self.w_nn, soc)
         return _join(nn * self.w_nn, self._wbar_mul(soc) * self.eta)
 
     def apply_inv_sq(self, u: np.ndarray) -> np.ndarray:
@@ -256,10 +256,6 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
     c_scale = max(1.0, np.abs(c).max(initial=0.0))
 
     best = None
-    trace: list[str] = []
-    if cfg.record_trace:
-        trace.append("iter,primal_objective,dual_objective,gap,primal_residual,dual_residual,step,sigma")
-
     status = SolverStatus.ITERATION_LIMIT
     iters = 0
     alpha = 0.0
@@ -280,14 +276,10 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
             rhs = gap + float(r_x @ x) - float(z @ r_z)
             assert abs(lhs - rhs) <= 1e-7 * (1.0 + abs(lhs) + abs(rhs))
 
-        if cfg.record_trace:
-            trace.append(
-                f"{iteration},{-pobj_min:.15e},{-dobj_min:.15e},{gap:.6e},"
-                f"{pres:.6e},{dres:.6e},{alpha:.4f},{sigma:.4f}"
-            )
         log.debug(
-            "ipm %3d: pobj=%+.12e gap=%.3e pres=%.3e dres=%.3e",
-            iteration, -pobj_min, gap, pres, dres,
+            "ipm %3d: pobj=%+.12e dobj=%+.12e gap=%.3e pres=%.3e dres=%.3e "
+            "step=%.4f sigma=%.4f",
+            iteration, -pobj_min, -dobj_min, gap, pres, dres, alpha, sigma,
         )
 
         score = max(pres, dres, gap / max(1.0, abs(pobj_min)))
@@ -317,7 +309,7 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
         H = 0.5 * (H + H.T)
 
         factor = None
-        reg = cfg.regularization
+        reg = REGULARIZATION
         while reg <= 1e-6:
             try:
                 factor = cho_factor(H + reg * np.eye(n), lower=True)
@@ -362,18 +354,24 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
         def max_step(dst, dzt):
             return min(_max_step(W.lam, dst, p), _max_step(W.lam, dzt, p))
 
-        # predictor (affine scaling) direction
-        lam_sq = _mul(W.lam, W.lam, p)
-        dx_a, ds_a, dz_a, dst_a, dzt_a = newton(-r_x, -r_z, -lam_sq)
-        alpha_aff = min(1.0, max_step(dst_a, dzt_a))
-        gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
-        sigma = min(1.0, max(0.0, gap_aff / gap) ** 3) if gap > 0 else 0.0
+        try:
+            # predictor (affine scaling) direction
+            lam_sq = _mul(W.lam, W.lam, p)
+            dx_a, ds_a, dz_a, dst_a, dzt_a = newton(-r_x, -r_z, -lam_sq)
+            alpha_aff = min(1.0, max_step(dst_a, dzt_a))
+            gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
+            sigma = min(1.0, max(0.0, gap_aff / gap) ** 3) if gap > 0 else 0.0
 
-        # combined predictor-corrector direction
-        ds_rhs = sigma * mu * e - lam_sq - _mul(dst_a, dzt_a, p)
-        dx, ds, dz, dst, dzt = newton(-r_x, -r_z, ds_rhs)
+            # combined predictor-corrector direction
+            ds_rhs = sigma * mu * e - lam_sq - _mul(dst_a, dzt_a, p)
+            dx, ds, dz, dst, dzt = newton(-r_x, -r_z, ds_rhs)
+        except ValueError:
+            # cho_solve rejects a non-finite right-hand side, which a zero
+            # in lam (an iterate on the cone boundary) produces
+            status = SolverStatus.NUMERICAL_FAILURE
+            break
 
-        alpha = min(1.0, cfg.step_fraction * max_step(dst, dzt))
+        alpha = min(1.0, STEP_FRACTION * max_step(dst, dzt))
         if alpha <= 1e-13:
             status = SolverStatus.NUMERICAL_FAILURE
             break
@@ -404,7 +402,6 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
         max_dual_residual=float(np.abs(cone.rmatvec(z) + c).max()),
         duality_gap=gap,
         iterations=iters,
-        trace=tuple(trace),
     )
 
 

@@ -139,7 +139,7 @@ def render_svg(
 def trace_csv(result: CcpResult) -> str:
     """Per-iterate trace: k, area, rel_step, solver_iterations, max_residual."""
     if result.trace is None:
-        raise ValueError("run was executed without trace recording")
+        raise ValueError(f"run for n={result.n} has no trace: {result.message}")
     lines = ["k,area,rel_step,solver_iterations,max_residual"]
     for rec in result.trace.records:
         rel = "" if rec.rel_step is None else f"{rec.rel_step:.6e}"

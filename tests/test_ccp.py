@@ -1,5 +1,7 @@
 """Outer-loop behavior: published trajectory, ascent, feasibility, restarts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -216,10 +218,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             CcpConfig(epsilon=1e-5, solver=SolverConfig(tol_solver=1e-6)).validate()
 
-    def test_trace_can_be_disabled(self):
-        result = maximize_area(6, CcpConfig(record_trace=False))
-        assert result.trace is None
-        assert result.area == pytest.approx(KNOWN_AREA[6], abs=1e-7)
+    def test_settable_fields(self):
+        # epsilon and tol_solver are the CLI's --eps and --solver-tol; the two
+        # iteration caps reach the OUTER_LIMIT and subproblem-failure paths.
+        # A new setting changes this test on purpose.
+        assert [f.name for f in dataclasses.fields(CcpConfig)] == [
+            "epsilon", "max_outer_iterations", "solver"]
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "tol_solver", "max_iterations"]
 
     def test_outer_limit_status(self):
         result = maximize_area(6, CcpConfig(max_outer_iterations=2))

@@ -4,11 +4,13 @@ import json
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from optigon import ccp, cli, reporting, verification
 from optigon.ccp import maximize_area
 from optigon.cli import main
+from optigon.conic_solver import SolverResult, SolverStatus
 from optigon.geometry import build_pendant_polygon, save_polygon
 
 
@@ -99,6 +101,37 @@ class TestSweep:
 
     def test_rejects_odd_range(self, capsys):
         assert main(["sweep", "--from", "5", "--to", "9"]) == 2
+
+
+@pytest.mark.parametrize(
+    "status",
+    [SolverStatus.ITERATION_LIMIT, SolverStatus.NUMERICAL_FAILURE],
+    ids=["iteration_limit", "numerical_failure"],
+)
+class TestSubproblemFailure:
+    """A subproblem solve that ends short of optimality stops the run with
+    status subproblem_failure and exit code 1; a sweep still prints every
+    entry."""
+
+    @pytest.fixture(autouse=True)
+    def failing_solve(self, monkeypatch, status):
+        def solve(cone, cfg, warm_start=None):
+            return SolverResult(status, np.zeros(cone.dim), 0.0, 1.0, 1.0, 1.0, 3)
+
+        monkeypatch.setattr(ccp, "solve", solve)
+
+    def test_solve_exits_1(self, capsys):
+        assert main(["solve", "--n", "6"]) == 1
+        assert "status=subproblem_failure" in capsys.readouterr().out
+
+    def test_sweep_prints_both_entries(self, capsys):
+        assert main(["sweep", "--from", "6", "--to", "8"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        for n in (6, 8):
+            assert any(
+                line.startswith(f"n={n} ") and "status=subproblem_failure" in line
+                for line in lines
+            )
 
 
 class TestVerifyOnce:
