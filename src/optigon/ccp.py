@@ -19,9 +19,8 @@ solved again. Distance constraints are not linearized, so a candidate that
 passes the guard satisfies the full restriction and is its optimum.
 
 Settings: epsilon and the outer-iteration cap here, the tolerance and
-iteration cap of `SolverConfig`. Every run records its iterates, warm-starts
-each subproblem at the current iterate, and checks the structure of every
-iterate of an even n >= 6.
+iteration cap of `SolverConfig`. Every run records its iterates and
+warm-starts each subproblem at the current iterate.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import verification
 from .conic_solver import SolverConfig, SolverResult, SolverStatus, solve
 from .errors import (
     AscentViolation,
@@ -114,7 +112,6 @@ class IterateRecord:
     max_violation: float
     pairs_kept: int = 0  # distance pairs in the cone of the step's final solve
     resolves: int = 0  # solves repeated because a dropped pair was violated
-    structure: verification.StructureReport | None = None
 
 
 @dataclass
@@ -231,7 +228,7 @@ def maximize_area(
     area_cap = upper_bound(n) + 10.0 * cfg.solver.tol_solver
     slack = 10.0 * cfg.solver.tol_solver
     trace = CcpTrace()
-    _verify_iterate(_record(trace, template, k=0, z=z, rel_step=None, solver=None), n)
+    _record(trace, template, k=0, z=z, rel_step=None, solver=None)
 
     status = CcpStatus.OUTER_LIMIT
     message = ""
@@ -255,8 +252,7 @@ def maximize_area(
             pairs_kept=pairs_kept, resolves=resolves,
         )
         # ascent, boundedness, and feasibility hold up to solver noise;
-        # violations indicate a solver or formulation defect. They are checked
-        # before the structure check, which rejects a polygon that is not small
+        # violations indicate a solver or formulation defect
         if rec.objective < objective_prev - slack or rec.area < area_prev - slack:
             raise AscentViolation(
                 f"ascent violated at iteration {k}: objective "
@@ -274,7 +270,6 @@ def maximize_area(
                 f"iterate {k} infeasible beyond solver noise: {rec.max_violation:.3e}",
                 k, z,
             )
-        _verify_iterate(rec, n)
         objective_prev = rec.objective
         area_prev = rec.area
         log.info(
@@ -341,10 +336,3 @@ def _record(
     )
     trace.records.append(rec)
     return rec
-
-
-def _verify_iterate(rec: IterateRecord, n: int) -> None:
-    if n % 2 == 0 and n >= 6:
-        rec.structure = verification.verify_structure(
-            vector_to_polygon(rec.z, n), tol=verification.TOL_INTERMEDIATE
-        )

@@ -168,8 +168,14 @@ class _Scaling:
         self.w_nn = np.sqrt(s_nn / z_nn)
         self.wbar = (sbar + zbar * _REFLECT) / (2.0 * gamma)
         self.eta = (rs / rz) ** 0.25
+        lam_nn = np.sqrt(s_nn * z_nn)
         lam_soc = (rs * rz) ** 0.25 * self._wbar_mul(zbar)
-        self.lam = _join(np.sqrt(s_nn * z_nn), lam_soc)
+        # the divisors of _inv_mul; rounding can leave them at or below zero
+        # when s and z are interior only to machine precision
+        divisors = (lam_nn, lam_soc[0], _jdet(lam_soc))
+        if not all((d > 0).all() for d in divisors):
+            raise FloatingPointError("cone iterate left the interior")
+        self.lam = _join(lam_nn, lam_soc)
 
     def _wbar_mul(self, u: np.ndarray) -> np.ndarray:
         w = self.wbar

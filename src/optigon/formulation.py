@@ -135,10 +135,6 @@ class ConvexQuadratic:
             offset=offset,
         )
 
-    @property
-    def is_affine(self) -> bool:
-        return not self.squares
-
 
 @dataclass(frozen=True)
 class DcConstraint:

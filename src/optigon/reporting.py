@@ -40,9 +40,7 @@ class SweepRow:
     structure_pass: bool
 
 
-def sweep_row(result: CcpResult, structure_pass: bool | None = None) -> SweepRow:
-    if structure_pass is None and result.polygon is not None:
-        structure_pass = verification.verify_structure(result.polygon).passed
+def sweep_row(result: CcpResult, structure_pass: bool) -> SweepRow:
     return SweepRow(
         n=result.n,
         area_pendant=pendant_area(result.n),
@@ -153,20 +151,17 @@ def trace_csv(result: CcpResult) -> str:
 def export_run(
     result: CcpResult,
     out_dir: str | Path,
-    report: verification.StructureReport | None = None,
+    report: verification.StructureReport,
 ) -> list[Path]:
     """Write polygon JSON, trace CSV, structure JSON, and SVG for one run.
 
     Files land in a per-n subdirectory and carry a content hash in their
     names so identical runs export to identical trees. `report` is the
-    run's structure report at the default tolerance; it is computed here
-    when not given.
+    run's structure report at the default tolerance.
     """
     if result.polygon is None:
         raise ValueError(f"run for n={result.n} produced no polygon: {result.message}")
     target = Path(out_dir) / f"n{result.n:03d}"
-    if report is None:
-        report = verification.verify_structure(result.polygon)
     artifacts = {
         "polygon": (polygon_to_json(result.polygon), ".json"),
         "trace": (trace_csv(result), ".csv"),

@@ -146,7 +146,7 @@ def test_criterion_6_structure_checks(runs):
         if not final.passed:
             final_ok = False
         for rec in result.trace.records:
-            rep = rec.structure or verification.verify_structure(
+            rep = verification.verify_structure(
                 vector_to_polygon(rec.z, n), tol=verification.TOL_INTERMEDIATE
             )
             if not rep.passed:

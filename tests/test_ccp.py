@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from optigon import ccp, cli
+from optigon import ccp, cli, verification
 from optigon.ccp import (
     CcpConfig,
     CcpStatus,
@@ -170,6 +170,24 @@ class TestScreening:
         first, *steps = hexagon_result.trace.records
         assert (first.pairs_kept, first.resolves) == (0, 0)
         assert all(0 < rec.pairs_kept <= 10 and rec.resolves >= 0 for rec in steps)
+
+
+class TestNoVerification:
+    """Structure is checked on the reported polygon by the caller, not on
+    the iterates of the solve."""
+
+    def test_maximize_area_does_not_verify(self, monkeypatch):
+        calls = []
+        real_verify = verification.verify_structure
+
+        def counting_verify(polygon, *args, **kwargs):
+            calls.append(polygon)
+            return real_verify(polygon, *args, **kwargs)
+
+        monkeypatch.setattr(verification, "verify_structure", counting_verify)
+        result = maximize_area(8)
+        assert result.converged
+        assert len(calls) == 0
 
 
 class TestRestart:

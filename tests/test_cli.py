@@ -136,7 +136,7 @@ class TestSubproblemFailure:
 
 class TestVerifyOnce:
     """The CLI verifies each result once and passes the report on; the output
-    equals what the self-verifying building blocks produce."""
+    equals what the building blocks produce from those reports."""
 
     @pytest.fixture(scope="class")
     def results(self):
@@ -149,11 +149,11 @@ class TestVerifyOnce:
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_one_verification_per_result(self, fmt, results, tmp_path, monkeypatch, capsys):
         ok = [results[6], results[8]]
-        expected_dir = tmp_path / "expected"
-        for r in ok:
-            reporting.export_run(r, expected_dir)
         reports = [verification.verify_structure(r.polygon) for r in ok]
-        rows = [reporting.sweep_row(r) for r in ok]
+        expected_dir = tmp_path / "expected"
+        for r, rep in zip(ok, reports):
+            reporting.export_run(r, expected_dir, rep)
+        rows = [reporting.sweep_row(r, rep.passed) for r, rep in zip(ok, reports)]
         if fmt == "csv":
             expected_out = reporting.render_table_csv(rows)
         elif fmt == "text":
@@ -184,7 +184,7 @@ class TestVerifyOnce:
         out_dir = tmp_path / "out"
         args = ["sweep", "--from", "6", "--to", "8", "--format", fmt, "--out", str(out_dir)]
         assert main(args) == 0
-        assert len(calls) == 2
+        assert [id(p) for p in calls] == [id(r.polygon) for r in ok]
         assert capsys.readouterr().out == expected_out
         assert self.tree(out_dir) == self.tree(expected_dir)
 

@@ -250,10 +250,10 @@ class TestSolverCertificates:
         last_pobj = float(lines[-1].split("pobj=")[1].split()[0])
         assert last_pobj == pytest.approx(res.objective, rel=1e-11)
 
-    @pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
     def test_nonfinite_newton_step_is_numerical_failure(self):
-        # warm-started at the pendant 12-gon, a zero entry of lam makes the
-        # Newton right-hand side non-finite; the cold retry fails as well
+        # warm-started at the pendant 12-gon, rounding leaves a block of lam
+        # on the cone boundary, where the Newton right-hand side would be
+        # non-finite; the scaling rejects it, and the cold retry fails as well
         z0 = polygon_to_vector(build_pendant_polygon(12))
         res = solve(ConeTemplate(12).at(z0), SolverConfig(tol_solver=1e-12), warm_start=z0)
         assert res.status is SolverStatus.NUMERICAL_FAILURE

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from optigon.ccp import maximize_area, run_sweep
+from optigon.verification import verify_structure
 from optigon.geometry import (
     Polygon,
     area,
@@ -29,8 +30,13 @@ def hexagon_result():
 
 
 @pytest.fixture(scope="module")
-def hexagon_row(hexagon_result):
-    return sweep_row(hexagon_result)
+def hexagon_report(hexagon_result):
+    return verify_structure(hexagon_result.polygon)
+
+
+@pytest.fixture(scope="module")
+def hexagon_row(hexagon_result, hexagon_report):
+    return sweep_row(hexagon_result, hexagon_report.passed)
 
 
 class TestTable:
@@ -132,33 +138,35 @@ class TestTraceCsv:
 
 
 class TestExportRun:
-    def test_exports_four_files(self, hexagon_result, tmp_path):
-        paths = export_run(hexagon_result, tmp_path)
+    def test_exports_four_files(self, hexagon_result, hexagon_report, tmp_path):
+        paths = export_run(hexagon_result, tmp_path, hexagon_report)
         assert len(paths) == 4
         assert all(p.exists() for p in paths)
         assert {p.suffix for p in paths} == {".json", ".csv", ".svg"}
         assert all(p.parent.name == "n006" for p in paths)
 
-    def test_polygon_artifact_round_trips_area(self, hexagon_result, tmp_path):
-        paths = export_run(hexagon_result, tmp_path)
+    def test_polygon_artifact_round_trips_area(self, hexagon_result, hexagon_report, tmp_path):
+        paths = export_run(hexagon_result, tmp_path, hexagon_report)
         polygon_path = next(p for p in paths if "polygon" in p.name)
         loaded = polygon_from_json(polygon_path.read_text())
         assert area(loaded) == hexagon_result.area
 
-    def test_reexport_is_byte_identical(self, hexagon_result, tmp_path):
-        first = export_run(hexagon_result, tmp_path / "a")
-        second = export_run(hexagon_result, tmp_path / "b")
+    def test_reexport_is_byte_identical(self, hexagon_result, hexagon_report, tmp_path):
+        first = export_run(hexagon_result, tmp_path / "a", hexagon_report)
+        second = export_run(hexagon_result, tmp_path / "b", hexagon_report)
         for p1, p2 in zip(first, second):
             assert p1.name == p2.name
             assert p1.read_bytes() == p2.read_bytes()
 
     def test_sweep_export_creates_per_n_directories(self, tmp_path):
         results = run_sweep([6, 8])
-        paths = [p for r in results for p in export_run(r, tmp_path)]
+        paths = [
+            p for r in results for p in export_run(r, tmp_path, verify_structure(r.polygon))
+        ]
         assert len(paths) == 8
         assert {p.parent.name for p in paths} == {"n006", "n008"}
 
-    def test_failed_run_rejected(self):
+    def test_failed_run_rejected(self, hexagon_report):
         from optigon.ccp import CcpResult, CcpStatus
 
         failed = CcpResult(
@@ -166,4 +174,4 @@ class TestExportRun:
             status=CcpStatus.SUBPROBLEM_FAILURE, trace=None, message="boom",
         )
         with pytest.raises(ValueError):
-            export_run(failed, "/tmp/nowhere")
+            export_run(failed, "/tmp/nowhere", hexagon_report)
