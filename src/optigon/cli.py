@@ -205,6 +205,8 @@ def _emit_results(results: list[CcpResult], args) -> int:
 
     if failed or any(r.status is not CcpStatus.CONVERGED for r in ok):
         return SOLVER_ERROR
+    if not all(report.passed for report in reports):
+        return SOLVER_ERROR
     return 0
 
 

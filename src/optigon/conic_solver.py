@@ -25,6 +25,13 @@ indices fixed by the column pattern. Problem sizes here (dim <= 380, a few
 thousand blocks) make dense reduced-KKT linear algebra adequate. No
 randomness anywhere: results are deterministic.
 
+The factorization and the solves call LAPACK's dpotrf/dpotrs directly. The
+symmetrized reduced KKT matrix is built in one buffer per solve and is
+exactly symmetric, so its transpose, a Fortran-ordered view, is factored in
+place without a copy. Each iteration checks the matrix for non-finite
+entries once, and each solve its right-hand side; either ends the solve
+with NUMERICAL_FAILURE.
+
 Settings: the tolerance and iteration cap of `SolverConfig`. At DEBUG
 (`OPTIGON_LOG=debug`) the `optigon.solver` logger writes one line per IPM
 iteration: primal and dual objective, gap, both residuals, and the step
@@ -38,7 +45,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .formulation import ConeProblem, lift
 
@@ -106,7 +114,7 @@ def _join(nn: np.ndarray, soc: np.ndarray) -> np.ndarray:
 
 
 def _bdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("jb,jb->b", u, v)
+    return np.add.reduce(u * v)
 
 
 def _jdet(u: np.ndarray) -> np.ndarray:
@@ -168,6 +176,11 @@ class _Scaling:
         self.w_nn = np.sqrt(s_nn / z_nn)
         self.wbar = (sbar + zbar * _REFLECT) / (2.0 * gamma)
         self.eta = (rs / rz) ** 0.25
+        # reused by every product with W or W^{-2}
+        self.v = self.wbar * _REFLECT
+        self.eta_sq = self.eta**2
+        self.w_nn_sq = self.w_nn**2
+        self._wbar0_plus_1 = 1.0 + self.wbar[0]
         lam_nn = np.sqrt(s_nn * z_nn)
         lam_soc = (rs * rz) ** 0.25 * self._wbar_mul(zbar)
         # the divisors of _inv_mul; rounding can leave them at or below zero
@@ -177,37 +190,50 @@ class _Scaling:
             raise FloatingPointError("cone iterate left the interior")
         self.lam = _join(lam_nn, lam_soc)
 
-    def _wbar_mul(self, u: np.ndarray) -> np.ndarray:
+    def _wbar_mul(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         w = self.wbar
         d = _bdot(w, u)
-        w0 = w[0]
         u0 = u[0]
-        coef = u0 + (d - w0 * u0) / (1.0 + w0)
-        out = u + coef * w
+        coef = u0 + (d - w[0] * u0) / self._wbar0_plus_1
+        out = np.add(u, coef * w, out=out)
         out[0] = d
         return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """W u."""
-        nn, soc = _split(u, self.p)
-        return _join(nn * self.w_nn, self._wbar_mul(soc) * self.eta)
+        p = self.p
+        out = np.empty_like(u)
+        np.multiply(u[:p], self.w_nn, out=out[:p])
+        soc = self._wbar_mul(u[p:].reshape(4, -1), out[p:].reshape(4, -1))
+        soc *= self.eta
+        return out
 
     def apply_inv_sq(self, u: np.ndarray) -> np.ndarray:
         """W^{-2} u; on a block (2 v v^T - J) u / eta^2 with v = J wbar."""
-        nn, soc = _split(u, self.p)
-        v = self.wbar * _REFLECT
-        soc = (2.0 * _bdot(v, soc) * v - soc * _REFLECT) / self.eta**2
-        return _join(nn / self.w_nn**2, soc)
+        p = self.p
+        out = np.empty_like(u)
+        np.divide(u[:p], self.w_nn_sq, out=out[:p])
+        soc = u[p:].reshape(4, -1)
+        v = self.v
+        soc = 2.0 * _bdot(v, soc) * v - soc * _REFLECT
+        np.divide(soc, self.eta_sq, out=out[p:].reshape(4, -1))
+        return out
 
 
-def _max_step(u: np.ndarray, du: np.ndarray, p: int) -> float:
-    """Largest t with u + t*du inside the cone (u strictly interior)."""
+def _max_step(u: np.ndarray, dus: tuple[np.ndarray, ...], p: int) -> float:
+    """Largest t with u + t*du inside the cone for every du in dus (u
+    strictly interior). The directions are stacked side by side, so one
+    pass serves them all; each block's root is the one a single direction
+    gives."""
+    k = len(dus)
     u_nn, u_soc = _split(u, p)
-    d_nn, d_soc = _split(du, p)
+    d_nn = np.concatenate([du[:p] for du in dus])
+    d_soc = np.concatenate([du[p:].reshape(4, -1) for du in dus], axis=1)
     neg = d_nn < 0
-    t_nn = (u_nn[neg] / -d_nn[neg]).min(initial=np.inf)
+    t_nn = (np.concatenate((u_nn,) * k)[neg] / -d_nn[neg]).min(initial=np.inf)
     # jdet(u + t du) = c0 + c1 t + c2 t^2 on each block
-    c0 = _jdet(u_soc)
+    c0 = np.concatenate((_jdet(u_soc),) * k)
+    u_soc = np.concatenate((u_soc,) * k, axis=1)
     c1 = 2.0 * (2.0 * u_soc[0] * d_soc[0] - _bdot(u_soc, d_soc))
     c2 = _jdet(d_soc)
     t = np.full(len(c0), np.inf)
@@ -222,6 +248,52 @@ def _max_step(u: np.ndarray, du: np.ndarray, p: int) -> float:
     r2 = np.where(real, (-b + sq) / (2.0 * a), np.inf)
     t[quad] = np.minimum(np.where(r1 > 0, r1, np.inf), np.where(r2 > 0, r2, np.inf))
     return float(min(t_nn, t.min(initial=np.inf)))
+
+
+# ---------------------------------------------------------------------------
+# dense Cholesky through LAPACK
+
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the symmetric matrix whose lower triangle is a's.
+
+    A Fortran-ordered a is factored in place; any other is copied first.
+    The factor is the lower triangle of the result. Raises LinAlgError if
+    the matrix is not positive definite.
+    """
+    c, info = dpotrf(a, lower=1, overwrite_a=1, clean=0)
+    if info != 0:
+        raise LinAlgError(f"dpotrf returned info={info}")
+    return c
+
+
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution x of A x = b, for c = cho_factor(A). Raises ValueError
+    on a non-finite b."""
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, _ = dpotrs(c, b, lower=1)
+    return x
+
+
+def _factor_reduced_kkt(H: np.ndarray, work: np.ndarray) -> np.ndarray | None:
+    """Cholesky factor of 0.5 (H + H^T) + reg I for the first reg of
+    REGULARIZATION, 100 REGULARIZATION, ... <= 1e-6 that makes it positive
+    definite; None if none does or H is not finite. The factor is computed
+    in work, a C-ordered array of H's shape; H is left as it is."""
+    n = len(H)
+    reg = REGULARIZATION
+    while reg <= 1e-6:
+        np.add(H, H.T, out=work)
+        work *= 0.5
+        if not np.isfinite(work).all():
+            return None
+        work.flat[:: n + 1] += reg
+        try:
+            # work is exactly symmetric, so work.T is work in Fortran order
+            return cho_factor(work.T)
+        except LinAlgError:
+            reg *= 100.0
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +321,6 @@ def solve(
 
 
 def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
-    n = cone.dim
     p = cone.n_nonneg
     h = cone.h
     c = cone.c
@@ -257,6 +328,9 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
     e = _identity(p, cone.n_soc)
 
     x, s, z = _initial_point(cone, warm_start)
+    # one buffer for every iteration's factorization saves the page faults
+    # of a fresh dim x dim array per iteration
+    kkt = np.empty((cone.dim, cone.dim))
 
     h_scale = max(1.0, np.abs(h).max(initial=0.0))
     c_scale = max(1.0, np.abs(c).max(initial=0.0))
@@ -275,12 +349,6 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
         pres = float(np.abs(r_z).max(initial=0.0) / h_scale)
         dres = float(np.abs(r_x).max() / c_scale)
         mu = gap / degree
-
-        if __debug__:
-            # gap accounting: pobj - dobj = gap + r_x.x - z.r_z identically
-            lhs = pobj_min - dobj_min
-            rhs = gap + float(r_x @ x) - float(z @ r_z)
-            assert abs(lhs - rhs) <= 1e-7 * (1.0 + abs(lhs) + abs(rhs))
 
         log.debug(
             "ipm %3d: pobj=%+.12e dobj=%+.12e gap=%.3e pres=%.3e dres=%.3e "
@@ -311,17 +379,7 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
         # reduced KKT matrix H = G^T W^{-2} G (+ regularization)
         inv_eta2 = W.eta**-2
         d = _join(z[:p] / s[:p], -_REFLECT * inv_eta2)
-        H = cone.gram(d, W.wbar * _REFLECT, 2.0 * inv_eta2)
-        H = 0.5 * (H + H.T)
-
-        factor = None
-        reg = REGULARIZATION
-        while reg <= 1e-6:
-            try:
-                factor = cho_factor(H + reg * np.eye(n), lower=True)
-                break
-            except LinAlgError:
-                reg *= 100.0
+        factor = _factor_reduced_kkt(cone.gram(d, W.v, 2.0 * inv_eta2), kkt)
         if factor is None:
             status = SolverStatus.NUMERICAL_FAILURE
             break
@@ -357,14 +415,11 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
                 direction = (dx + cx, ds + cs_, dz + cz, dst + cst, dzt + czt)
             return best[1]
 
-        def max_step(dst, dzt):
-            return min(_max_step(W.lam, dst, p), _max_step(W.lam, dzt, p))
-
         try:
             # predictor (affine scaling) direction
             lam_sq = _mul(W.lam, W.lam, p)
             dx_a, ds_a, dz_a, dst_a, dzt_a = newton(-r_x, -r_z, -lam_sq)
-            alpha_aff = min(1.0, max_step(dst_a, dzt_a))
+            alpha_aff = min(1.0, _max_step(W.lam, (dst_a, dzt_a), p))
             gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
             sigma = min(1.0, max(0.0, gap_aff / gap) ** 3) if gap > 0 else 0.0
 
@@ -377,7 +432,7 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
             status = SolverStatus.NUMERICAL_FAILURE
             break
 
-        alpha = min(1.0, STEP_FRACTION * max_step(dst, dzt))
+        alpha = min(1.0, STEP_FRACTION * _max_step(W.lam, (dst, dzt), p))
         if alpha <= 1e-13:
             status = SolverStatus.NUMERICAL_FAILURE
             break
@@ -419,8 +474,10 @@ def _initial_point(cone: ConeProblem, warm_start):
     e = _identity(p, cone.n_soc)
 
     GtG = cone.gram(np.ones(cone.n_rows))
-    GtG += 1e-12 * max(1.0, np.trace(GtG) / max(n, 1)) * np.eye(n)
-    factor = cho_factor(GtG, lower=True)
+    GtG.flat[:: n + 1] += 1e-12 * max(1.0, np.trace(GtG) / max(n, 1))
+    # bincount sums G^T G's (i, j) and (j, i) pieces in slot order, which
+    # need not agree bit for bit, so its own lower triangle is factored
+    factor = cho_factor(GtG)
 
     def push(v, target):
         margin = _min_margin(v, p)

@@ -10,7 +10,7 @@ import pytest
 from optigon import ccp, cli, reporting, verification
 from optigon.ccp import maximize_area
 from optigon.cli import main
-from optigon.conic_solver import SolverResult, SolverStatus
+from optigon.conic_solver import SolverConfig, SolverResult, SolverStatus
 from optigon.geometry import build_pendant_polygon, save_polygon
 
 
@@ -132,6 +132,26 @@ class TestSubproblemFailure:
                 line.startswith(f"n={n} ") and "status=subproblem_failure" in line
                 for line in lines
             )
+
+
+class TestVerificationFailure:
+    """A reported polygon that fails structure verification makes the exit
+    code 1, for solve and for a sweep where only one entry fails."""
+
+    LOOSE = ["--eps", "0.05", "--solver-tol", "1e-4"]
+
+    def test_solve_exits_1(self, capsys):
+        assert main(["solve", "--n", "6", *self.LOOSE]) == 1
+        assert "structure=FAIL" in capsys.readouterr().out
+
+    def test_sweep_exits_1_when_one_entry_fails(self, monkeypatch, capsys):
+        loose = ccp.CcpConfig(epsilon=0.05, solver=SolverConfig(tol_solver=1e-4))
+        results = {6: maximize_area(6), 8: maximize_area(8, loose)}
+        monkeypatch.setattr(cli, "_sweep_entry", lambda item: results[item[0]])
+        assert main(["sweep", "--from", "6", "--to", "8"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("n=6 ") and "structure=pass" in line for line in lines)
+        assert any(line.startswith("n=8 ") and "structure=FAIL" in line for line in lines)
 
 
 class TestVerifyOnce:

@@ -14,22 +14,29 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optigon
 from optigon import ccp
 from optigon.conic_solver import (
+    REGULARIZATION,
     SolverConfig,
     SolverStatus,
+    _factor_reduced_kkt,
     _inv_mul,
+    _max_step,
     _mul,
     _Scaling,
+    cho_factor,
+    cho_solve,
     lift,
     solve,
 )
 from optigon.errors import NonConvexConstraint, SubproblemFailure
 from optigon.formulation import (
+    ConeProblem,
     ConeTemplate,
     ConvexSubproblem,
     Family,
@@ -258,6 +265,18 @@ class TestSolverCertificates:
         res = solve(ConeTemplate(12).at(z0), SolverConfig(tol_solver=1e-12), warm_start=z0)
         assert res.status is SolverStatus.NUMERICAL_FAILURE
 
+    def test_nonfinite_reduced_kkt_matrix_is_numerical_failure(self, monkeypatch):
+        gram = ConeProblem.gram
+
+        def nan_gram(self, d, v=None, beta=None):
+            G = gram(self, d, v, beta)
+            return np.full_like(G, np.nan) if v is not None else G
+
+        monkeypatch.setattr(ConeProblem, "gram", nan_gram)
+        z0 = polygon_to_vector(build_pendant_polygon(6))
+        res = solve(ConeTemplate(6).at(z0), warm_start=z0)
+        assert res.status is SolverStatus.NUMERICAL_FAILURE
+
     def test_warm_start_shape_is_checked(self, hexagon_restriction):
         _, z0, sub = hexagon_restriction
         with pytest.raises(ValueError, match="warm start must have shape"):
@@ -328,6 +347,72 @@ class TestConeAlgebra:
         # W^{-2} undoes two applications of W, in either order
         assert W.apply_inv_sq(W.apply(W.apply(u))) == pytest.approx(u, abs=1e-10)
         assert W.apply(W.apply(W.apply_inv_sq(u))) == pytest.approx(u, abs=1e-10)
+
+
+class TestStepLength:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_two_directions_in_one_pass(self, p, m, seed):
+        # the stacked pass returns exactly the smaller one-direction step
+        rng = np.random.default_rng(seed)
+        soc = rng.normal(size=(4, m))
+        soc[0] = np.linalg.norm(soc[1:], axis=0) + rng.uniform(0.01, 1.0, m)
+        u = np.concatenate([rng.uniform(0.01, 2.0, p), soc.ravel()])
+        d1, d2 = rng.normal(size=(2, u.size)) * rng.uniform(0.1, 10.0)
+        one = min(_max_step(u, (d1,), p), _max_step(u, (d2,), p))
+        assert _max_step(u, (d1, d2), p) == one
+
+
+class TestCholesky:
+    """The LAPACK kernels give the bits of scipy's cho_factor/cho_solve on
+    the symmetrized, regularized matrix."""
+
+    @pytest.fixture(scope="class")
+    def reduced_kkt(self):
+        # G^T W^{-2} G as built in the first IPM iteration at the pendant 16-gon
+        z0 = polygon_to_vector(build_pendant_polygon(16))
+        cone = ConeTemplate(16).at(z0)
+        gram = ConeProblem.gram
+        built = []
+
+        def recording_gram(self, d, v=None, beta=None):
+            G = gram(self, d, v, beta)
+            if v is not None:
+                built.append(G.copy())
+            return G
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ConeProblem, "gram", recording_gram)
+            solve(cone, SolverConfig(max_iterations=1))
+        return built[0]
+
+    @staticmethod
+    def reference(H, reg):
+        return scipy.linalg.cho_factor(0.5 * (H + H.T) + reg * np.eye(len(H)), lower=True)
+
+    def test_factor_and_solve_match_scipy(self, reduced_kkt):
+        ref = self.reference(reduced_kkt, REGULARIZATION)
+        c = _factor_reduced_kkt(reduced_kkt, np.empty_like(reduced_kkt))
+        assert np.array_equal(np.tril(c), np.tril(ref[0]))
+        b = np.random.default_rng(0).normal(size=len(c))
+        assert np.array_equal(cho_solve(c, b), scipy.linalg.cho_solve(ref, b))
+
+    def test_escalated_regularization_matches_scipy(self):
+        # 1e-12 leaves the smallest eigenvalue negative; 1e-10 does not
+        H = np.diag([2.0, 1.0, -5e-11])
+        ref = self.reference(H, 100 * REGULARIZATION)
+        assert np.array_equal(np.tril(_factor_reduced_kkt(H, np.empty_like(H))), np.tril(ref[0]))
+
+    def test_indefinite_and_nonfinite_give_no_factor(self):
+        work = np.empty((3, 3))
+        assert _factor_reduced_kkt(-np.eye(3), work) is None
+        assert _factor_reduced_kkt(np.full((3, 3), np.nan), work) is None
+        with pytest.raises(scipy.linalg.LinAlgError):
+            cho_factor(-np.eye(3))
+
+    def test_nonfinite_right_hand_side_raises(self):
+        with pytest.raises(ValueError):
+            cho_solve(cho_factor(np.eye(3)), np.array([1.0, np.inf, 0.0]))
 
 
 def test_import_leaves_scipy_sparse_unloaded():
