@@ -17,7 +17,7 @@ from .ccp import (
     run_sweep,
     step,
 )
-from .conic_solver import ConeProblem, SolverConfig, SolverResult, SolverStatus, lift, solve
+from .conic_solver import ConeProblem, SolverConfig, SolverResult, SolverStatus, solve
 from .errors import (
     AscentViolation,
     DiameterExceeded,
@@ -26,20 +26,13 @@ from .errors import (
     InfeasibleInitial,
     InvalidPolygon,
     InvariantViolation,
-    NonConvexConstraint,
     OptigonError,
     SubproblemFailure,
     UpperBoundViolation,
 )
 from .formulation import (
     ConeTemplate,
-    ConvexSubproblem,
-    DcProgram,
     DecisionLayout,
-    Family,
-    build_program,
-    build_restriction,
-    evaluate,
     polygon_to_vector,
     vector_to_polygon,
 )

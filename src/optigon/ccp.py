@@ -219,21 +219,20 @@ def maximize_area(
             raise InfeasibleInitial(f"initial polygon has {initial.n} vertices, expected {n}")
         initial.validate(TOL_FEAS)
     z = polygon_to_vector(initial)
-    report = template.evaluate(z)
-    if report.min_residual() < -TOL_FEAS:
+    trace = CcpTrace()
+    start = _record(trace, template, k=0, z=z, rel_step=None, solver=None)
+    if start.max_violation > TOL_FEAS:
         raise InfeasibleInitial(
-            f"initial polygon violates the program by {-report.min_residual():.3e}"
+            f"initial polygon violates the program by {start.max_violation:.3e}"
         )
 
     area_cap = upper_bound(n) + 10.0 * cfg.solver.tol_solver
     slack = 10.0 * cfg.solver.tol_solver
-    trace = CcpTrace()
-    _record(trace, template, k=0, z=z, rel_step=None, solver=None)
 
     status = CcpStatus.OUTER_LIMIT
     message = ""
     k = 0
-    objective_prev = report.objective
+    objective_prev = start.objective
     area_prev = area(initial)
     while k < cfg.max_outer_iterations:
         try:

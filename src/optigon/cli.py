@@ -115,7 +115,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.step < 1 or args.jobs < 1:
+        raise ValueError(f"--step and --jobs must be >= 1, got {args.step} and {args.jobs}")
     ns = list(range(args.start, args.stop + 1, args.step))
+    if not ns:
+        raise ValueError(f"empty range: --from {args.start} --to {args.stop}")
     for n in ns:
         _require_headline_n(n)
     cfg = _config_from(args)

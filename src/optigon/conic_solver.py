@@ -1,7 +1,6 @@
 """Second-order-cone interior-point solver for the convex restrictions.
 
-Solves a `ConeProblem` (built once per n by `formulation.ConeTemplate`, or
-by `formulation.lift` from a restriction object)
+Solves a `ConeProblem` (built once per n by `formulation.ConeTemplate`)
 
     minimize c^T x   subject to   G x + s = h,   s in R^p_+ x (Q^4)^m.
 
@@ -48,9 +47,9 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .formulation import ConeProblem, lift
+from .formulation import ConeProblem
 
-__all__ = ["ConeProblem", "SolverConfig", "SolverResult", "SolverStatus", "lift", "solve"]
+__all__ = ["ConeProblem", "SolverConfig", "SolverResult", "SolverStatus", "solve"]
 
 log = logging.getLogger("optigon.solver")
 
@@ -309,15 +308,12 @@ def solve(
     On OPTIMAL the primal vector satisfies every constraint within
     tol_solver and the reported objective is within the duality gap of the
     true optimum. On ITERATION_LIMIT the best iterate seen is returned with
-    its residuals. Deterministic for fixed inputs.
+    its residuals. A solve that fails from warm_start is not retried from
+    the cold start. Deterministic for fixed inputs.
     """
     cfg = cfg or SolverConfig()
     cfg.validate()
-    result = _solve_inner(cone, cfg, warm_start)
-    if warm_start is not None and result.status is not SolverStatus.OPTIMAL:
-        log.debug("warm-started solve failed (%s); retrying cold", result.status)
-        result = _solve_inner(cone, cfg, None)
-    return result
+    return _solve_inner(cone, cfg, warm_start)
 
 
 def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):

@@ -17,10 +17,6 @@ class DimensionMismatch(OptigonError, ValueError):
     """A decision vector does not match the program's dimension."""
 
 
-class NonConvexConstraint(OptigonError, ValueError):
-    """A constraint is not a sum of squares bounded by an affine expression."""
-
-
 class InfeasibleInitial(OptigonError, ValueError):
     """Supplied initial polygon is infeasible for the area program."""
 

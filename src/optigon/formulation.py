@@ -1,54 +1,48 @@
-"""Difference-of-convex encoding of the maximal-area program.
+"""The maximal-area program and its convex restrictions, as cone arrays.
 
 Decision vector z = (x_1..x_{n-1}, y_1..y_{n-1}, u_1..u_{n-2}); the anchor
-coordinates x_0 = y_0 = 0 are eliminated at the layout level rather than
-constrained. Each constraint is stored as a pair (g, h) of convex
-quadratics with meaning g(z) - h(z) >= 0, where g is the part that gets
-tangent-linearized when building a convex restriction and h is kept. Convex
-quadratics are stored as sums of squares of linear forms plus an affine
-part, which makes positive semidefiniteness structural and feeds the cone
-lifting directly.
+v_0 = (0, 0) is eliminated rather than constrained. The program maximizes the
+fan area sum u_i subject to
+
+    (x_j - x_i)^2 + (y_j - y_i)^2 <= 1    distance, 1 <= i < j <= n-1
+    x_i^2 + y_i^2 <= 1                    radius (distance to v_0)
+    y_i >= 0                              half-plane
+    2 u_i <= y_{i+1} x_i - x_{i+1} y_i    triangle area, 1 <= i <= n-2
+    u_i >= 0
+
+The triangle-area constraint is the only nonconvex one. It is split as a
+difference of convex quadratics, 4 (y_{i+1} x_i - x_{i+1} y_i - 2 u_i) =
+g - h, with
+
+    g = (y_{i+1} + x_i)^2 + (x_{i+1} - y_i)^2
+    h = (y_{i+1} - x_i)^2 + (x_{i+1} + y_i)^2 + 8 u_i,
+
+and the convex restriction at a reference point c replaces g by its tangent
+at c. Every constraint of a restriction is then an affine row b(z) >= 0 or
+l_1(z)^2 + l_2(z)^2 <= b(z) with affine l_1, l_2, b; the latter is the Q^4
+block ((1 + b)/2, l_1, l_2, (1 - b)/2). `ConeTemplate` holds every such row
+of one n in fixed-shape arrays and rewrites the triangle-area rows for each
+reference point.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvexConstraint
+from .errors import DimensionMismatch
 from .geometry import Polygon
 
 __all__ = [
-    "Family",
     "DecisionLayout",
-    "LinearForm",
-    "ConvexQuadratic",
-    "DcConstraint",
-    "DcProgram",
-    "RestrictionConstraint",
-    "ConvexSubproblem",
     "EvaluationReport",
     "ConeProblem",
     "ConeTemplate",
-    "build_program",
-    "build_restriction",
-    "evaluate",
-    "lift",
     "polygon_to_vector",
     "vector_to_polygon",
 ]
-
-
-class Family(enum.Enum):
-    DISTANCE = "distance"
-    RADIUS = "radius"
-    HALF_PLANE = "half_plane"
-    TRIANGLE_AREA = "triangle_area"
-    NONNEG_U = "nonneg_u"
 
 
 @dataclass(frozen=True)
@@ -80,163 +74,15 @@ class DecisionLayout:
 
 
 @dataclass(frozen=True)
-class LinearForm:
-    """Sparse affine form: offset + sum_k coeffs[k] * z[indices[k]]."""
-
-    indices: tuple[int, ...]
-    coeffs: tuple[float, ...]
-    offset: float = 0.0
-
-    def value(self, z: np.ndarray) -> float:
-        total = self.offset
-        for i, c in zip(self.indices, self.coeffs):
-            total += c * z[i]
-        return total
-
-    def gradient(self, dim: int) -> np.ndarray:
-        g = np.zeros(dim)
-        for i, c in zip(self.indices, self.coeffs):
-            g[i] += c
-        return g
-
-
-ZERO_FORM = LinearForm(indices=(), coeffs=(), offset=0.0)
-
-
-@dataclass(frozen=True)
-class ConvexQuadratic:
-    """q(z) = sum_k l_k(z)^2 + a(z) with affine a; convex by construction."""
-
-    squares: tuple[LinearForm, ...] = ()
-    affine: LinearForm = ZERO_FORM
-
-    def value(self, z: np.ndarray) -> float:
-        total = self.affine.value(z)
-        for form in self.squares:
-            total += form.value(z) ** 2
-        return total
-
-    def gradient(self, z: np.ndarray, dim: int) -> np.ndarray:
-        g = self.affine.gradient(dim)
-        for form in self.squares:
-            val = 2.0 * form.value(z)
-            for i, c in zip(form.indices, form.coeffs):
-                g[i] += val * c
-        return g
-
-    def linearize(self, c: np.ndarray, dim: int) -> LinearForm:
-        """Tangent underestimator q(c) + grad q(c)^T (z - c) as an affine form."""
-        grad = self.gradient(c, dim)
-        nz = np.nonzero(grad)[0]
-        offset = self.value(c) - float(grad @ c)
-        return LinearForm(
-            indices=tuple(int(i) for i in nz),
-            coeffs=tuple(float(grad[i]) for i in nz),
-            offset=offset,
-        )
-
-
-@dataclass(frozen=True)
-class DcConstraint:
-    """One constraint g(z) - h(z) >= 0 with its family tag and vertex indices."""
-
-    family: Family
-    g: ConvexQuadratic
-    h: ConvexQuadratic
-    vertices: tuple[int, ...]
-
-    def residual(self, z: np.ndarray) -> float:
-        return self.g.value(z) - self.h.value(z)
-
-
-@dataclass(frozen=True)
-class DcProgram:
-    """The full maximal-area program for one n, in difference-of-convex form."""
-
-    layout: DecisionLayout
-    objective_g: ConvexQuadratic
-    objective_h: ConvexQuadratic
-    constraints: tuple[DcConstraint, ...]
-
-    @property
-    def n(self) -> int:
-        return self.layout.n
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
-    def objective(self, z: np.ndarray) -> float:
-        return self.objective_g.value(z) - self.objective_h.value(z)
-
-    def family_counts(self) -> dict[Family, int]:
-        counts = {family: 0 for family in Family}
-        for con in self.constraints:
-            counts[con.family] += 1
-        return counts
-
-
-
-@dataclass(frozen=True)
-class RestrictionConstraint:
-    """Convex constraint sum_k l_k(z)^2 <= bound(z) with affine bound."""
-
-    family: Family
-    squares: tuple[LinearForm, ...]
-    bound: LinearForm
-    vertices: tuple[int, ...]
-
-    def residual(self, z: np.ndarray) -> float:
-        total = self.bound.value(z)
-        for form in self.squares:
-            total -= form.value(z) ** 2
-        return total
-
-
-@dataclass(frozen=True)
-class ConvexSubproblem:
-    """Convex restriction of a DcProgram at a reference point.
-
-    Feasible whenever the reference point is feasible for the original
-    program, and every feasible point of the restriction is feasible for
-    the original.
-    """
-
-    layout: DecisionLayout
-    objective: LinearForm
-    constraints: tuple[RestrictionConstraint, ...]
-    reference: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
-    def residuals(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"expected decision vector of shape ({self.dim},), got {z.shape}"
-            )
-        return np.array([con.residual(z) for con in self.constraints])
-
-    def is_feasible(self, z: np.ndarray, tol: float = 0.0) -> bool:
-        return bool(self.residuals(z).min() >= -tol)
-
-
-@dataclass(frozen=True)
 class EvaluationReport:
-    """Per-constraint residuals g_i(z) - h_i(z) and the objective value."""
+    """Per-constraint residuals g_i(z) - h_i(z), in cone row order, and the
+    objective value."""
 
     objective: float
     residuals: np.ndarray
-    families: tuple[Family, ...]
 
     def min_residual(self) -> float:
         return float(self.residuals.min())
-
-    def by_family(self, family: Family) -> np.ndarray:
-        mask = np.array([f is family for f in self.families])
-        return self.residuals[mask]
 
 
 def _checked(z: np.ndarray, dim: int) -> np.ndarray:
@@ -246,139 +92,6 @@ def _checked(z: np.ndarray, dim: int) -> np.ndarray:
     if not np.isfinite(z).all():
         raise DimensionMismatch("decision vector must be finite")
     return z
-
-
-def build_program(n: int) -> DcProgram:
-    """Assemble the five constraint families of the n-gon area program."""
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
-    layout = DecisionLayout(n)
-    constraints: list[DcConstraint] = []
-    one = ConvexQuadratic(affine=LinearForm((), (), 1.0))
-
-    def lf(pairs, offset=0.0):
-        idx, coef = zip(*pairs)
-        return LinearForm(indices=idx, coeffs=coef, offset=offset)
-
-    # pairwise distances: (x_j - x_i)^2 + (y_j - y_i)^2 <= 1
-    for i, j in combinations(range(1, n), 2):
-        quad = ConvexQuadratic(
-            squares=(
-                lf([(layout.x(j), 1.0), (layout.x(i), -1.0)]),
-                lf([(layout.y(j), 1.0), (layout.y(i), -1.0)]),
-            )
-        )
-        constraints.append(DcConstraint(Family.DISTANCE, g=one, h=quad, vertices=(i, j)))
-
-    # distance to the anchor: x_i^2 + y_i^2 <= 1
-    for i in range(1, n):
-        quad = ConvexQuadratic(
-            squares=(lf([(layout.x(i), 1.0)]), lf([(layout.y(i), 1.0)]))
-        )
-        constraints.append(DcConstraint(Family.RADIUS, g=one, h=quad, vertices=(i,)))
-
-    # upper half-plane: y_i >= 0
-    for i in range(1, n):
-        g = ConvexQuadratic(affine=lf([(layout.y(i), 1.0)]))
-        constraints.append(
-            DcConstraint(Family.HALF_PLANE, g=g, h=ConvexQuadratic(), vertices=(i,))
-        )
-
-    # fan triangle areas, difference-of-convex split of
-    # 2 u_i <= y_{i+1} x_i - x_{i+1} y_i:
-    #   g = (y_{i+1} + x_i)^2 + (x_{i+1} - y_i)^2
-    #   h = (y_{i+1} - x_i)^2 + (x_{i+1} + y_i)^2 + 8 u_i
-    for i in range(1, n - 1):
-        g = ConvexQuadratic(
-            squares=(
-                lf([(layout.y(i + 1), 1.0), (layout.x(i), 1.0)]),
-                lf([(layout.x(i + 1), 1.0), (layout.y(i), -1.0)]),
-            )
-        )
-        h = ConvexQuadratic(
-            squares=(
-                lf([(layout.y(i + 1), 1.0), (layout.x(i), -1.0)]),
-                lf([(layout.x(i + 1), 1.0), (layout.y(i), 1.0)]),
-            ),
-            affine=lf([(layout.u(i), 8.0)]),
-        )
-        constraints.append(DcConstraint(Family.TRIANGLE_AREA, g=g, h=h, vertices=(i, i + 1)))
-
-    # u_i >= 0
-    for i in range(1, n - 1):
-        g = ConvexQuadratic(affine=lf([(layout.u(i), 1.0)]))
-        constraints.append(
-            DcConstraint(Family.NONNEG_U, g=g, h=ConvexQuadratic(), vertices=(i,))
-        )
-
-    objective_g = ConvexQuadratic(
-        affine=LinearForm(
-            indices=tuple(layout.u(i) for i in range(1, n - 1)),
-            coeffs=(1.0,) * (n - 2),
-        )
-    )
-    return DcProgram(
-        layout=layout,
-        objective_g=objective_g,
-        objective_h=ConvexQuadratic(),
-        constraints=tuple(constraints),
-    )
-
-
-def build_restriction(prog: DcProgram, c: np.ndarray) -> ConvexSubproblem:
-    """Convex restriction at c: replace each g_i by its tangent at c.
-
-    Constraints whose g_i is affine (all families except the triangle-area
-    one, whose linearization reproduces them exactly) pass through
-    unchanged; the triangle-area family becomes
-    sum-of-squares(h) <= tangent(g at c) - affine(h).
-    """
-    c = _checked(c, prog.dim)
-    dim = prog.dim
-    restricted = []
-    for con in prog.constraints:
-        gbar = con.g.linearize(c, dim)
-        # bound(z) = gbar(z; c) - affine part of h, keeping h's squares on the left
-        ha = con.h.affine
-        merged = _subtract_affine(gbar, ha, dim)
-        restricted.append(
-            RestrictionConstraint(
-                family=con.family,
-                squares=con.h.squares,
-                bound=merged,
-                vertices=con.vertices,
-            )
-        )
-    # the objective is linear, so its linearization is the identity
-    return ConvexSubproblem(
-        layout=prog.layout,
-        objective=prog.objective_g.affine,
-        constraints=tuple(restricted),
-        reference=c.copy(),
-    )
-
-
-def _subtract_affine(a: LinearForm, b: LinearForm, dim: int) -> LinearForm:
-    if not b.indices and b.offset == 0.0:
-        return a
-    grad = a.gradient(dim) - b.gradient(dim)
-    nz = np.nonzero(grad)[0]
-    return LinearForm(
-        indices=tuple(int(i) for i in nz),
-        coeffs=tuple(float(grad[i]) for i in nz),
-        offset=a.offset - b.offset,
-    )
-
-
-def evaluate(prog: DcProgram, z: np.ndarray) -> EvaluationReport:
-    """Residuals g_i(z) - h_i(z) for every constraint plus the objective."""
-    z = _checked(z, prog.dim)
-    residuals = np.array([con.residual(z) for con in prog.constraints])
-    return EvaluationReport(
-        objective=prog.objective(z),
-        residuals=residuals,
-        families=tuple(con.family for con in prog.constraints),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,8 +112,6 @@ class ConeProblem:
     nn_coef: np.ndarray
     soc_cols: np.ndarray
     soc_coef: np.ndarray
-    nonneg_families: tuple[Family, ...] = ()
-    soc_families: tuple[Family, ...] = ()
 
     @property
     def dim(self) -> int:
@@ -471,66 +182,13 @@ class ConeProblem:
         )
 
 
-def lift(sub: ConvexSubproblem) -> ConeProblem:
-    """Rewrite a convex restriction as a cone problem.
-
-    A constraint l_1(z)^2 + l_2(z)^2 <= b(z) becomes the block
-    ((1 + b)/2, l_1, l_2, (1 - b)/2) in Q^4, since
-    ((1+b)/2)^2 - ((1-b)/2)^2 = b; a constraint without squares becomes the
-    nonnegative row b(z) >= 0. Raises NonConvexConstraint for any other
-    shape. Nonnegative rows come first, then the blocks, each in
-    constraint order.
-    """
-    for con in sub.constraints:
-        forms = (con.bound, *con.squares)
-        if len(con.squares) not in (0, 2) or not all(isinstance(f, LinearForm) for f in forms):
-            raise NonConvexConstraint(
-                f"constraint {con.family} is neither affine >= 0 nor two squares <= affine"
-            )
-    nonneg = [con for con in sub.constraints if not con.squares]
-    blocks = [con for con in sub.constraints if con.squares]
-    nn_cols, nn_coef, nn_h = _pack([[(con.bound, 1.0, 0.0)] for con in nonneg])
-    soc_cols, soc_coef, soc_h = _pack(
-        [[(con.bound, 0.5, 0.5), (con.squares[0], 1.0, 0.0), (con.squares[1], 1.0, 0.0),
-          (con.bound, -0.5, 0.5)] for con in blocks],
-        n_rows=4,
-    )
-    return ConeProblem(
-        c=-sub.objective.gradient(sub.dim),
-        h=np.concatenate([nn_h.ravel(), soc_h.ravel()]),
-        nn_cols=nn_cols,
-        nn_coef=nn_coef[0],
-        soc_cols=soc_cols,
-        soc_coef=soc_coef,
-        nonneg_families=tuple(con.family for con in nonneg),
-        soc_families=tuple(con.family for con in blocks),
-    )
-
-
-def _pack(groups, n_rows=1):
-    """Columns (K, N), coefficients (R, K, N) and h (R, N) of N groups of R
-    rows sharing one column list; a row (form, scale, shift) is the cone row
-    shift + scale * form(z)."""
-    cols = [sorted({j for form, _, _ in rows for j in form.indices}) for rows in groups]
-    width = max([len(c) for c in cols] + [1])
-    col_arr = np.zeros((width, len(groups)), dtype=np.intp)
-    coef = np.zeros((n_rows, width, len(groups)))
-    h = np.zeros((n_rows, len(groups)))
-    for b, (rows, used) in enumerate(zip(groups, cols)):
-        col_arr[: len(used), b] = used
-        slot = {j: k for k, j in enumerate(used)}
-        for r, (form, scale, shift) in enumerate(rows):
-            for j, value in zip(form.indices, form.coeffs):
-                coef[r, slot[j], b] -= scale * value
-            h[r, b] = shift + scale * form.offset
-    return col_arr, coef, h
-
-
 class ConeTemplate:
     """The cone problem of every convex restriction of the n-gon program.
 
-    Built once per n, with the rows of lift(build_restriction(prog, c)) in
-    the same order. Restrictions differ only in the n-2 triangle-area
+    Built once per n. The nonnegative rows are the n-1 half-plane rows, then
+    the n-2 rows u_i >= 0; the Q^4 blocks are the distance pairs (i, j) in
+    row-major order of i < j, then the n-1 radius blocks, then the n-2
+    triangle-area blocks. Restrictions differ only in the triangle-area
     blocks, whose first and last rows hold the tangent of g at c; `at`
     rewrites those rows of G and h in place. `screened` copies the current
     restriction without some distance blocks; `distance_sq` gives every
@@ -544,7 +202,7 @@ class ConeTemplate:
         x = np.arange(n - 1)                # x index of vertex i + 1
         y = x + n - 1
         u = np.arange(n - 2) + 2 * (n - 1)
-        i, j = np.triu_indices(n - 1, k=1)  # distance pairs, in program order
+        i, j = np.triu_indices(n - 1, k=1)  # distance pairs, row-major
         t = np.arange(n - 2)                # triangle (t + 1, t + 2)
         pairs, verts, tris = len(i), n - 1, n - 2
         self.n_pairs = pairs
@@ -577,9 +235,6 @@ class ConeTemplate:
             nn_coef=np.full((1, 2 * n - 3), -1.0),
             soc_cols=cols,
             soc_coef=coef,
-            nonneg_families=(Family.HALF_PLANE,) * verts + (Family.NONNEG_U,) * tris,
-            soc_families=(Family.DISTANCE,) * pairs + (Family.RADIUS,) * verts
-            + (Family.TRIANGLE_AREA,) * tris,
         )
 
     @property
@@ -604,7 +259,7 @@ class ConeTemplate:
     def screened(self, keep: np.ndarray) -> ConeProblem:
         """The restriction last built by `at`, holding only the distance
         blocks of the pairs where the boolean mask `keep` (one entry per
-        pair, in program order) is true; every other row is kept. A copy:
+        pair, in block order) is true; every other row is kept. A copy:
         later calls to `at` leave it unchanged."""
         keep = np.asarray(keep)
         if keep.dtype != bool or keep.shape != (self.n_pairs,):
@@ -620,13 +275,10 @@ class ConeTemplate:
             # the same order and every row equals the full cone's
             soc_cols=np.ascontiguousarray(cone.soc_cols[:, blocks]),
             soc_coef=np.ascontiguousarray(cone.soc_coef[:, :, blocks]),
-            nonneg_families=cone.nonneg_families,
-            soc_families=(Family.DISTANCE,) * int(keep.sum())
-            + cone.soc_families[self.n_pairs:],
         )
 
     def distance_sq(self, z: np.ndarray) -> np.ndarray:
-        """Squared distance at z of every distance pair, in program order."""
+        """Squared distance at z of every distance pair, in block order."""
         z = _checked(z, self.layout.dim)
         x_i, x_j, y_i, y_j = z[self.cone.soc_cols[:4, : self.n_pairs]]
         return (x_j - x_i) ** 2 + (y_j - y_i) ** 2
@@ -638,7 +290,6 @@ class ConeTemplate:
         return EvaluationReport(
             objective=float(-(cone.c @ z)),
             residuals=cone.residuals(z),
-            families=cone.nonneg_families + cone.soc_families,
         )
 
 

@@ -1,0 +1,57 @@
+"""Closed-form oracle of the n-gon program, written from the paper's formulas.
+
+`restriction_residuals` and `fan_residuals` share no code with
+`optigon.formulation.ConeTemplate`, whose arrays the tests check against
+them; `mini_cone` builds the small cone problems that pin the solver to
+analytic optima.
+"""
+
+from itertools import combinations
+
+import numpy as np
+
+from optigon.formulation import ConeProblem
+
+
+def restriction_residuals(n, c, z):
+    """Residual at z of every constraint of the restriction at reference
+    point c, in the template's row order: y_i, u_i, 1 - |v_j - v_i|^2 for
+    the pairs i < j in row-major order, 1 - |v_i|^2, then for each fan
+    triangle the tangent of g = (y_{i+1} + x_i)^2 + (x_{i+1} - y_i)^2 at c
+    minus h = (y_{i+1} - x_i)^2 + (x_{i+1} + y_i)^2 + 8 u_i. The program's
+    residuals at z are restriction_residuals(n, z, z)."""
+    x, y, u = np.split(np.asarray(z, dtype=float), [n - 1, 2 * n - 2])
+    cx, cy, _ = np.split(np.asarray(c, dtype=float), [n - 1, 2 * n - 2])
+    i, j = np.array(list(combinations(range(n - 1), 2))).T
+    a, b = cy[1:] + cx[:-1], cx[1:] - cy[:-1]
+    tangent = 2 * a * (y[1:] + x[:-1]) - a**2 + 2 * b * (x[1:] - y[:-1]) - b**2
+    h = (y[1:] - x[:-1]) ** 2 + (x[1:] + y[:-1]) ** 2 + 8 * u
+    distance = 1 - (x[j] - x[i]) ** 2 - (y[j] - y[i]) ** 2
+    return np.concatenate([y, u, distance, 1 - x**2 - y**2, tangent - h])
+
+
+def fan_residuals(n, z):
+    """4 (y_{i+1} x_i - x_{i+1} y_i - 2 u_i): the triangle-area constraint
+    as the paper states it, scaled like g - h."""
+    x, y, u = np.split(np.asarray(z, dtype=float), [n - 1, 2 * n - 2])
+    return 4.0 * (y[1:] * x[:-1] - x[1:] * y[:-1] - 2.0 * u)
+
+
+def mini_cone(objective, halfplanes=(), ellipses=()):
+    """Maximize objective . x subject to a . x + b >= 0 for each half-plane
+    (a, b) and (s_0 (x_0 - c_0))^2 + (s_1 (x_1 - c_1))^2 <= 1 for each
+    ellipse (s_0, s_1, c_0, c_1), as the block (1, l_0, l_1, 0) in Q^4."""
+    dim, p, m = len(objective), len(halfplanes), len(ellipses)
+    a = np.array([row for row, _ in halfplanes], dtype=float).reshape(p, dim)
+    s0, s1, c0, c1 = np.array(ellipses, dtype=float).reshape(m, 4).T
+    soc_coef = np.zeros((4, 2, m))
+    soc_coef[1, 0], soc_coef[2, 1] = -s0, -s1
+    h_soc = np.stack([np.ones(m), -s0 * c0, -s1 * c1, np.zeros(m)])
+    return ConeProblem(
+        c=-np.asarray(objective, dtype=float),
+        h=np.concatenate([[b for _, b in halfplanes], h_soc.ravel()]),
+        nn_cols=np.repeat(np.arange(dim)[:, None], p, axis=1),
+        nn_coef=-a.T,
+        soc_cols=np.repeat(np.arange(2)[:, None], m, axis=1),
+        soc_coef=soc_coef,
+    )

@@ -13,18 +13,12 @@ import pytest
 
 from optigon import verification
 from optigon.ccp import CcpStatus, maximize_area
-from optigon.conic_solver import SolverConfig, SolverStatus, lift, solve
-from optigon.formulation import (
-    ConvexSubproblem,
-    Family,
-    LinearForm,
-    RestrictionConstraint,
-    build_program,
-    vector_to_polygon,
-)
+from optigon.conic_solver import SolverConfig, SolverStatus, solve
+from optigon.formulation import ConeTemplate, vector_to_polygon
 from optigon.geometry import pendant_area, upper_bound
 from optigon.literature import lower_bound
 
+from reference_program import fan_residuals, mini_cone
 from reference_values import PUBLISHED
 
 TOL_SOLVER = SolverConfig().tol_solver
@@ -181,66 +175,36 @@ def test_criterion_7_property_suite(runs):
     if restart.iterations != 1 or abs(restart.area - runs.get(6).area) > 1e-8:
         failures.append("restart from converged output did not fix in one step")
 
-    # analytic solver optima
-    def mini(objective, constraints):
-        class _Layout:
-            dim = 2
-
-        return ConvexSubproblem(
-            layout=_Layout(), objective=objective, constraints=tuple(constraints),
-            reference=np.zeros(2),
-        )
-
-    disc = RestrictionConstraint(
-        Family.RADIUS,
-        (LinearForm((0,), (1.0,)), LinearForm((1,), (1.0,))),
-        LinearForm((), (), 1.0),
-        (1,),
-    )
-    ellipse = RestrictionConstraint(
-        Family.RADIUS,
-        (LinearForm((0,), (0.5,)), LinearForm((1,), (1.0,))),
-        LinearForm((), (), 1.0),
-        (1,),
-    )
+    # analytic solver optima: unit disc and the ellipse (x/2)^2 + y^2 <= 1
     analytic = [
-        (mini(LinearForm((0,), (1.0,)), [disc]), 1.0),
-        (mini(LinearForm((0, 1), (1.0, 1.0)), [disc]), math.sqrt(2.0)),
-        (mini(LinearForm((0,), (1.0,)), [ellipse]), 2.0),
+        (mini_cone([1.0, 0.0], ellipses=[(1.0, 1.0, 0.0, 0.0)]), 1.0),
+        (mini_cone([1.0, 1.0], ellipses=[(1.0, 1.0, 0.0, 0.0)]), math.sqrt(2.0)),
+        (mini_cone([1.0, 0.0], ellipses=[(0.5, 1.0, 0.0, 0.0)]), 2.0),
     ]
-    for sub, expected in analytic:
-        res = solve(lift(sub))
+    for cone, expected in analytic:
+        res = solve(cone)
         if res.status is not SolverStatus.OPTIMAL or abs(res.objective - expected) > 1e-8:
             failures.append(f"analytic optimum {expected} missed: {res.objective}")
 
-    # algebraic identity of the nonconvex split and gradient consistency
+    # algebraic identity of the nonconvex split and consistency of its tangent
     rng = np.random.default_rng(99)
-    prog = build_program(6)
-    layout = prog.layout
+    program, restriction = ConeTemplate(6), ConeTemplate(6)
     for _ in range(200):
-        z = rng.uniform(-2, 2, prog.dim)
-        for con in prog.constraints:
-            if con.family is not Family.TRIANGLE_AREA:
-                continue
-            i, ip1 = con.vertices
-            direct = 4.0 * (
-                z[layout.y(ip1)] * z[layout.x(i)]
-                - z[layout.x(ip1)] * z[layout.y(i)]
-                - 2.0 * z[layout.u(i)]
-            )
-            if abs(con.residual(z) - direct) > 1e-10:
-                failures.append("nonconvex split identity violated")
+        z = rng.uniform(-2, 2, 14)
+        if np.abs(program.evaluate(z).residuals[-4:] - fan_residuals(6, z)).max() > 1e-10:
+            failures.append("nonconvex split identity violated")
+    # restriction minus program is gbar - g, whose gradient vanishes at c
     step_size = 1e-6
-    z = rng.uniform(-1, 1, prog.dim)
-    for con in prog.constraints[::7]:
-        grad = con.g.gradient(z, prog.dim) - con.h.gradient(z, prog.dim)
-        for j in range(prog.dim):
-            zp, zm = z.copy(), z.copy()
-            zp[j] += step_size
-            zm[j] -= step_size
-            fd = (con.residual(zp) - con.residual(zm)) / (2 * step_size)
-            if abs(grad[j] - fd) > 1e-6 * max(1.0, abs(grad[j])):
-                failures.append("gradient mismatch vs finite differences")
+    c = rng.uniform(-1, 1, 14)
+    cone = restriction.at(c)
+    for j in range(14):
+        zp, zm = c.copy(), c.copy()
+        zp[j] += step_size
+        zm[j] -= step_size
+        fd = (cone.residuals(zp) - program.evaluate(zp).residuals
+              - cone.residuals(zm) + program.evaluate(zm).residuals) / (2 * step_size)
+        if np.abs(fd).max() > 1e-6:
+            failures.append("gradient mismatch vs finite differences")
 
     report(
         "criterion 7",

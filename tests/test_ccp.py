@@ -22,13 +22,7 @@ from optigon.errors import (
     SubproblemFailure,
     UpperBoundViolation,
 )
-from optigon.formulation import (
-    ConeTemplate,
-    build_program,
-    evaluate,
-    polygon_to_vector,
-    vector_to_polygon,
-)
+from optigon.formulation import ConeTemplate, polygon_to_vector, vector_to_polygon
 from optigon.geometry import Polygon, area, build_pendant_polygon, diameter, upper_bound
 
 # best known maximal areas (published optimum values)
@@ -102,15 +96,15 @@ class TestStep:
         assert area(vector_to_polygon(z2, 6)) == pytest.approx(0.6749808685, abs=1e-6)
 
     def test_step_preserves_feasibility_and_ascent(self):
-        prog = build_program(8)
+        program = ConeTemplate(8)
         template = ConeTemplate(8)
         cfg = CcpConfig()
         z = polygon_to_vector(build_pendant_polygon(8))
         for _ in range(3):
             z_next = step(template, z, cfg, warm_start=z).z
-            assert evaluate(prog, z_next).min_residual() >= -1e-8
-            assert evaluate(prog, z_next).objective >= (
-                evaluate(prog, z).objective - cfg.solver.tol_solver
+            assert program.evaluate(z_next).min_residual() >= -1e-8
+            assert program.evaluate(z_next).objective >= (
+                program.evaluate(z).objective - cfg.solver.tol_solver
             )
             z = z_next
 

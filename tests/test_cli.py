@@ -102,6 +102,13 @@ class TestSweep:
     def test_rejects_odd_range(self, capsys):
         assert main(["sweep", "--from", "5", "--to", "9"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--from", "16", "--to", "6"], ["--step", "-2"], ["--step", "0"], ["--jobs", "0"]])
+    def test_rejects_empty_range_and_nonpositive_counts(self, flags, capsys):
+        assert main(["sweep", "--from", "6", "--to", "16", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flags[0] in err
+
 
 @pytest.mark.parametrize(
     "status",

@@ -1,4 +1,4 @@
-"""Cone lifting and the interior-point solver.
+"""The template's cone blocks, the cone operators and the interior-point solver.
 
 Analytic optima pin the solver on tiny problems; the restriction of the
 hexagon program at the pendant start is cross-checked against an
@@ -9,7 +9,6 @@ import logging
 import math
 import subprocess
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,57 +30,27 @@ from optigon.conic_solver import (
     _Scaling,
     cho_factor,
     cho_solve,
-    lift,
     solve,
 )
-from optigon.errors import NonConvexConstraint, SubproblemFailure
-from optigon.formulation import (
-    ConeProblem,
-    ConeTemplate,
-    ConvexSubproblem,
-    Family,
-    LinearForm,
-    RestrictionConstraint,
-    build_program,
-    build_restriction,
-    polygon_to_vector,
-)
+from optigon.errors import SubproblemFailure
+from optigon.formulation import ConeProblem, ConeTemplate, polygon_to_vector
 from optigon.geometry import build_pendant_polygon
+
+from reference_program import mini_cone
 
 RNG = np.random.default_rng(7)
 
-
-@dataclass(frozen=True)
-class MiniLayout:
-    dim: int
+DISC = (1.0, 1.0, 0.0, 0.0)  # the unit disc as a mini_cone ellipse (s_0, s_1, c_0, c_1)
 
 
-def mini_problem(objective, constraints, dim):
-    return ConvexSubproblem(
-        layout=MiniLayout(dim),
-        objective=objective,
-        constraints=tuple(constraints),
-        reference=np.zeros(dim),
-    )
-
-
-def disc(center_x=0.0, radius=1.0):
-    return RestrictionConstraint(
-        family=Family.RADIUS,
-        squares=(
-            LinearForm((0,), (1.0,), -center_x),
-            LinearForm((1,), (1.0,)),
-        ),
-        bound=LinearForm((), (), radius**2),
-        vertices=(1,),
-    )
+def pendant_restriction(n):
+    z0 = polygon_to_vector(build_pendant_polygon(n))
+    return z0, ConeTemplate(n).at(z0)
 
 
 @pytest.fixture(scope="module")
 def hexagon_restriction():
-    prog = build_program(6)
-    z0 = polygon_to_vector(build_pendant_polygon(6))
-    return prog, z0, build_restriction(prog, z0)
+    return pendant_restriction(6)
 
 
 def dense_G(cone):
@@ -89,47 +58,24 @@ def dense_G(cone):
 
 
 class TestLift:
+    """The hexagon's restriction at the pendant start as Q^4 blocks."""
+
     def test_hexagon_block_structure(self, hexagon_restriction):
-        _, _, sub = hexagon_restriction
-        cone = lift(sub)
+        _, cone = hexagon_restriction
         assert cone.n_nonneg == 9  # 5 half-plane + 4 nonneg-u sign rows
         assert cone.n_soc == 19  # 10 distance + 5 radius + 4 triangle-area
-        assert cone.soc_families.count(Family.DISTANCE) == 10
-        assert cone.soc_families.count(Family.RADIUS) == 5
-        assert cone.soc_families.count(Family.TRIANGLE_AREA) == 4
         # every block is Q^4 over at most 5 columns
-        assert cone.soc_coef.shape[0::2] == (4, 19)
-        assert cone.soc_cols.shape[1] == 19
-        assert cone.soc_coef.shape[1] == cone.soc_cols.shape[0] <= 5
+        assert cone.soc_coef.shape == (4, 5, 19)
+        assert cone.soc_cols.shape == (5, 19)
         assert cone.dim == 14
         assert cone.n_rows == 9 + 19 * 4
 
-    def test_radius_block_has_constant_unit_bound(self):
-        sub = mini_problem(LinearForm((0,), (1.0,)), [disc()], 2)
-        cone = lift(sub)
+    def test_radius_block_has_constant_unit_bound(self, hexagon_restriction):
+        _, cone = hexagon_restriction
+        radius = np.arange(10, 15)
         # rows: (1+1)/2, x, y, (1-1)/2 with no x-dependence in the bound rows
-        assert cone.h == pytest.approx([1.0, 0.0, 0.0, 0.0])
-        dense = dense_G(cone)
-        assert dense[0] == pytest.approx([0.0, 0.0])
-        assert dense[3] == pytest.approx([0.0, 0.0])
-
-    def test_rejects_malformed_constraint(self):
-        bad = RestrictionConstraint(
-            family=Family.RADIUS,
-            squares=("not a linear form", LinearForm((1,), (1.0,))),
-            bound=LinearForm((), (), 1.0),
-            vertices=(1,),
-        )
-        sub = mini_problem(LinearForm((0,), (1.0,)), [bad], 2)
-        with pytest.raises(NonConvexConstraint):
-            lift(sub)
-
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_rejects_blocks_other_than_q4(self, count):
-        squares = tuple(LinearForm((k % 2,), (1.0,)) for k in range(count))
-        con = RestrictionConstraint(Family.RADIUS, squares, LinearForm((), (), 1.0), (1,))
-        with pytest.raises(NonConvexConstraint):
-            lift(mini_problem(LinearForm((0,), (1.0,)), [con], 2))
+        assert (cone.h[9:].reshape(4, 19)[:, radius] == [[1.0], [0.0], [0.0], [0.0]]).all()
+        assert not cone.soc_coef[[0, 3]][:, :, radius].any()
 
 
 class TestConeOperators:
@@ -137,9 +83,7 @@ class TestConeOperators:
 
     @pytest.fixture(params=["hexagon", "octagon"])
     def cone(self, request):
-        n = 6 if request.param == "hexagon" else 8
-        prog = build_program(n)
-        return lift(build_restriction(prog, polygon_to_vector(build_pendant_polygon(n))))
+        return pendant_restriction(6 if request.param == "hexagon" else 8)[1]
 
     def test_rmatvec_is_transpose(self, cone):
         y = RNG.normal(size=cone.n_rows)
@@ -161,44 +105,32 @@ class TestConeOperators:
 
 class TestAnalyticOptima:
     def test_max_x_on_unit_disc(self):
-        res = solve(lift(mini_problem(LinearForm((0,), (1.0,)), [disc()], 2)))
+        res = solve(mini_cone([1.0, 0.0], ellipses=[DISC]))
         assert res.status is SolverStatus.OPTIMAL
         assert res.objective == pytest.approx(1.0, abs=1e-8)
         assert res.primal == pytest.approx([1.0, 0.0], abs=1e-7)
 
     def test_max_diagonal_on_unit_disc(self):
-        res = solve(lift(mini_problem(LinearForm((0, 1), (1.0, 1.0)), [disc()], 2)))
+        res = solve(mini_cone([1.0, 1.0], ellipses=[DISC]))
         assert res.status is SolverStatus.OPTIMAL
         assert res.objective == pytest.approx(math.sqrt(2.0), abs=1e-8)
 
     def test_max_x_on_ellipse(self):
-        ellipse = RestrictionConstraint(
-            family=Family.RADIUS,
-            squares=(LinearForm((0,), (0.5,)), LinearForm((1,), (1.0,))),
-            bound=LinearForm((), (), 1.0),
-            vertices=(1,),
-        )
-        res = solve(lift(mini_problem(LinearForm((0,), (1.0,)), [ellipse], 2)))
+        res = solve(mini_cone([1.0, 0.0], ellipses=[(0.5, 1.0, 0.0, 0.0)]))
         assert res.status is SolverStatus.OPTIMAL
         assert res.objective == pytest.approx(2.0, abs=1e-8)
 
     def test_max_y_on_two_disc_intersection(self):
-        sub = mini_problem(
-            LinearForm((1,), (1.0,)), [disc(center_x=0.5), disc(center_x=-0.5)], 2
-        )
-        res = solve(lift(sub))
+        discs = [(1.0, 1.0, 0.5, 0.0), (1.0, 1.0, -0.5, 0.0)]
+        res = solve(mini_cone([0.0, 1.0], ellipses=discs))
         assert res.status is SolverStatus.OPTIMAL
         assert res.objective == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-8)
         assert res.primal == pytest.approx([0.0, math.sqrt(3.0) / 2.0], abs=1e-7)
 
     def test_pure_linear_program(self):
-        cons = [
-            RestrictionConstraint(Family.HALF_PLANE, (), LinearForm((0,), (-1.0,), 1.0), (1,)),
-            RestrictionConstraint(Family.HALF_PLANE, (), LinearForm((1,), (-1.0,), 2.0), (1,)),
-            RestrictionConstraint(Family.HALF_PLANE, (), LinearForm((0,), (1.0,)), (1,)),
-            RestrictionConstraint(Family.HALF_PLANE, (), LinearForm((1,), (1.0,)), (1,)),
-        ]
-        res = solve(lift(mini_problem(LinearForm((0, 1), (1.0, 2.0)), cons, 2)))
+        # 0 <= x <= 1, 0 <= y <= 2
+        box = [([-1.0, 0.0], 1.0), ([0.0, -1.0], 2.0), ([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)]
+        res = solve(mini_cone([1.0, 2.0], halfplanes=box))
         assert res.status is SolverStatus.OPTIMAL
         assert res.objective == pytest.approx(5.0, abs=1e-8)
 
@@ -208,47 +140,47 @@ class TestAnalyticOptima:
         st.floats(-2, 2, allow_nan=False),
     )
     def test_linear_objective_on_disc_matches_norm(self, cx, cy):
-        res = solve(lift(mini_problem(LinearForm((0, 1), (cx, cy)), [disc()], 2)))
+        res = solve(mini_cone([cx, cy], ellipses=[DISC]))
         assert res.status is SolverStatus.OPTIMAL
         assert res.objective == pytest.approx(math.hypot(cx, cy), abs=1e-7)
 
 
 class TestSolverCertificates:
     def test_optimal_status_implies_tolerances(self, hexagon_restriction):
-        _, _, sub = hexagon_restriction
+        _, cone = hexagon_restriction
         cfg = SolverConfig()
-        res = solve(lift(sub), cfg)
+        res = solve(cone, cfg)
         assert res.status is SolverStatus.OPTIMAL
         assert res.max_primal_residual <= cfg.tol_solver
         assert res.max_dual_residual <= cfg.tol_solver
         assert res.duality_gap <= cfg.tol_solver * max(1.0, abs(res.objective))
 
     def test_determinism(self, hexagon_restriction):
-        _, _, sub = hexagon_restriction
-        first = solve(lift(sub))
-        second = solve(lift(sub))
+        _, cone = hexagon_restriction
+        first = solve(cone)
+        second = solve(cone)
         assert first.objective == second.objective
         assert np.array_equal(first.primal, second.primal)
         assert first.iterations == second.iterations
 
     def test_warm_start_reaches_same_optimum(self, hexagon_restriction):
-        _, z0, sub = hexagon_restriction
-        cold = solve(lift(sub))
-        warm = solve(lift(sub), warm_start=z0)
+        z0, cone = hexagon_restriction
+        cold = solve(cone)
+        warm = solve(cone, warm_start=z0)
         assert warm.status is SolverStatus.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
 
     def test_iteration_limit_returns_best_iterate(self, hexagon_restriction):
-        _, _, sub = hexagon_restriction
-        res = solve(lift(sub), SolverConfig(max_iterations=3))
+        _, cone = hexagon_restriction
+        res = solve(cone, SolverConfig(max_iterations=3))
         assert res.status is SolverStatus.ITERATION_LIMIT
         assert np.isfinite(res.objective)
         assert res.max_primal_residual < 1.0
 
     def test_debug_log_line_per_iteration(self, hexagon_restriction, caplog):
-        _, _, sub = hexagon_restriction
+        _, cone = hexagon_restriction
         with caplog.at_level(logging.DEBUG, logger="optigon.solver"):
-            res = solve(lift(sub))
+            res = solve(cone)
         lines = [r.getMessage() for r in caplog.records if r.name == "optigon.solver"]
         assert len(lines) == res.iterations + 1
         for line in lines:
@@ -260,7 +192,7 @@ class TestSolverCertificates:
     def test_nonfinite_newton_step_is_numerical_failure(self):
         # warm-started at the pendant 12-gon, rounding leaves a block of lam
         # on the cone boundary, where the Newton right-hand side would be
-        # non-finite; the scaling rejects it, and the cold retry fails as well
+        # non-finite; the scaling rejects it
         z0 = polygon_to_vector(build_pendant_polygon(12))
         res = solve(ConeTemplate(12).at(z0), SolverConfig(tol_solver=1e-12), warm_start=z0)
         assert res.status is SolverStatus.NUMERICAL_FAILURE
@@ -278,9 +210,9 @@ class TestSolverCertificates:
         assert res.status is SolverStatus.NUMERICAL_FAILURE
 
     def test_warm_start_shape_is_checked(self, hexagon_restriction):
-        _, z0, sub = hexagon_restriction
+        z0, cone = hexagon_restriction
         with pytest.raises(ValueError, match="warm start must have shape"):
-            solve(lift(sub), warm_start=z0[:-1])
+            solve(cone, warm_start=z0[:-1])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -296,11 +228,7 @@ class TestInfeasible:
     @pytest.fixture(scope="class")
     def infeasible_lp(self):
         # x >= 2 and x <= 1
-        cons = [
-            RestrictionConstraint(Family.HALF_PLANE, (), LinearForm((0,), (1.0,), -2.0), (1,)),
-            RestrictionConstraint(Family.HALF_PLANE, (), LinearForm((0,), (-1.0,), 1.0), (1,)),
-        ]
-        return solve(lift(mini_problem(LinearForm((0,), (1.0,)), cons, 1)))
+        return solve(mini_cone([1.0], halfplanes=[([1.0], -2.0), ([-1.0], 1.0)]))
 
     def test_infeasible_lp_is_numerical_failure(self, infeasible_lp):
         assert infeasible_lp.status is SolverStatus.NUMERICAL_FAILURE
@@ -473,8 +401,8 @@ def _grid_search(c, center, half_width, step):
 
 
 def test_hexagon_restriction_against_grid_oracle(hexagon_restriction):
-    _, z0, sub = hexagon_restriction
-    res = solve(lift(sub))
+    z0, cone = hexagon_restriction
+    res = solve(cone)
     assert res.status is SolverStatus.OPTIMAL
 
     center = (z0[0], z0[5], z0[1], z0[6])  # (x1, y1, x2, y2) at the reference

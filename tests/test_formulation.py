@@ -1,4 +1,9 @@
-"""DC program assembly, restriction building, and evaluation."""
+"""The cone template: the program's rows, its restrictions, and evaluation.
+
+`ConeTemplate(n)` builds the program, `at(c)` its restriction at c and
+`evaluate(z)` its residuals; `reference_program` writes the same residuals
+out in closed form.
+"""
 
 import numpy as np
 import pytest
@@ -8,22 +13,20 @@ from hypothesis import strategies as st
 from optigon.errors import DimensionMismatch
 from optigon.formulation import (
     ConeTemplate,
-    Family,
-    build_program,
-    build_restriction,
-    evaluate,
-    lift,
+    DecisionLayout,
     polygon_to_vector,
     vector_to_polygon,
 )
 from optigon.geometry import Polygon, build_pendant_polygon, build_regular_polygon
 
+from reference_program import fan_residuals, restriction_residuals
+
 RNG = np.random.default_rng(20240817)
 
 
 @pytest.fixture(scope="module")
-def prog6():
-    return build_program(6)
+def template6():
+    return ConeTemplate(6)
 
 
 @pytest.fixture(scope="module")
@@ -32,50 +35,35 @@ def pendant6_vector():
 
 
 class TestBuildProgram:
-    def test_dimension_and_family_counts(self, prog6):
-        assert prog6.dim == 14
-        counts = prog6.family_counts()
-        assert counts[Family.DISTANCE] == 10
-        assert counts[Family.RADIUS] == 5
-        assert counts[Family.HALF_PLANE] == 5
-        assert counts[Family.TRIANGLE_AREA] == 4
-        assert counts[Family.NONNEG_U] == 4
+    def test_dimension_and_family_counts(self, template6):
+        assert template6.layout.dim == 14
+        assert (template6.n_pairs, template6.cone.n_nonneg, template6.cone.n_soc) == (
+            10, 5 + 4, 10 + 5 + 4)
 
     def test_counts_formula_general(self):
         for n in (4, 5, 8, 13):
-            counts = build_program(n).family_counts()
-            assert counts[Family.DISTANCE] == (n - 1) * (n - 2) // 2
-            assert counts[Family.RADIUS] == n - 1
-            assert counts[Family.HALF_PLANE] == n - 1
-            assert counts[Family.TRIANGLE_AREA] == n - 2
-            assert counts[Family.NONNEG_U] == n - 2
+            template = ConeTemplate(n)
+            assert template.n_pairs == (n - 1) * (n - 2) // 2
+            assert template.cone.n_nonneg == (n - 1) + (n - 2)
+            assert template.cone.n_soc == template.n_pairs + (n - 1) + (n - 2)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            build_program(3)
+            ConeTemplate(3)
 
-    def test_dc_identity_at_random_points(self, prog6):
+    def test_dc_identity_at_random_points(self, template6):
         # g - h must equal 4*(y_{i+1} x_i - x_{i+1} y_i - 2 u_i) identically
-        layout = prog6.layout
-        triangle = [c for c in prog6.constraints if c.family is Family.TRIANGLE_AREA]
         for _ in range(1000):
-            z = RNG.uniform(-2.0, 2.0, prog6.dim)
-            for con in triangle:
-                i, ip1 = con.vertices
-                direct = 4.0 * (
-                    z[layout.y(ip1)] * z[layout.x(i)]
-                    - z[layout.x(ip1)] * z[layout.y(i)]
-                    - 2.0 * z[layout.u(i)]
-                )
-                assert abs(con.residual(z) - direct) < 1e-10
+            z = RNG.uniform(-2.0, 2.0, 14)
+            for residuals in (template6.evaluate(z).residuals, restriction_residuals(6, z, z)):
+                assert np.abs(residuals[-4:] - fan_residuals(6, z)).max() < 1e-10
 
-    def test_pendant_start_is_feasible(self, prog6, pendant6_vector):
-        report = evaluate(prog6, pendant6_vector)
-        assert report.min_residual() >= -1e-12
+    def test_pendant_start_is_feasible(self, template6, pendant6_vector):
+        assert template6.evaluate(pendant6_vector).min_residual() >= -1e-12
 
 
 class TestEvaluate:
-    def test_printed_final_point(self, prog6):
+    def test_printed_final_point(self, template6):
         printed = Polygon(
             np.array(
                 [
@@ -88,53 +76,50 @@ class TestEvaluate:
                 ]
             )
         )
-        report = evaluate(prog6, polygon_to_vector(printed))
+        report = template6.evaluate(polygon_to_vector(printed))
         # printed 6-decimal coordinates: agreement limited to ~3e-7
         assert report.objective == pytest.approx(0.6749814387, abs=1e-6)
         assert report.min_residual() >= -1e-6
 
-    def test_origin_point_is_feasible(self, prog6):
-        report = evaluate(prog6, np.zeros(prog6.dim))
+    def test_origin_point_is_feasible(self, template6):
+        report = template6.evaluate(np.zeros(14))
         assert report.objective == 0.0
         assert report.min_residual() >= 0.0
 
-    def test_inflating_u_drops_residual_by_eight(self, prog6, pendant6_vector):
-        layout = prog6.layout
-        base = evaluate(prog6, pendant6_vector).by_family(Family.TRIANGLE_AREA)
+    def test_inflating_u_drops_residual_by_eight(self, template6, pendant6_vector):
+        u1 = DecisionLayout(6).u(1)
+        base = template6.evaluate(pendant6_vector).residuals[-4:]
         bumped = pendant6_vector.copy()
-        bumped[layout.u(1)] += 1.0
-        after = evaluate(prog6, bumped).by_family(Family.TRIANGLE_AREA)
+        bumped[u1] += 1.0
+        after = template6.evaluate(bumped).residuals[-4:]
         assert after[0] - base[0] == pytest.approx(-8.0, abs=1e-12)
         assert after[0] == pytest.approx(-8.0, abs=1e-12)
 
-    def test_dimension_mismatch(self, prog6):
+    def test_dimension_mismatch(self, template6):
         with pytest.raises(DimensionMismatch):
-            evaluate(prog6, np.zeros(5))
+            template6.evaluate(np.zeros(5))
 
 
 class TestBuildRestriction:
-    def test_residuals_agree_at_reference_point(self, prog6, pendant6_vector):
-        sub = build_restriction(prog6, pendant6_vector)
-        original = evaluate(prog6, pendant6_vector).residuals
-        restricted = sub.residuals(pendant6_vector)
+    def test_residuals_agree_at_reference_point(self, pendant6_vector):
+        restricted = ConeTemplate(6).at(pendant6_vector).residuals(pendant6_vector)
+        original = restriction_residuals(6, pendant6_vector, pendant6_vector)
         assert np.abs(original - restricted).max() < 1e-12
 
-    def test_triangle_bound_matches_displayed_inequality(self, prog6):
+    def test_triangle_bound_matches_displayed_inequality(self):
         # the linearized triangle-area constraint must be exactly
         #   (y'-x)^2 + (x'+y)^2 + 8u
         #     <= 2(b'+a)(y'+x) - (b'+a)^2 + 2(a'-b)(x'-y) - (a'-b)^2
         # where (a, b) is the reference point
-        layout = prog6.layout
-        c = RNG.uniform(-1.0, 1.0, prog6.dim)
-        sub = build_restriction(prog6, c)
-        for con in sub.constraints:
-            if con.family is not Family.TRIANGLE_AREA:
-                continue
-            i, ip1 = con.vertices
+        layout = DecisionLayout(6)
+        c = RNG.uniform(-1.0, 1.0, 14)
+        cone = ConeTemplate(6).at(c)
+        for i in range(1, 5):
+            ip1 = i + 1
             a_i, b_i = c[layout.x(i)], c[layout.y(i)]
             a_n, b_n = c[layout.x(ip1)], c[layout.y(ip1)]
             for _ in range(20):
-                z = RNG.uniform(-1.0, 1.0, prog6.dim)
+                z = RNG.uniform(-1.0, 1.0, 14)
                 rhs = (
                     2 * (b_n + a_i) * (z[layout.y(ip1)] + z[layout.x(i)])
                     - (b_n + a_i) ** 2
@@ -146,48 +131,46 @@ class TestBuildRestriction:
                     + (z[layout.x(ip1)] + z[layout.y(i)]) ** 2
                     + 8 * z[layout.u(i)]
                 )
-                assert con.residual(z) == pytest.approx(rhs - lhs, abs=1e-10)
+                assert cone.residuals(z)[i - 5] == pytest.approx(rhs - lhs, abs=1e-10)
 
-    def test_restriction_feasible_implies_original_feasible(self, prog6, pendant6_vector):
-        sub = build_restriction(prog6, pendant6_vector)
+    def test_restriction_feasible_implies_original_feasible(self, template6, pendant6_vector):
+        restriction = ConeTemplate(6).at(pendant6_vector)
         found = 0
         attempts = 0
         while found < 100 and attempts < 20000:
             attempts += 1
-            z = pendant6_vector + RNG.normal(0.0, 0.004, prog6.dim)
+            z = pendant6_vector + RNG.normal(0.0, 0.004, 14)
             z[10:] -= 0.01  # pull the u components toward feasibility
-            if not sub.is_feasible(z):
+            if restriction.residuals(z).min() < 0.0:
                 continue
             found += 1
-            assert evaluate(prog6, z).min_residual() >= -1e-12
+            assert template6.evaluate(z).min_residual() >= -1e-12
         assert found == 100
 
-    def test_objective_is_unchanged_linear_form(self, prog6, pendant6_vector):
-        sub = build_restriction(prog6, pendant6_vector)
-        assert sub.objective == prog6.objective_g.affine
+    def test_objective_is_unchanged_linear_form(self, pendant6_vector):
+        # minimize -sum u_i, whatever the reference point
+        cone = ConeTemplate(6).at(pendant6_vector)
+        assert np.array_equal(cone.c, np.r_[np.zeros(10), -np.ones(4)])
 
-    def test_convex_families_pass_through(self, prog6, pendant6_vector):
-        sub = build_restriction(prog6, pendant6_vector)
-        for con in sub.constraints:
-            if con.family in (Family.DISTANCE, Family.RADIUS):
-                assert con.bound.indices == ()
-                assert con.bound.offset == 1.0
-            if con.family in (Family.HALF_PLANE, Family.NONNEG_U):
-                assert con.squares == ()
+    def test_convex_families_pass_through(self, pendant6_vector):
+        # only the four triangle-area blocks depend on the reference point
+        template = ConeTemplate(6)
+        first = template.at(pendant6_vector)
+        coef, h = first.soc_coef.copy(), first.h.copy()
+        second = template.at(RNG.uniform(-1.0, 1.0, 14))
+        assert np.array_equal(second.soc_coef[:, :, :-4], coef[:, :, :-4])
+        assert np.array_equal(second.h[:9], h[:9])
+        assert np.array_equal(second.h[9:].reshape(4, -1)[:, :-4], h[9:].reshape(4, -1)[:, :-4])
 
-    def test_dimension_mismatch(self, prog6):
+    def test_dimension_mismatch(self, template6):
         with pytest.raises(DimensionMismatch):
-            build_restriction(prog6, np.zeros(3))
+            template6.at(np.zeros(15))
 
-    def test_rejects_nonfinite_reference(self, prog6):
-        bad = np.zeros(prog6.dim)
+    def test_rejects_nonfinite_reference(self, template6):
+        bad = np.zeros(14)
         bad[0] = np.inf
         with pytest.raises(DimensionMismatch):
-            build_restriction(prog6, bad)
-
-
-def dense_G(cone):
-    return np.column_stack([cone.matvec(e) for e in np.eye(cone.dim)])
+            template6.at(bad)
 
 
 def reference_points(n):
@@ -205,18 +188,20 @@ def reference_points(n):
 class TestConeTemplate:
     @pytest.mark.parametrize("n", [5, 6, 7, 16, 32])
     def test_matches_lifted_restriction(self, n):
-        prog = build_program(n)
+        # the template's cone, the restriction lifted to Q^4 blocks, has the
+        # closed-form residuals of the restriction at every point; each block
+        # is ((1 + b)/2, l_1, l_2, (1 - b)/2), whose rows 0 and 3 sum to 1
         template = ConeTemplate(n)
-        for c in reference_points(n):
-            reference = lift(build_restriction(prog, c))
+        points = reference_points(n)
+        for c in points:
             cone = template.at(c)
-            assert cone.nonneg_families == reference.nonneg_families
-            assert cone.soc_families == reference.soc_families
-            assert np.array_equal(cone.c, reference.c)
-            # G rows are the same products; h differs only in how the
-            # tangent offset g(c) - grad g(c)^T c is rounded
-            assert np.array_equal(dense_G(cone), dense_G(reference))
-            np.testing.assert_allclose(cone.h, reference.h, rtol=0, atol=1e-14)
+            assert np.array_equal(cone.c, np.r_[np.zeros(2 * n - 2), -np.ones(n - 2)])
+            for z in points:
+                np.testing.assert_allclose(
+                    cone.residuals(z), restriction_residuals(n, c, z), rtol=0, atol=1e-13
+                )
+                s = (cone.h - cone.matvec(z))[cone.n_nonneg:].reshape(4, -1)
+                np.testing.assert_allclose(s[0] + s[3], 1.0, rtol=0, atol=1e-13)
 
     def test_rewrite_keeps_no_state(self):
         first, second = reference_points(8)[:2]
@@ -237,16 +222,13 @@ class TestConeTemplate:
 
     @pytest.mark.parametrize("n", [5, 6, 16, 32])
     def test_residuals_match_evaluate(self, n):
-        prog = build_program(n)
         template = ConeTemplate(n)
         for z in reference_points(n):
-            expected = evaluate(prog, z)
             report = template.evaluate(z)
-            assert report.objective == pytest.approx(expected.objective, abs=1e-13)
-            for family in Family:
-                np.testing.assert_allclose(
-                    report.by_family(family), expected.by_family(family), rtol=0, atol=1e-13
-                )
+            assert report.objective == pytest.approx(z[2 * n - 2:].sum(), abs=1e-13)
+            np.testing.assert_allclose(
+                report.residuals, restriction_residuals(n, z, z), rtol=0, atol=1e-13
+            )
 
     @pytest.mark.parametrize("n", [6, 32])
     def test_screened_rows_match_full(self, n):
@@ -261,9 +243,6 @@ class TestConeTemplate:
                 [np.ones(full.n_nonneg, bool), np.tile(blocks, 4)]
             )
             assert sub.n_soc == int(blocks.sum())
-            assert sub.soc_families == tuple(
-                f for f, k in zip(full.soc_families, blocks) if k
-            )
             assert np.array_equal(sub.h, full.h[rows])
             x = rng.uniform(-1.0, 1.0, full.dim)
             assert np.array_equal(sub.matvec(x), full.matvec(x)[rows])
@@ -285,48 +264,44 @@ class TestConeTemplate:
             template.at(np.zeros(3))
         with pytest.raises(DimensionMismatch):
             template.at(np.full(14, np.nan))
-        with pytest.raises(ValueError):
-            ConeTemplate(3)
 
 
 class TestTangentUnderestimation:
+    """The restriction's residual at z is at most the program's: the tangent
+    of g at c lies below g, and touches it at c."""
+
     @settings(max_examples=200)
     @given(st.integers(0, 2**32 - 1))
     def test_gbar_below_g(self, seed):
         rng = np.random.default_rng(seed)
-        prog = build_program(5)
-        z = rng.uniform(-1.5, 1.5, prog.dim)
-        c = rng.uniform(-1.5, 1.5, prog.dim)
-        sub = build_restriction(prog, c)
-        for con, rcon in zip(prog.constraints, sub.constraints):
-            gbar = rcon.bound.value(z) + con.h.affine.value(z)
-            assert gbar <= con.g.value(z) + 1e-10
+        z = rng.uniform(-1.5, 1.5, 11)
+        c = rng.uniform(-1.5, 1.5, 11)
+        restricted = ConeTemplate(5).at(c).residuals(z)
+        assert (restricted <= ConeTemplate(5).evaluate(z).residuals + 1e-10).all()
 
     def test_equality_at_reference(self):
-        prog = build_program(6)
         c = polygon_to_vector(build_pendant_polygon(6))
-        sub = build_restriction(prog, c)
-        for con, rcon in zip(prog.constraints, sub.constraints):
-            gbar = rcon.bound.value(c) + con.h.affine.value(c)
-            assert gbar == pytest.approx(con.g.value(c), abs=1e-12)
+        expected = restriction_residuals(6, c, c)
+        expected[-4:] = fan_residuals(6, c)
+        restricted = ConeTemplate(6).at(c).residuals(c)
+        np.testing.assert_allclose(restricted, expected, rtol=0, atol=1e-12)
 
 
 class TestGradients:
     def test_analytic_gradient_matches_finite_differences(self):
-        prog = build_program(6)
-        dim = prog.dim
+        # restriction minus program is gbar - g, whose gradient vanishes at c
+        restriction, program = ConeTemplate(6), ConeTemplate(6)
         step = 1e-6
         for trial in range(5):
-            z = RNG.uniform(-1.0, 1.0, dim)
-            for con in prog.constraints[:: max(1, len(prog.constraints) // 9)]:
-                grad = con.g.gradient(z, dim) - con.h.gradient(z, dim)
-                for j in range(dim):
-                    zp, zm = z.copy(), z.copy()
-                    zp[j] += step
-                    zm[j] -= step
-                    fd = (con.residual(zp) - con.residual(zm)) / (2 * step)
-                    scale = max(1.0, abs(grad[j]))
-                    assert abs(grad[j] - fd) <= 1e-6 * scale
+            c = RNG.uniform(-1.0, 1.0, 14)
+            cone = restriction.at(c)
+            for j in range(14):
+                zp, zm = c.copy(), c.copy()
+                zp[j] += step
+                zm[j] -= step
+                gap_p = cone.residuals(zp) - program.evaluate(zp).residuals
+                gap_m = cone.residuals(zm) - program.evaluate(zm).residuals
+                assert np.abs(gap_p - gap_m).max() / (2 * step) <= 1e-6
 
 
 class TestVectorPacking:
@@ -338,7 +313,7 @@ class TestVectorPacking:
     def test_forward_sets_u_to_triangle_areas(self):
         poly = build_pendant_polygon(8)
         z = polygon_to_vector(poly)
-        layout = build_program(8).layout
+        layout = DecisionLayout(8)
         v = poly.vertices
         for i in range(1, 7):
             expected = (v[i + 1, 1] * v[i, 0] - v[i + 1, 0] * v[i, 1]) / 2.0
@@ -346,8 +321,7 @@ class TestVectorPacking:
 
     def test_objective_on_square(self):
         z = polygon_to_vector(build_regular_polygon(4))
-        prog = build_program(4)
-        assert evaluate(prog, z).objective == pytest.approx(0.5, abs=1e-12)
+        assert ConeTemplate(4).evaluate(z).objective == pytest.approx(0.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
