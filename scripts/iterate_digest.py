@@ -19,7 +19,7 @@ def main() -> int:
     args = parser.parse_args()
     for n in args.n:
         result = maximize_area(n)
-        digest = hashlib.sha256(b"".join(rec.z.tobytes() for rec in result.trace.records))
+        digest = hashlib.sha256(b"".join(rec.z.tobytes() for rec in result.trace))
         print(f"n={n} outer_iterations={result.iterations} sha256={digest.hexdigest()}")
     return 0
 

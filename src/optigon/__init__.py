@@ -12,7 +12,6 @@ from .ccp import (
     CcpConfig,
     CcpResult,
     CcpStatus,
-    CcpTrace,
     maximize_area,
     run_sweep,
     step,
@@ -37,11 +36,9 @@ from .formulation import (
     vector_to_polygon,
 )
 from .geometry import (
-    BoundsRecord,
     DiameterGraph,
     Polygon,
     area,
-    bounds_record,
     build_pendant_polygon,
     build_regular_polygon,
     diameter,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -54,7 +55,6 @@ __all__ = [
     "CcpConfig",
     "CcpResult",
     "CcpStatus",
-    "CcpTrace",
     "IterateRecord",
     "SCREEN_MARGIN",
     "StepResult",
@@ -87,8 +87,8 @@ class CcpConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def validate(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be >= 1")
         self.solver.validate()
@@ -115,27 +115,13 @@ class IterateRecord:
 
 
 @dataclass
-class CcpTrace:
-    records: list[IterateRecord] = field(default_factory=list)
-
-    def areas(self) -> list[float]:
-        return [rec.area for rec in self.records]
-
-    def objectives(self) -> list[float]:
-        return [rec.objective for rec in self.records]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-@dataclass
 class CcpResult:
     n: int
     polygon: Polygon | None
     area: float
     iterations: int
     status: CcpStatus
-    trace: CcpTrace | None
+    trace: list[IterateRecord] | None
     message: str = ""
 
     @property
@@ -208,9 +194,6 @@ def maximize_area(
     """
     cfg = cfg or CcpConfig()
     cfg.validate()
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
-
     template = ConeTemplate(n)
     if initial is None:
         initial = default_initial_polygon(n)
@@ -219,7 +202,7 @@ def maximize_area(
             raise InfeasibleInitial(f"initial polygon has {initial.n} vertices, expected {n}")
         initial.validate(TOL_FEAS)
     z = polygon_to_vector(initial)
-    trace = CcpTrace()
+    trace: list[IterateRecord] = []
     start = _record(trace, template, k=0, z=z, rel_step=None, solver=None)
     if start.max_violation > TOL_FEAS:
         raise InfeasibleInitial(
@@ -333,5 +316,5 @@ def _record(
         pairs_kept=pairs_kept,
         resolves=resolves,
     )
-    trace.records.append(rec)
+    trace.append(rec)
     return rec

@@ -90,9 +90,7 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=1e-5, help="relative-step stop threshold")
     p.add_argument("--solver-tol", type=float, default=1e-9)
     p.add_argument("--out", type=Path, help="directory for run artifacts")
-    p.add_argument("--trace", action="store_true", help="print the iterate trace")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--svg", type=Path, help="write the final polygon drawing here")
 
 
 def _config_from(args) -> CcpConfig:
@@ -193,19 +191,14 @@ def _emit_results(results: list[CcpResult], args) -> int:
                 f"structure={'pass' if report.passed else 'FAIL'} "
                 f"max_defect={report.max_defect:.2e}"
             )
-        if args.trace and len(ok) == 1:
-            print(reporting.trace_csv(ok[0]), end="")
 
     for r in failed:
         print(f"n={r.n} failed: {r.message}", file=sys.stderr)
 
-    for r, report in zip(ok, reports):
-        if args.out is not None:
+    if args.out is not None:
+        for r, report in zip(ok, reports):
             for path in reporting.export_run(r, args.out, report):
                 print(f"wrote {path}", file=sys.stderr)
-        if args.svg is not None and len(ok) == 1:
-            args.svg.write_text(reporting.render_svg(r.polygon), encoding="utf-8")
-            print(f"wrote {args.svg}", file=sys.stderr)
 
     if failed or any(r.status is not CcpStatus.CONVERGED for r in ok):
         return SOLVER_ERROR

@@ -93,10 +93,6 @@ class SolverResult:
     duality_gap: float
     iterations: int
 
-    @property
-    def optimal(self) -> bool:
-        return self.status is SolverStatus.OPTIMAL
-
 
 # ---------------------------------------------------------------------------
 # Jordan algebra of R^p_+ x (Q^4)^m on flat cone vectors

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiameterExceeded, InvalidPolygon
-from .literature import lower_bound
 
 #: Feasibility tolerance for invariant checks (matches the subproblem
 #: solver's target residual).
@@ -102,17 +101,6 @@ class DiameterGraph:
         return sorted(self.edges)
 
 
-@dataclass(frozen=True)
-class BoundsRecord:
-    """Closed-form reference areas for one n, plus the imported literature bound."""
-
-    n: int
-    area_regular: float
-    area_pendant: float
-    upper_bound: float
-    literature_lower_bound: float | None
-
-
 def area(polygon: Polygon) -> float:
     """Signed area via the fan from v_0: sum of (y_{i+1} x_i - x_{i+1} y_i)/2.
 
@@ -187,17 +175,6 @@ def upper_bound(n: int) -> float:
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     return (n / 2.0) * (math.sin(math.pi / n) - math.tan(math.pi / (2 * n)))
-
-
-def bounds_record(n: int) -> BoundsRecord:
-    """Collect the closed-form areas and the literature bound for one n."""
-    return BoundsRecord(
-        n=n,
-        area_regular=regular_area(n),
-        area_pendant=pendant_area(n),
-        upper_bound=upper_bound(n),
-        literature_lower_bound=lower_bound(n),
-    )
 
 
 def build_pendant_polygon(n: int) -> Polygon:

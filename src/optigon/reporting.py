@@ -139,7 +139,7 @@ def trace_csv(result: CcpResult) -> str:
     if result.trace is None:
         raise ValueError(f"run for n={result.n} has no trace: {result.message}")
     lines = ["k,area,rel_step,solver_iterations,max_residual"]
-    for rec in result.trace.records:
+    for rec in result.trace:
         rel = "" if rec.rel_step is None else f"{rec.rel_step:.6e}"
         lines.append(
             f"{rec.k},{rec.area:.17g},{rel},{rec.solver_iterations},"

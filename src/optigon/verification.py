@@ -172,7 +172,12 @@ def check_unit_distance_chords(polygon: Polygon, tol: float) -> UnitDistanceChec
 
 
 def verify_structure(polygon: Polygon, tol: float = TOL_FINAL) -> StructureReport:
-    """Run all three structural checks and aggregate into one report."""
+    """Run all three structural checks and aggregate into one report.
+
+    Raises ValueError unless tol is finite and positive.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     cycle = check_pendant_cycle(polygon, tol)
     sym = check_axial_symmetry(polygon, tol)
     unit = check_unit_distance_chords(polygon, tol)

@@ -64,12 +64,12 @@ def test_criterion_1_known_global_optima(runs):
 def test_criterion_2_hexagon_trajectory(runs):
     result = runs.get(6)
     published_areas = [0.6749414624, 0.6749808685, 0.6749814310, 0.6749814386, 0.6749814387]
-    areas = result.trace.areas()[1:]
+    areas = [rec.area for rec in result.trace[1:]]
     # the iterate map is deterministic, so the leading areas are comparable
     # even if the stopping test fires one iteration early or late (k in 4..7
     # accepted: the inner solver tolerance differs from the published setup)
     area_err = max(abs(a - b) for a, b in zip(areas, published_areas))
-    first = vector_to_polygon(result.trace.records[1].z, 6)
+    first = vector_to_polygon(result.trace[1].z, 6)
     published_first = np.array([(0.500000, 0.397460), (0.339680, 0.940541)])
     coord_err = float(np.abs(first.vertices[1:3] - published_first).max())
     k = result.iterations
@@ -139,7 +139,7 @@ def test_criterion_6_structure_checks(runs):
         worst_final = max(worst_final, final.max_defect)
         if not final.passed:
             final_ok = False
-        for rec in result.trace.records:
+        for rec in result.trace:
             rep = verification.verify_structure(
                 vector_to_polygon(rec.z, n), tol=verification.TOL_INTERMEDIATE
             )
@@ -159,15 +159,15 @@ def test_criterion_7_property_suite(runs):
     # ascent and feasibility along every cached trace
     slack = 10 * TOL_SOLVER
     for n, result in runs.computed().items():
-        objectives = result.trace.objectives()
-        areas = result.trace.areas()
+        objectives = [rec.objective for rec in result.trace]
+        areas = [rec.area for rec in result.trace]
         if any(b < a - slack for a, b in zip(objectives, objectives[1:])):
             failures.append(f"objective ascent violated for n={n}")
         if any(b < a - slack for a, b in zip(areas, areas[1:])):
             failures.append(f"area ascent violated for n={n}")
-        if any(rec.max_violation > slack for rec in result.trace.records):
+        if any(rec.max_violation > slack for rec in result.trace):
             failures.append(f"iterate infeasibility beyond 10*tol for n={n}")
-        if any(a > upper_bound(n) + slack for a in result.trace.areas()):
+        if any(a > upper_bound(n) + slack for a in areas):
             failures.append(f"area above closed-form bound for n={n}")
 
     # fixed-point restart terminates in one step

@@ -53,27 +53,27 @@ class TestHexagonRun:
         assert 4 <= hexagon_result.iterations <= 7
 
     def test_trajectory_matches_published_areas(self, hexagon_result):
-        areas = hexagon_result.trace.areas()[1:]
+        areas = [rec.area for rec in hexagon_result.trace[1:]]
         for computed, published in zip(areas, HEXAGON_TRAJECTORY):
             assert computed == pytest.approx(published, abs=1e-6)
 
     def test_first_iterate_coordinates(self, hexagon_result):
-        first = vector_to_polygon(hexagon_result.trace.records[1].z, 6)
+        first = vector_to_polygon(hexagon_result.trace[1].z, 6)
         assert np.abs(first.vertices[1:3] - FIRST_ITERATE_UPPER).max() < 1e-5
 
     def test_ascent_along_trace(self, hexagon_result):
-        objectives = hexagon_result.trace.objectives()
+        objectives = [rec.objective for rec in hexagon_result.trace]
         slack = 10 * 1e-9
         for prev, nxt in zip(objectives, objectives[1:]):
             assert nxt >= prev - slack
 
     def test_every_iterate_feasible(self, hexagon_result):
-        for rec in hexagon_result.trace.records:
+        for rec in hexagon_result.trace:
             assert rec.max_violation <= 10 * 1e-9
 
     def test_areas_below_upper_bound(self, hexagon_result):
         cap = upper_bound(6) + 1e-8
-        assert all(a <= cap for a in hexagon_result.trace.areas())
+        assert all(rec.area <= cap for rec in hexagon_result.trace)
 
     def test_final_polygon_is_small_and_valid(self, hexagon_result):
         hexagon_result.polygon.validate()
@@ -84,7 +84,7 @@ class TestStep:
     def test_single_step_reaches_published_first_iterate(self):
         z0 = polygon_to_vector(build_pendant_polygon(6))
         z1, result, *_ = step(ConeTemplate(6), z0, CcpConfig())
-        assert result.optimal
+        assert result.status is SolverStatus.OPTIMAL
         assert area(vector_to_polygon(z1, 6)) == pytest.approx(0.6749414624, abs=1e-6)
 
     def test_second_step(self):
@@ -161,7 +161,7 @@ class TestScreening:
         assert template.evaluate(z1).min_residual() >= -cfg.solver.tol_solver
 
     def test_records_carry_screening_counts(self, hexagon_result):
-        first, *steps = hexagon_result.trace.records
+        first, *steps = hexagon_result.trace
         assert (first.pairs_kept, first.resolves) == (0, 0)
         assert all(0 < rec.pairs_kept <= 10 and rec.resolves >= 0 for rec in steps)
 
@@ -225,6 +225,11 @@ class TestConfig:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             CcpConfig(epsilon=0.0).validate()
+
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan")])
+    def test_epsilon_must_be_finite(self, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            CcpConfig(epsilon=epsilon).validate()
 
     def test_solver_tolerance_coupling(self):
         with pytest.raises(ValueError):

@@ -55,15 +55,16 @@ class TestSolve:
     def test_artifact_export(self, tmp_path, capsys):
         assert main(["solve", "--n", "6", "--out", str(tmp_path)]) == 0
         assert len(list((tmp_path / "n006").iterdir())) == 4
+        [drawing] = (tmp_path / "n006").glob("n006-drawing-*.svg")
+        assert drawing.read_text().startswith("<svg")
+        [trace] = (tmp_path / "n006").glob("n006-trace-*.csv")
+        assert trace.read_text().startswith("k,area,rel_step")
 
-    def test_svg_flag(self, tmp_path, capsys):
-        out_svg = tmp_path / "hexagon.svg"
-        assert main(["solve", "--n", "6", "--svg", str(out_svg)]) == 0
-        assert out_svg.read_text().startswith("<svg")
-
-    def test_trace_flag(self, capsys):
-        assert main(["solve", "--n", "6", "--trace"]) == 0
-        assert "k,area,rel_step" in capsys.readouterr().out
+    def test_nonfinite_eps_is_usage_error(self, capsys):
+        assert main(["solve", "--n", "6", "--eps", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: epsilon must be finite")
 
 
 class TestSweep:
@@ -231,6 +232,13 @@ class TestVerify:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["verify", "--input", "/nonexistent/poly.json"]) == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_is_usage_error(self, tol, pendant_json, capsys):
+        assert main(["verify", "--input", str(pendant_json), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be finite and positive")
+
 
 class TestRender:
     def test_renders_svg(self, pendant_json, tmp_path):
@@ -270,3 +278,10 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("flag", [["--svg", "x.svg"], ["--trace"]])
+    def test_removed_output_flags(self, flag, tmp_path, monkeypatch, capsys):
+        # --out DIR writes the drawing and the trace CSV of every run
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--from", "6", "--to", "8", *flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

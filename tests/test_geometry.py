@@ -11,7 +11,6 @@ from optigon.errors import DiameterExceeded, InvalidPolygon
 from optigon.geometry import (
     Polygon,
     area,
-    bounds_record,
     build_pendant_polygon,
     build_regular_polygon,
     diameter,
@@ -22,6 +21,7 @@ from optigon.geometry import (
     regular_area,
     upper_bound,
 )
+from optigon.literature import lower_bound
 
 # published reference values (best known areas and closed-form columns)
 PENDANT_6 = 0.6722882584
@@ -152,9 +152,8 @@ class TestClosedForms:
             assert regular_area(n) < regular_area(n - 1)
 
     def test_bounds_record(self):
-        rec = bounds_record(6)
-        assert rec.literature_lower_bound == pytest.approx(0.6749814429, abs=1e-12)
-        assert rec.area_regular < rec.area_pendant < rec.upper_bound
+        assert lower_bound(6) == pytest.approx(0.6749814429, abs=1e-12)
+        assert regular_area(6) < pendant_area(6) < upper_bound(6)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
