@@ -13,7 +13,7 @@ from pathlib import Path
 from . import reporting, verification
 from .ccp import CcpConfig, CcpResult, CcpStatus, failed_result, maximize_area, run_sweep
 from .conic_solver import SolverConfig
-from .errors import OptigonError
+from .errors import InvalidPolygon, OptigonError
 from .geometry import load_polygon, pendant_area, upper_bound
 
 USAGE_ERROR = 2
@@ -32,7 +32,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except OptigonError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return SOLVER_ERROR
+        return USAGE_ERROR if isinstance(exc, InvalidPolygon) else SOLVER_ERROR
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -237,15 +237,15 @@ def polygon_to_json(polygon: Polygon) -> str:
 
 
 def polygon_from_json(text: str) -> Polygon:
-    data = json.loads(text)
     try:
-        n = int(data["n"])
-        vertices = data["vertices"]
-    except (KeyError, TypeError) as exc:
+        data = json.loads(text)
+        n, vertices = int(data["n"]), data["vertices"]
+        count, v = len(vertices), np.asarray(vertices, dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidPolygon(f"malformed polygon JSON: {exc}") from exc
-    if len(vertices) != n:
-        raise InvalidPolygon(f"vertex count {len(vertices)} does not match n={n}")
-    return Polygon(np.asarray(vertices, dtype=float))
+    if count != n:
+        raise InvalidPolygon(f"vertex count {count} does not match n={n}")
+    return Polygon(v)
 
 
 def save_polygon(polygon: Polygon, path) -> None:

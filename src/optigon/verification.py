@@ -17,7 +17,6 @@ from .geometry import Polygon, diameter_graph
 
 __all__ = [
     "TOL_FINAL",
-    "TOL_INTERMEDIATE",
     "CycleCheck",
     "SymmetryCheck",
     "UnitDistanceCheck",
@@ -31,9 +30,6 @@ __all__ = [
 
 #: Verification tolerance for final iterates of a converged run.
 TOL_FINAL = 1e-6
-#: Looser tolerance for intermediate iterates, which satisfy the structure
-#: only approximately early in a run.
-TOL_INTERMEDIATE = 1e-4
 
 
 @dataclass(frozen=True)

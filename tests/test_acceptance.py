@@ -22,6 +22,9 @@ from reference_program import fan_residuals, mini_cone
 from reference_values import PUBLISHED
 
 TOL_SOLVER = SolverConfig().tol_solver
+# criterion 6's tolerance for intermediate iterates, which satisfy the
+# structure only approximately early in a run
+TOL_INTERMEDIATE = 1e-4
 
 
 class RunCache:
@@ -141,7 +144,7 @@ def test_criterion_6_structure_checks(runs):
             final_ok = False
         for rec in result.trace:
             rep = verification.verify_structure(
-                vector_to_polygon(rec.z, n), tol=verification.TOL_INTERMEDIATE
+                vector_to_polygon(rec.z, n), tol=TOL_INTERMEDIATE
             )
             if not rep.passed:
                 intermediate_ok = False

@@ -248,6 +248,36 @@ class TestRender:
         assert text.startswith("<svg") and 'class="chord"' in text
 
 
+class TestMalformedInput:
+    """A polygon file that parses to no polygon is a usage error: exit 2,
+    one error line, no output."""
+
+    CASES = {
+        "nan": '{"n": 3, "vertices": [[0, 0], [1, NaN], [0, 1]]}',
+        "count_mismatch": '{"n": 4, "vertices": [[0, 0], [1, 0], [0, 1]]}',
+        "non_list_vertices": '{"n": 3, "vertices": 5}',
+        "ragged_rows": '{"n": 3, "vertices": [[0, 0], [1], [0, 1]]}',
+        "non_numeric": '{"n": 3, "vertices": [[0, 0], ["a", 0], [0, 1]]}',
+        "object_entry": '{"n": 3, "vertices": [[0, 0], [{}, 0], [0, 1]]}',
+        "truncated": '{"n": 3, "vertices": [[0, 0], [1',
+    }
+
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_is_usage_error(self, command, case, tmp_path, capsys):
+        path = tmp_path / "poly.json"
+        path.write_text(self.CASES[case])
+        svg = tmp_path / "out.svg"
+        args = [command, "--input", str(path)]
+        if command == "render":
+            args += ["--output", str(svg)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not svg.exists()
+
+
 class TestBounds:
     def test_single_n(self, capsys):
         assert main(["bounds", "--n", "6"]) == 0

@@ -344,14 +344,28 @@ class TestCholesky:
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    # a fresh interpreter that imports this same optigon package
+    # a fresh interpreter that imports this same optigon package, then its
+    # CLI; the LAPACK routines come from scipy's extension file alone
     src = str(Path(optigon.__file__).resolve().parents[1])
+    loaded = "print(*(m in sys.modules for m in ('scipy.linalg', 'scipy.sparse')))"
     code = f"import sys; sys.path.insert(0, {src!r}); import optigon; " \
-        "print(optigon.__file__, 'scipy.sparse' in sys.modules)"
+        f"print(optigon.__file__); {loaded}; import optigon.cli; {loaded}"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert out == [optigon.__file__, "False"]
+    ).stdout.splitlines()
+    assert out == [optigon.__file__, "False False", "False False"]
+
+
+def test_missing_lapack_extension_is_import_error(tmp_path):
+    # a scipy package without linalg/_flapack ahead of the real one
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    src = str(Path(optigon.__file__).resolve().parents[1])
+    code = f"import sys; sys.path[:0] = [{str(tmp_path)!r}, {src!r}]; import optigon"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode != 0
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError:") and str(tmp_path / "scipy" / "linalg") in last
 
 
 # ---------------------------------------------------------------------------

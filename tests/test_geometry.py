@@ -282,3 +282,19 @@ class TestJsonRoundTrip:
     def test_malformed_json_rejected(self):
         with pytest.raises(InvalidPolygon):
             polygon_from_json('{"n": 3, "vertices": [[0, 0]]}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"n": "three", "vertices": []}',
+            '{"n": 3, "vertices": 5}',
+            '{"n": 3, "vertices": [[0, 0], [{}, 0], [0, 1]]}',
+            '{"n": 3, "vertices": [[0, 0], [1' + "0" * 400 + ', 0], [0, 1]]}',
+            '{"n": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}',
+        ],
+        ids=["not_an_object", "non_integer_n", "non_list", "object_entry", "overflow", "3d"],
+    )
+    def test_malformed_types_rejected(self, text):
+        with pytest.raises(InvalidPolygon):
+            polygon_from_json(text)
