@@ -19,18 +19,21 @@ Jordan-algebra and scaling operations are numpy expressions over all blocks.
 
 Primal-dual method: Nesterov-Todd scaling per block, Mehrotra
 predictor-corrector steps, and a dense Cholesky factorization of the reduced
-KKT matrix G^T W^{-2} G, scattered from per-block K x K pieces through flat
-indices fixed by the column pattern. Problem sizes here (dim <= 380, a few
-thousand blocks) make dense reduced-KKT linear algebra adequate. No
-randomness anywhere: results are deterministic.
+KKT matrix H = G^T W^{-2} G. The cone's `ColumnPattern` fixes where H has
+entries; each iteration sums the per-block K x K pieces into those entries
+alone (`ConeProblem.gram_entries`), forms 0.5 (H + H^T) on the triangle that
+dpotrf reads, and scatters it into one zeroed dim x dim buffer per solve.
+Problem sizes here (dim <= 380, a few thousand blocks) make dense
+reduced-KKT linear algebra adequate. No randomness anywhere: results are
+deterministic.
 
 The factorization and the solves call LAPACK's dpotrf/dpotrs directly,
 loaded from scipy's extension file without importing scipy.linalg. The
-symmetrized reduced KKT matrix is built in one buffer per solve and is
-exactly symmetric, so its transpose, a Fortran-ordered view, is factored in
-place without a copy. Each iteration checks the matrix for non-finite
-entries once, and each solve its right-hand side; either ends the solve
-with NUMERICAL_FAILURE.
+buffer is C-ordered and holds the matrix in its upper triangle, so its
+transpose, a Fortran-ordered view with the matrix in the lower triangle, is
+factored in place without a copy. Each iteration checks that triangle for
+non-finite entries once, and each solve its right-hand side; either ends
+the solve with NUMERICAL_FAILURE.
 
 Settings: the tolerance and iteration cap of `SolverConfig`. At DEBUG
 (`OPTIGON_LOG=debug`) the `optigon.solver` logger writes one line per IPM
@@ -51,7 +54,7 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import LinAlgError  # scipy.linalg.LinAlgError is this class
 
-from .formulation import ConeProblem
+from .formulation import ConeProblem, GramPattern
 
 __all__ = ["ConeProblem", "SolverConfig", "SolverResult", "SolverStatus", "solve"]
 
@@ -135,24 +138,30 @@ def _identity(p: int, m: int) -> np.ndarray:
     return np.concatenate([np.ones(p), np.ones(m), np.zeros(3 * m)])
 
 
-def _mul(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """Jordan product: elementwise on the orthant, (u^T v, u_0 v_1 + v_0 u_1)
-    on each block."""
+def _parts(u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u's orthant part, its blocks as a (4, m) view, and _jdet of the blocks."""
     u_nn, u_soc = _split(u, p)
+    return u_nn, u_soc, _jdet(u_soc)
+
+
+def _mul(u: np.ndarray, v: np.ndarray, p: int, u_parts: tuple | None = None) -> np.ndarray:
+    """Jordan product: elementwise on the orthant, (u^T v, u_0 v_1 + v_0 u_1)
+    on each block. u_parts, if given, is _parts(u, p)."""
+    u_nn, u_soc = u_parts[:2] if u_parts else _split(u, p)
     v_nn, v_soc = _split(v, p)
     soc = u_soc[0] * v_soc + v_soc[0] * u_soc
     soc[0] = _bdot(u_soc, v_soc)
     return _join(u_nn * v_nn, soc)
 
 
-def _inv_mul(lam: np.ndarray, d: np.ndarray, p: int) -> np.ndarray:
-    """The solution x of lam o x = d."""
-    lam_nn, lam_soc = _split(lam, p)
+def _inv_mul(lam: np.ndarray, d: np.ndarray, p: int, lam_parts: tuple | None = None) -> np.ndarray:
+    """The solution x of lam o x = d. lam_parts, if given, is _parts(lam, p)."""
+    lam_nn, lam_soc, lam_det = lam_parts or _parts(lam, p)
     d_nn, d_soc = _split(d, p)
     l0 = lam_soc[0]
     d0 = d_soc[0]
     cross = _bdot(lam_soc, d_soc) - l0 * d0
-    x0 = (l0 * d0 - cross) / _jdet(lam_soc)
+    x0 = (l0 * d0 - cross) / lam_det
     soc = (d_soc - x0 * lam_soc) / l0
     soc[0] = x0
     return _join(d_nn / lam_nn, soc)
@@ -180,14 +189,14 @@ class _Scaling:
         self.eta_sq = self.eta**2
         self.w_nn_sq = self.w_nn**2
         self._wbar0_plus_1 = 1.0 + self.wbar[0]
-        lam_nn = np.sqrt(s_nn * z_nn)
-        lam_soc = (rs * rz) ** 0.25 * self._wbar_mul(zbar)
+        self.lam = _join(np.sqrt(s_nn * z_nn), (rs * rz) ** 0.25 * self._wbar_mul(zbar))
+        # reused by lam o v, lam^{-1} o d and _max_step
+        self.lam_parts = _parts(self.lam, p)
         # the divisors of _inv_mul; rounding can leave them at or below zero
         # when s and z are interior only to machine precision
-        divisors = (lam_nn, lam_soc[0], _jdet(lam_soc))
-        if not all((d > 0).all() for d in divisors):
+        lam_nn, lam_soc, lam_det = self.lam_parts
+        if not all((d > 0).all() for d in (lam_nn, lam_soc[0], lam_det)):
             raise FloatingPointError("cone iterate left the interior")
-        self.lam = _join(lam_nn, lam_soc)
 
     def _wbar_mul(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         w = self.wbar
@@ -219,19 +228,21 @@ class _Scaling:
         return out
 
 
-def _max_step(u: np.ndarray, dus: tuple[np.ndarray, ...], p: int) -> float:
+def _max_step(
+    u: np.ndarray, dus: tuple[np.ndarray, ...], p: int, u_parts: tuple | None = None
+) -> float:
     """Largest t with u + t*du inside the cone for every du in dus (u
     strictly interior). The directions are stacked side by side, so one
     pass serves them all; each block's root is the one a single direction
-    gives."""
+    gives. u_parts, if given, is _parts(u, p)."""
     k = len(dus)
-    u_nn, u_soc = _split(u, p)
+    u_nn, u_soc, u_det = u_parts or _parts(u, p)
     d_nn = np.concatenate([du[:p] for du in dus])
     d_soc = np.concatenate([du[p:].reshape(4, -1) for du in dus], axis=1)
     neg = d_nn < 0
     t_nn = (np.concatenate((u_nn,) * k)[neg] / -d_nn[neg]).min(initial=np.inf)
     # jdet(u + t du) = c0 + c1 t + c2 t^2 on each block
-    c0 = np.concatenate((_jdet(u_soc),) * k)
+    c0 = np.concatenate((u_det,) * k)
     u_soc = np.concatenate((u_soc,) * k, axis=1)
     c1 = 2.0 * (2.0 * u_soc[0] * d_soc[0] - _bdot(u_soc, d_soc))
     c2 = _jdet(d_soc)
@@ -299,22 +310,33 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _factor_reduced_kkt(H: np.ndarray, work: np.ndarray) -> np.ndarray | None:
+def _scatter_upper(pattern: GramPattern, upper: np.ndarray, kkt: np.ndarray) -> None:
+    """Zero kkt and write upper at the pattern's upper-triangle entries.
+    kkt.T, the same memory in Fortran order, then holds them in the lower
+    triangle that dpotrf reads."""
+    kkt.fill(0.0)
+    kkt.ravel()[pattern.upper_flat] = upper
+
+
+def _factor_kkt(pattern: GramPattern, H: np.ndarray, kkt: np.ndarray) -> np.ndarray | None:
     """Cholesky factor of 0.5 (H + H^T) + reg I for the first reg of
     REGULARIZATION, 100 REGULARIZATION, ... <= 1e-6 that makes it positive
-    definite; None if none does or H is not finite. The factor is computed
-    in work, a C-ordered array of H's shape; H is left as it is."""
-    n = len(H)
+    definite; None if none does or H is not finite. H is given by its values
+    at pattern.entries; the matrix is symmetrized and checked on the
+    triangle dpotrf reads only, and factored in place in kkt, a C-ordered
+    dim x dim buffer."""
+    upper = H[pattern.upper]
+    upper += H[pattern.mirror]
+    upper *= 0.5
+    if not np.isfinite(upper).all():
+        return None
+    diagonal = kkt.ravel()[:: len(kkt) + 1]
     reg = REGULARIZATION
     while reg <= 1e-6:
-        np.add(H, H.T, out=work)
-        work *= 0.5
-        if not np.isfinite(work).all():
-            return None
-        work.flat[:: n + 1] += reg
+        _scatter_upper(pattern, upper, kkt)
+        diagonal += reg
         try:
-            # work is exactly symmetric, so work.T is work in Fortran order
-            return cho_factor(work.T)
+            return cho_factor(kkt.T)
         except LinAlgError:
             reg *= 100.0
     return None
@@ -348,10 +370,11 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
     degree = max(p + cone.n_soc, 1)
     e = _identity(p, cone.n_soc)
 
-    x, s, z = _initial_point(cone, warm_start)
-    # one buffer for every iteration's factorization saves the page faults
-    # of a fresh dim x dim array per iteration
+    # one buffer for every factorization saves the page faults of a fresh
+    # dim x dim array per iteration
     kkt = np.empty((cone.dim, cone.dim))
+    x, s, z = _initial_point(cone, warm_start, kkt)
+    pattern = cone.pattern.gram
 
     h_scale = max(1.0, np.abs(h).max(initial=0.0))
     c_scale = max(1.0, np.abs(c).max(initial=0.0))
@@ -400,47 +423,51 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
         # reduced KKT matrix H = G^T W^{-2} G (+ regularization)
         inv_eta2 = W.eta**-2
         d = _join(z[:p] / s[:p], -_REFLECT * inv_eta2)
-        factor = _factor_reduced_kkt(cone.gram(d, W.v, 2.0 * inv_eta2), kkt)
+        factor = _factor_kkt(pattern, cone.gram_entries(d, W.v, 2.0 * inv_eta2), kkt)
         if factor is None:
             status = SolverStatus.NUMERICAL_FAILURE
             break
 
         def newton_base(bx, bz, ds_rhs):
-            dt = _inv_mul(W.lam, ds_rhs, p)
+            """The direction (dx, ds, dz, dst, dzt) and G dx."""
+            dt = _inv_mul(W.lam, ds_rhs, p, W.lam_parts)
             t = bz - W.apply(dt)
             dx = cho_solve(factor, bx + cone.rmatvec(W.apply_inv_sq(t)))
-            dz = W.apply_inv_sq(cone.matvec(dx) - t)
+            g_dx = cone.matvec(dx)
+            dz = W.apply_inv_sq(g_dx - t)
             dzt = W.apply(dz)
             dst = dt - dzt
-            return dx, W.apply(dst), dz, dst, dzt
+            return (dx, W.apply(dst), dz, dst, dzt), g_dx
 
         def newton(bx, bz, ds_rhs):
             # the rhs -> direction map is linear, so iterative refinement is
             # re-solving with the residual rhs; each pass gains a factor of
             # roughly cond(H)*eps, so the deep endgame (per-block
             # complementarity near 1e-13) needs several passes
-            direction = newton_base(bx, bz, ds_rhs)
+            direction, g_dx = newton_base(bx, bz, ds_rhs)
             best = None
             for _ in range(8):
                 dx, ds, dz, dst, dzt = direction
                 e1 = bx - cone.rmatvec(dz)
-                e2 = bz - (cone.matvec(dx) + ds)
-                e3 = ds_rhs - _mul(W.lam, dst + dzt, p)
+                # G dx of the base solve; a refined dx needs its own product
+                e2 = bz - ((cone.matvec(dx) if g_dx is None else g_dx) + ds)
+                g_dx = None
+                e3 = ds_rhs - _mul(W.lam, dst + dzt, p, W.lam_parts)
                 err = max(np.abs(e1).max(), np.abs(e2).max(initial=0.0), np.abs(e3).max(initial=0.0))
                 improved = best is None or err < best[0]
                 if improved:
                     best = (err, direction)
                 if err <= 1e-13 * (1.0 + gap) or not improved:
                     break
-                cx, cs_, cz, cst, czt = newton_base(e1, e2, e3)
+                (cx, cs_, cz, cst, czt), _ = newton_base(e1, e2, e3)
                 direction = (dx + cx, ds + cs_, dz + cz, dst + cst, dzt + czt)
             return best[1]
 
         try:
             # predictor (affine scaling) direction
-            lam_sq = _mul(W.lam, W.lam, p)
+            lam_sq = _mul(W.lam, W.lam, p, W.lam_parts)
             dx_a, ds_a, dz_a, dst_a, dzt_a = newton(-r_x, -r_z, -lam_sq)
-            alpha_aff = min(1.0, _max_step(W.lam, (dst_a, dzt_a), p))
+            alpha_aff = min(1.0, _max_step(W.lam, (dst_a, dzt_a), p, W.lam_parts))
             gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
             sigma = min(1.0, max(0.0, gap_aff / gap) ** 3) if gap > 0 else 0.0
 
@@ -453,7 +480,7 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
             status = SolverStatus.NUMERICAL_FAILURE
             break
 
-        alpha = min(1.0, STEP_FRACTION * _max_step(W.lam, (dst, dzt), p))
+        alpha = min(1.0, STEP_FRACTION * _max_step(W.lam, (dst, dzt), p, W.lam_parts))
         if alpha <= 1e-13:
             status = SolverStatus.NUMERICAL_FAILURE
             break
@@ -487,18 +514,21 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
     )
 
 
-def _initial_point(cone: ConeProblem, warm_start):
+def _initial_point(cone: ConeProblem, warm_start, kkt: np.ndarray):
     """Least-squares start pushed strictly inside the cone, or a blend of
-    the warm-start point with the cone's central ray."""
+    the warm-start point with the cone's central ray. kkt is a C-ordered
+    dim x dim buffer for the factorization of G^T G."""
     h, c, p = cone.h, cone.c, cone.n_nonneg
     n = cone.dim
     e = _identity(p, cone.n_soc)
 
-    GtG = cone.gram(np.ones(cone.n_rows))
-    GtG.flat[:: n + 1] += 1e-12 * max(1.0, np.trace(GtG) / max(n, 1))
-    # bincount sums G^T G's (i, j) and (j, i) pieces in slot order, which
-    # need not agree bit for bit, so its own lower triangle is factored
-    factor = cho_factor(GtG)
+    # bincount sums G^T G's (i, j) and (j, i) terms in slot order, which
+    # need not agree bit for bit, so its own lower triangle is factored:
+    # the mirror of each upper entry of kkt is a lower entry of G^T G
+    pattern = cone.pattern.gram
+    _scatter_upper(pattern, cone.gram_entries(np.ones(cone.n_rows))[pattern.mirror], kkt)
+    kkt.flat[:: n + 1] += 1e-12 * max(1.0, np.trace(kkt) / max(n, 1))
+    factor = cho_factor(kkt.T)
 
     def push(v, target):
         margin = _min_margin(v, p)

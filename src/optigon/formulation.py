@@ -27,8 +27,9 @@ reference point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +39,10 @@ from .geometry import Polygon
 __all__ = [
     "DecisionLayout",
     "EvaluationReport",
+    "ColumnPattern",
     "ConeProblem",
     "ConeTemplate",
+    "GramPattern",
     "polygon_to_vector",
     "vector_to_polygon",
 ]
@@ -94,6 +97,69 @@ def _checked(z: np.ndarray, dim: int) -> np.ndarray:
     return z
 
 
+class GramPattern(NamedTuple):
+    """The entries of a dim x dim matrix sum_t w_t e_{i_t} e_{j_t}^T, for
+    fixed term positions (i_t, j_t) that hold (j, i) wherever they hold
+    (i, j), and the triangle of them that LAPACK's dpotrf reads.
+
+    entries: the sorted flat indices i dim + j of the entries (C order).
+    slot_entry: the position in entries that each term adds into.
+    upper: the positions in entries of the entries with i <= j. A C-ordered
+        matrix's transpose is the same memory in Fortran order, in which
+        these are the lower triangle.
+    mirror: for each of those, the position in entries of (j, i).
+    upper_flat: entries[upper].
+    """
+
+    entries: np.ndarray
+    slot_entry: np.ndarray
+    upper: np.ndarray
+    mirror: np.ndarray
+    upper_flat: np.ndarray
+
+    @classmethod
+    def of(cls, flat: np.ndarray, dim: int) -> GramPattern:
+        """The pattern of terms at flat indices flat."""
+        # a dense marker instead of np.unique: the first integer sort of a
+        # process pages in about 0.7 MB of numpy's sort kernels
+        present = np.zeros(dim * dim, dtype=bool)
+        present[flat] = True
+        entries = np.flatnonzero(present)
+        position = np.empty(dim * dim, dtype=np.intp)  # of each flat index in entries
+        position[entries] = np.arange(len(entries))
+        row, col = np.divmod(entries, dim)
+        upper = np.flatnonzero(row <= col)
+        mirror = position[col[upper] * dim + row[upper]]
+        return cls(entries, position[flat], upper, mirror, entries[upper])
+
+
+class ColumnPattern:
+    """What follows from the columns of G alone: the column of every slot,
+    and where G^T M G has its entries. Cones with the same nn_cols and
+    soc_cols share one; each array is built on first use."""
+
+    def __init__(self, nn_cols: np.ndarray, soc_cols: np.ndarray, dim: int):
+        self.nn_cols = nn_cols
+        self.soc_cols = soc_cols
+        self.dim = dim
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """The column of every slot: nonnegative rows, then blocks."""
+        return np.concatenate([self.nn_cols.ravel(), self.soc_cols.ravel()])
+
+    @cached_property
+    def gram(self) -> GramPattern:
+        """The pattern of G^T M G: one term per slot pair (k, l) of every
+        nonnegative row and every block, in `ConeProblem.gram_entries`' order."""
+        dim = self.dim
+        return GramPattern.of(
+            np.concatenate([(cols[:, None, :] * dim + cols[None, :, :]).ravel()
+                            for cols in (self.nn_cols, self.soc_cols)]),
+            dim,
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class ConeProblem:
     """minimize c^T x subject to G x + s = h, s in R^p_+ x (Q^4)^m.
@@ -104,6 +170,10 @@ class ConeProblem:
     sum_k soc_coef[j, k, b] x[soc_cols[k, b]]. Unused slots carry a zero
     coefficient. h, like every cone vector, holds the p nonnegative rows,
     then row 0 of every block, row 1 of every block, and so on.
+
+    pattern is the `ColumnPattern` of nn_cols and soc_cols; a new one unless
+    given. The reduced KKT matrix G^T M G is never formed densely:
+    `gram_entries` gives its values at the pattern's entries.
     """
 
     c: np.ndarray
@@ -112,6 +182,13 @@ class ConeProblem:
     nn_coef: np.ndarray
     soc_cols: np.ndarray
     soc_coef: np.ndarray
+    pattern: ColumnPattern | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.pattern is None:
+            object.__setattr__(
+                self, "pattern", ColumnPattern(self.nn_cols, self.soc_cols, self.dim)
+            )
 
     @property
     def dim(self) -> int:
@@ -141,14 +218,16 @@ class ConeProblem:
         nn = self.nn_coef * y[:p]
         soc = np.einsum("jkb,jb->kb", self.soc_coef, y[p:].reshape(4, -1))
         return np.bincount(
-            self._cols, np.concatenate([nn.ravel(), soc.ravel()]), minlength=self.dim
+            self.pattern.cols, np.concatenate([nn.ravel(), soc.ravel()]), minlength=self.dim
         )
 
-    def gram(
+    def gram_entries(
         self, d: np.ndarray, v: np.ndarray | None = None, beta: np.ndarray | None = None
     ) -> np.ndarray:
-        """Dense G^T M G for M = diag(d), plus beta_b v_b v_b^T on each block b
-        when v (shape (4, m)) and beta (shape (m,)) are given."""
+        """G^T M G at `pattern.gram.entries`, for M = diag(d), plus
+        beta_b v_b v_b^T on each block b when v (shape (4, m)) and beta
+        (shape (m,)) are given. Each entry sums its slot-pair terms in slot
+        order, as a dense bincount over the same terms would."""
         p = self.n_nonneg
         N, A = self.nn_coef, self.soc_coef
         nn = (N * d[:p])[:, None, :] * N[None, :, :]
@@ -156,9 +235,11 @@ class ConeProblem:
         if v is not None:
             u = np.einsum("jkb,jb->kb", A, v)
             soc += (beta * u)[:, None, :] * u[None, :, :]
-        weights = np.concatenate([nn.ravel(), soc.ravel()])
-        dim = self.dim
-        return np.bincount(self._pairs, weights, minlength=dim * dim).reshape(dim, dim)
+        gram = self.pattern.gram
+        return np.bincount(
+            gram.slot_entry, np.concatenate([nn.ravel(), soc.ravel()]),
+            minlength=len(gram.entries),
+        )
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Restriction residuals at x: b(x) for a nonnegative row, and
@@ -167,19 +248,6 @@ class ConeProblem:
         p = self.n_nonneg
         soc = s[p:].reshape(4, -1)
         return np.concatenate([s[:p], soc[0] - soc[3] - soc[1] ** 2 - soc[2] ** 2])
-
-    # column patterns; fixed for every restriction of one n
-    @cached_property
-    def _cols(self) -> np.ndarray:
-        return np.concatenate([self.nn_cols.ravel(), self.soc_cols.ravel()])
-
-    @cached_property
-    def _pairs(self) -> np.ndarray:
-        """Flat index into the dim x dim Gram matrix of every slot pair (k, l)."""
-        return np.concatenate(
-            [(cols[:, None, :] * self.dim + cols[None, :, :]).ravel()
-             for cols in (self.nn_cols, self.soc_cols)]
-        )
 
 
 class ConeTemplate:
@@ -193,6 +261,8 @@ class ConeTemplate:
     rewrites those rows of G and h in place. `screened` copies the current
     restriction without some distance blocks; `distance_sq` gives every
     distance pair's squared length, to choose and to check those blocks.
+    A screened cone with the same blocks as the one before shares its
+    column arrays and `ColumnPattern`.
     """
 
     def __init__(self, n: int):
@@ -236,6 +306,9 @@ class ConeTemplate:
             soc_cols=cols,
             soc_coef=coef,
         )
+        # (mask, soc_cols, pattern) of the last `screened` cone; the next one
+        # with the same mask reuses its columns and pattern
+        self._last_screened: tuple[np.ndarray, np.ndarray, ColumnPattern] | None = None
 
     @property
     def n(self) -> int:
@@ -266,15 +339,23 @@ class ConeTemplate:
             raise ValueError(f"keep must be a boolean mask of shape ({self.n_pairs},)")
         cone = self.cone
         blocks = np.concatenate([keep, np.ones(cone.n_soc - self.n_pairs, dtype=bool)])
+        last = self._last_screened
+        if last is None or not np.array_equal(last[0], keep):
+            soc_cols = np.ascontiguousarray(cone.soc_cols[:, blocks])
+            last = self._last_screened = (
+                keep.copy(), soc_cols, ColumnPattern(cone.nn_cols, soc_cols, cone.dim)
+            )
+        _, soc_cols, pattern = last
         return ConeProblem(
             c=cone.c,
             h=np.concatenate([cone.h[: cone.n_nonneg], self._h_soc[:, blocks].ravel()]),
             nn_cols=cone.nn_cols,
             nn_coef=cone.nn_coef,
+            soc_cols=soc_cols,
             # contiguous like the template's arrays, so that einsum sums in
             # the same order and every row equals the full cone's
-            soc_cols=np.ascontiguousarray(cone.soc_cols[:, blocks]),
             soc_coef=np.ascontiguousarray(cone.soc_coef[:, :, blocks]),
+            pattern=pattern,
         )
 
     def distance_sq(self, z: np.ndarray) -> np.ndarray:

@@ -239,10 +239,13 @@ def polygon_to_json(polygon: Polygon) -> str:
 def polygon_from_json(text: str) -> Polygon:
     try:
         data = json.loads(text)
-        n, vertices = int(data["n"]), data["vertices"]
+        n, vertices = data["n"], data["vertices"]
         count, v = len(vertices), np.asarray(vertices, dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidPolygon(f"malformed polygon JSON: {exc}") from exc
+    # a JSON integer; bool is an int subclass, so true would read as 1
+    if type(n) is not int:
+        raise InvalidPolygon(f"malformed polygon JSON: n must be an integer, got {n!r}")
     if count != n:
         raise InvalidPolygon(f"vertex count {count} does not match n={n}")
     return Polygon(v)

@@ -252,6 +252,7 @@ class TestMalformedInput:
     """A polygon file that parses to no polygon is a usage error: exit 2,
     one error line, no output."""
 
+    HEXAGON = "[[0, 0], [0.5, 0.25], [0.5, 0.75], [0, 1], [-0.5, 0.75], [-0.5, 0.25]]"
     CASES = {
         "nan": '{"n": 3, "vertices": [[0, 0], [1, NaN], [0, 1]]}',
         "count_mismatch": '{"n": 4, "vertices": [[0, 0], [1, 0], [0, 1]]}',
@@ -260,6 +261,8 @@ class TestMalformedInput:
         "non_numeric": '{"n": 3, "vertices": [[0, 0], ["a", 0], [0, 1]]}',
         "object_entry": '{"n": 3, "vertices": [[0, 0], [{}, 0], [0, 1]]}',
         "truncated": '{"n": 3, "vertices": [[0, 0], [1',
+        "fractional_n": '{"n": 6.5, "vertices": ' + HEXAGON + "}",
+        "string_n": '{"n": "6", "vertices": ' + HEXAGON + "}",
     }
 
     @pytest.mark.parametrize("command", ["verify", "render"])

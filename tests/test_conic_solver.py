@@ -23,7 +23,7 @@ from optigon.conic_solver import (
     REGULARIZATION,
     SolverConfig,
     SolverStatus,
-    _factor_reduced_kkt,
+    _factor_kkt,
     _inv_mul,
     _max_step,
     _mul,
@@ -33,7 +33,7 @@ from optigon.conic_solver import (
     solve,
 )
 from optigon.errors import SubproblemFailure
-from optigon.formulation import ConeProblem, ConeTemplate, polygon_to_vector
+from optigon.formulation import ConeProblem, ConeTemplate, GramPattern, polygon_to_vector
 from optigon.geometry import build_pendant_polygon
 
 from reference_program import mini_cone
@@ -55,6 +55,37 @@ def hexagon_restriction():
 
 def dense_G(cone):
     return np.column_stack([cone.matvec(e) for e in np.eye(cone.dim)])
+
+
+def dense_gram(cone, d, v=None, beta=None):
+    """G^T M G of `ConeProblem.gram_entries` in a dense dim x dim array,
+    summed term by term in slot order from nn_*/soc_*: the per-entry sums
+    the pattern's bincount must reproduce bit for bit."""
+    p = cone.n_nonneg
+    N, A = cone.nn_coef, cone.soc_coef
+    nn = (N * d[:p])[:, None, :] * N[None, :, :]
+    soc = np.einsum("jkb,jlb->klb", A * d[p:].reshape(4, 1, -1), A)
+    if v is not None:
+        u = np.einsum("jkb,jb->kb", A, v)
+        soc += (beta * u)[:, None, :] * u[None, :, :]
+    H = np.zeros((cone.dim, cone.dim))
+    for cols, terms in ((cone.nn_cols, nn), (cone.soc_cols, soc)):
+        rows = np.broadcast_to(cols[:, None, :], terms.shape).ravel()
+        columns = np.broadcast_to(cols[None, :, :], terms.shape).ravel()
+        np.add.at(H, (rows, columns), terms.ravel())
+    return H
+
+
+def pattern_factor(cone, d, v=None, beta=None):
+    """The reduced KKT factor of the pattern path, as the IPM computes it."""
+    kkt = np.empty((cone.dim, cone.dim))
+    return _factor_kkt(cone.pattern.gram, cone.gram_entries(d, v, beta), kkt)
+
+
+def dense_factor(H):
+    """_factor_kkt on a dense H, through a pattern holding every entry."""
+    n = len(H)
+    return _factor_kkt(GramPattern.of(np.arange(n * n), n), H.ravel(), np.empty_like(H))
 
 
 class TestLift:
@@ -79,7 +110,7 @@ class TestLift:
 
 
 class TestConeOperators:
-    """matvec, rmatvec and gram against dense products with G."""
+    """matvec, rmatvec and gram_entries against dense products with G."""
 
     @pytest.fixture(params=["hexagon", "octagon"])
     def cone(self, request):
@@ -99,8 +130,19 @@ class TestConeOperators:
             rows = p + b + m * np.arange(4)  # row j of block b
             M[np.ix_(rows, rows)] += beta[b] * np.outer(v[:, b], v[:, b])
         G = dense_G(cone)
-        assert cone.gram(d, v, beta) == pytest.approx(G.T @ M @ G, abs=1e-12)
-        assert cone.gram(np.ones(cone.n_rows)) == pytest.approx(G.T @ G, abs=1e-12)
+        entries = cone.pattern.gram.entries
+
+        def gram(*args):
+            H = np.zeros(cone.dim * cone.dim)
+            H[entries] = cone.gram_entries(*args)
+            return H.reshape(cone.dim, cone.dim)
+
+        assert gram(d, v, beta) == pytest.approx(G.T @ M @ G, abs=1e-12)
+        assert gram(np.ones(cone.n_rows)) == pytest.approx(G.T @ G, abs=1e-12)
+        # every entry of G^T G outside the pattern is zero
+        outside = np.ones(cone.dim * cone.dim, dtype=bool)
+        outside[entries] = False
+        assert not (G.T @ G).ravel()[outside].any()
 
 
 class TestAnalyticOptima:
@@ -198,13 +240,13 @@ class TestSolverCertificates:
         assert res.status is SolverStatus.NUMERICAL_FAILURE
 
     def test_nonfinite_reduced_kkt_matrix_is_numerical_failure(self, monkeypatch):
-        gram = ConeProblem.gram
+        gram_entries = ConeProblem.gram_entries
 
         def nan_gram(self, d, v=None, beta=None):
-            G = gram(self, d, v, beta)
-            return np.full_like(G, np.nan) if v is not None else G
+            H = gram_entries(self, d, v, beta)
+            return np.full_like(H, np.nan) if v is not None else H
 
-        monkeypatch.setattr(ConeProblem, "gram", nan_gram)
+        monkeypatch.setattr(ConeProblem, "gram_entries", nan_gram)
         z0 = polygon_to_vector(build_pendant_polygon(6))
         res = solve(ConeTemplate(6).at(z0), warm_start=z0)
         assert res.status is SolverStatus.NUMERICAL_FAILURE
@@ -295,46 +337,85 @@ class TestCholesky:
     """The LAPACK kernels give the bits of scipy's cho_factor/cho_solve on
     the symmetrized, regularized matrix."""
 
+    @staticmethod
+    def first_iteration_terms(cone):
+        """(d, v, beta) of G^T W^{-2} G in the first IPM iteration on cone."""
+        gram_entries = ConeProblem.gram_entries
+        built = []
+
+        def recording_gram(self, d, v=None, beta=None):
+            if v is not None:
+                built.append((d.copy(), v.copy(), beta.copy()))
+            return gram_entries(self, d, v, beta)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ConeProblem, "gram_entries", recording_gram)
+            solve(cone, SolverConfig(max_iterations=1))
+        return built[0]
+
     @pytest.fixture(scope="class")
     def reduced_kkt(self):
         # G^T W^{-2} G as built in the first IPM iteration at the pendant 16-gon
         z0 = polygon_to_vector(build_pendant_polygon(16))
         cone = ConeTemplate(16).at(z0)
-        gram = ConeProblem.gram
-        built = []
-
-        def recording_gram(self, d, v=None, beta=None):
-            G = gram(self, d, v, beta)
-            if v is not None:
-                built.append(G.copy())
-            return G
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ConeProblem, "gram", recording_gram)
-            solve(cone, SolverConfig(max_iterations=1))
-        return built[0]
+        return cone, self.first_iteration_terms(cone)
 
     @staticmethod
     def reference(H, reg):
         return scipy.linalg.cho_factor(0.5 * (H + H.T) + reg * np.eye(len(H)), lower=True)
 
     def test_factor_and_solve_match_scipy(self, reduced_kkt):
-        ref = self.reference(reduced_kkt, REGULARIZATION)
-        c = _factor_reduced_kkt(reduced_kkt, np.empty_like(reduced_kkt))
+        cone, terms = reduced_kkt
+        ref = self.reference(dense_gram(cone, *terms), REGULARIZATION)
+        c = pattern_factor(cone, *terms)
         assert np.array_equal(np.tril(c), np.tril(ref[0]))
         b = np.random.default_rng(0).normal(size=len(c))
         assert np.array_equal(cho_solve(c, b), scipy.linalg.cho_solve(ref, b))
+
+    def test_screened_factor_matches_scipy(self):
+        # the first IPM iteration on the screened restriction at the pendant
+        # 32-gon, the cone the outer loop solves
+        template = ConeTemplate(32)
+        z0 = polygon_to_vector(build_pendant_polygon(32))
+        template.at(z0)
+        keep = ccp._near_unit(template.distance_sq(z0))
+        cone = template.screened(keep)
+        assert 0 < keep.sum() < template.n_pairs
+        terms = self.first_iteration_terms(cone)
+        ref = self.reference(dense_gram(cone, *terms), REGULARIZATION)
+        assert np.array_equal(np.tril(pattern_factor(cone, *terms)), np.tril(ref[0]))
+
+    def test_reused_pattern_gives_the_fresh_factor(self):
+        # masks A, B (A plus one pair), A, A: only the last cone reuses the
+        # pattern of the one before, and each factor is that of a cone built
+        # afresh from the same arrays
+        template = ConeTemplate(16)
+        z0 = polygon_to_vector(build_pendant_polygon(16))
+        template.at(z0)
+        a = ccp._near_unit(template.distance_sq(z0))
+        b = a.copy()
+        b[np.flatnonzero(~a)[0]] = True
+        cones = [template.screened(mask) for mask in (a, b, a, a)]
+        patterns = [cone.pattern for cone in cones]
+        assert [patterns[i] is patterns[i - 1] for i in (1, 2, 3)] == [False, False, True]
+        assert cones[1].n_soc == cones[0].n_soc + 1
+        for cone in cones:
+            fresh = ConeProblem(cone.c, cone.h, cone.nn_cols, cone.nn_coef,
+                                cone.soc_cols.copy(), cone.soc_coef)
+            assert fresh.pattern is not cone.pattern
+            terms = self.first_iteration_terms(cone)
+            assert np.array_equal(np.tril(pattern_factor(cone, *terms)),
+                                  np.tril(pattern_factor(fresh, *terms)))
 
     def test_escalated_regularization_matches_scipy(self):
         # 1e-12 leaves the smallest eigenvalue negative; 1e-10 does not
         H = np.diag([2.0, 1.0, -5e-11])
         ref = self.reference(H, 100 * REGULARIZATION)
-        assert np.array_equal(np.tril(_factor_reduced_kkt(H, np.empty_like(H))), np.tril(ref[0]))
+        assert np.array_equal(np.tril(dense_factor(H)), np.tril(ref[0]))
 
     def test_indefinite_and_nonfinite_give_no_factor(self):
-        work = np.empty((3, 3))
-        assert _factor_reduced_kkt(-np.eye(3), work) is None
-        assert _factor_reduced_kkt(np.full((3, 3), np.nan), work) is None
+        assert dense_factor(-np.eye(3)) is None
+        assert dense_factor(np.full((3, 3), np.nan)) is None
         with pytest.raises(scipy.linalg.LinAlgError):
             cho_factor(-np.eye(3))
 

@@ -292,8 +292,12 @@ class TestJsonRoundTrip:
             '{"n": 3, "vertices": [[0, 0], [{}, 0], [0, 1]]}',
             '{"n": 3, "vertices": [[0, 0], [1' + "0" * 400 + ', 0], [0, 1]]}',
             '{"n": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}',
+            '{"n": 3.5, "vertices": [[0, 0], [1, 0], [0, 1]]}',
+            '{"n": "3", "vertices": [[0, 0], [1, 0], [0, 1]]}',
+            '{"n": true, "vertices": [[0, 0]]}',
         ],
-        ids=["not_an_object", "non_integer_n", "non_list", "object_entry", "overflow", "3d"],
+        ids=["not_an_object", "non_integer_n", "non_list", "object_entry", "overflow", "3d",
+             "fractional_n", "string_n", "boolean_n"],
     )
     def test_malformed_types_rejected(self, text):
         with pytest.raises(InvalidPolygon):
