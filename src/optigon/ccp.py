@@ -154,15 +154,17 @@ def step(
 ) -> StepResult:
     """One outer iteration: solve the convex restriction built at z_k on the
     distance pairs near unit distance, re-solving with any dropped pair the
-    candidate violates until none is (see the module docstring).
+    candidate violates until none is (see the module docstring). Each solve
+    gets `template.at(z_k, keep)`, built afresh for the current mask; it
+    shares its columns and `ColumnPattern` with the solve before when the
+    mask is unchanged.
 
     Raises SubproblemFailure unless every solve reached optimality.
     """
-    template.at(z_k)
     keep = _near_unit(template.distance_sq(z_k))
     resolves = 0
     while True:
-        result = solve(template.screened(keep), cfg.solver, warm_start=warm_start)
+        result = solve(template.at(z_k, keep), cfg.solver, warm_start=warm_start)
         if result.status is not SolverStatus.OPTIMAL:
             raise SubproblemFailure(
                 f"subproblem solve failed with status {result.status.value} "

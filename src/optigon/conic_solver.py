@@ -4,7 +4,7 @@ Solves a `ConeProblem` (built once per n by `formulation.ConeTemplate`)
 
     minimize c^T x   subject to   G x + s = h,   s in R^p_+ x (Q^4)^m.
 
-The outer loop passes `ConeTemplate.screened`, a copy of the restriction
+The outer loop passes `ConeTemplate.at(z, keep)`, the restriction at z
 holding only the distance blocks of the pairs near unit distance; each
 re-solve after the outer loop's guard adds dropped pairs is one more call
 here.
@@ -12,8 +12,8 @@ here.
 Every block is Q^4, and G is held in fixed-shape arrays: coefficients of
 shape (4, K, m) over K <= 5 columns per block, nonnegative rows as
 index/coefficient vectors. Between restrictions of one n only the n-2
-triangle-area blocks change; each cone (the template's, or a screened
-copy) keeps one column pattern. Cone vectors are flat with the
+triangle-area blocks change; restrictions with the same distance pairs
+share one column pattern. Cone vectors are flat with the
 second-order part viewed as a (4, m) array, so the blockwise
 Jordan-algebra and scaling operations are numpy expressions over all blocks.
 
@@ -47,6 +47,8 @@ import enum
 import importlib.machinery
 import importlib.util
 import logging
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,10 +86,13 @@ class SolverConfig:
     max_iterations: int = 200
 
     def validate(self) -> None:
-        if not self.tol_solver > 0:
-            raise ValueError("tol_solver must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not 0.0 < self.tol_solver < math.inf:
+            raise ValueError(f"tol_solver must be finite and positive, got {self.tol_solver}")
+        if (not isinstance(self.max_iterations, numbers.Integral)
+                or isinstance(self.max_iterations, bool) or self.max_iterations < 1):
+            raise ValueError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}"
+            )
 
 
 @dataclass

@@ -20,9 +20,9 @@ g - h, with
 and the convex restriction at a reference point c replaces g by its tangent
 at c. Every constraint of a restriction is then an affine row b(z) >= 0 or
 l_1(z)^2 + l_2(z)^2 <= b(z) with affine l_1, l_2, b; the latter is the Q^4
-block ((1 + b)/2, l_1, l_2, (1 - b)/2). `ConeTemplate` holds every such row
-of one n in fixed-shape arrays and rewrites the triangle-area rows for each
-reference point.
+block ((1 + b)/2, l_1, l_2, (1 - b)/2). `ConeTemplate` holds the rows of
+one n, the distance pairs as column indices alone, and builds the
+restriction at each reference point.
 """
 
 from __future__ import annotations
@@ -256,13 +256,16 @@ class ConeTemplate:
     Built once per n. The nonnegative rows are the n-1 half-plane rows, then
     the n-2 rows u_i >= 0; the Q^4 blocks are the distance pairs (i, j) in
     row-major order of i < j, then the n-1 radius blocks, then the n-2
-    triangle-area blocks. Restrictions differ only in the triangle-area
-    blocks, whose first and last rows hold the tangent of g at c; `at`
-    rewrites those rows of G and h in place. `screened` copies the current
-    restriction without some distance blocks; `distance_sq` gives every
-    distance pair's squared length, to choose and to check those blocks.
-    A screened cone with the same blocks as the one before shares its
-    column arrays and `ColumnPattern`.
+    triangle-area blocks. Every distance block has the same coefficients,
+    so the template keeps the pairs only as their columns `pairs`, rows
+    (x_i, x_j, y_i, y_j) of a (4, n_pairs) array, and keeps the radius and
+    triangle blocks in fixed-shape arrays. Restrictions differ only in the
+    triangle blocks, whose first and last rows hold the tangent of g at c.
+
+    `at(c, keep)` builds the restriction at c holding the distance blocks
+    of the kept pairs; `distance_sq` gives every pair's squared length, to
+    choose and to check them. A restriction with the same pairs as the one
+    before shares its column array and `ColumnPattern`.
     """
 
     def __init__(self, n: int):
@@ -274,103 +277,115 @@ class ConeTemplate:
         u = np.arange(n - 2) + 2 * (n - 1)
         i, j = np.triu_indices(n - 1, k=1)  # distance pairs, row-major
         t = np.arange(n - 2)                # triangle (t + 1, t + 2)
-        pairs, verts, tris = len(i), n - 1, n - 2
-        self.n_pairs = pairs
-        dist, rad = slice(0, pairs), slice(pairs, pairs + verts)
-        self._tri = slice(pairs + verts, pairs + verts + tris)
+        self.pairs = np.stack([x[i], x[j], y[i], y[j]])
+        self.n_pairs = len(i)
+        self._tri = slice(n - 1, 2 * n - 3)  # of the radius and triangle blocks
 
-        cols = np.zeros((5, pairs + verts + tris), dtype=np.intp)
-        coef = np.zeros((4, 5, cols.shape[1]))
-        # distance: l = (x_j - x_i, y_j - y_i); radius: l = (x_i, y_i)
-        cols[:4, dist] = x[i], x[j], y[i], y[j]
-        coef[1, :2, dist] = [[1.0], [-1.0]]
-        coef[2, 2:4, dist] = [[1.0], [-1.0]]
-        cols[:2, rad] = x, y
-        coef[1, 0, rad] = -1.0
-        coef[2, 1, rad] = -1.0
-        # triangle: l = (y_{i+1} - x_i, x_{i+1} + y_i) over (x_i, x_{i+1}, y_i, y_{i+1}, u_i)
-        cols[:, self._tri] = x[t], x[t + 1], y[t], y[t + 1], u
-        coef[1, :, self._tri] = [[1.0], [0.0], [0.0], [-1.0], [0.0]]
-        coef[2, :, self._tri] = [[0.0], [-1.0], [-1.0], [0.0], [0.0]]
-        h = np.zeros(2 * n - 3 + 4 * cols.shape[1])
-        self._h_soc = h[2 * n - 3:].reshape(4, -1)
-        self._h_soc[0] = 1.0
+        # columns and coefficients of the radius blocks, then the triangle
+        # blocks. radius: l = (x_i, y_i); triangle: l = (y_{i+1} - x_i,
+        # x_{i+1} + y_i) over (x_i, x_{i+1}, y_i, y_{i+1}, u_i), whose rows 0
+        # and 3 each restriction sets
+        self._cols = np.zeros((5, 2 * n - 3), dtype=np.intp)
+        self._coef = np.zeros((4, 5, 2 * n - 3))
+        self._cols[:2, : n - 1] = x, y
+        self._coef[1, 0, : n - 1] = -1.0
+        self._coef[2, 1, : n - 1] = -1.0
+        self._cols[:, self._tri] = x[t], x[t + 1], y[t], y[t + 1], u
+        self._coef[1, :, self._tri] = [[1.0], [0.0], [0.0], [-1.0], [0.0]]
+        self._coef[2, :, self._tri] = [[0.0], [-1.0], [-1.0], [0.0], [0.0]]
 
-        c = np.zeros(self.layout.dim)
-        c[u] = -1.0
-        self.cone = ConeProblem(
-            c=c,
-            h=h,
-            nn_cols=np.concatenate([y, u])[None, :],
-            nn_coef=np.full((1, 2 * n - 3), -1.0),
-            soc_cols=cols,
-            soc_coef=coef,
-        )
-        # (mask, soc_cols, pattern) of the last `screened` cone; the next one
-        # with the same mask reuses its columns and pattern
-        self._last_screened: tuple[np.ndarray, np.ndarray, ColumnPattern] | None = None
+        self._c = np.zeros(self.layout.dim)
+        self._c[u] = -1.0
+        self._nn_cols = np.concatenate([y, u])[None, :]
+        self._nn_coef = np.full((1, 2 * n - 3), -1.0)
+        # (mask, soc_cols, pattern) of the last restriction built by `at`;
+        # the next one with the same mask reuses its columns and pattern
+        self._last: tuple[np.ndarray, np.ndarray, ColumnPattern] | None = None
 
     @property
     def n(self) -> int:
         return self.layout.n
 
-    def at(self, c: np.ndarray) -> ConeProblem:
-        """The restriction at reference point c; rewrites the triangle rows."""
+    def at(self, c: np.ndarray, keep: np.ndarray | None = None) -> ConeProblem:
+        """The restriction at reference point c, holding the distance blocks
+        of the pairs where the boolean mask `keep` (one entry per pair, in
+        block order) is true, or of every pair when keep is None; every other
+        row is kept. Each call builds new coefficients and h; the columns and
+        pattern are the last call's when its mask was the same."""
         c = _checked(c, self.layout.dim)
-        x_i, x_next, y_i, y_next, _ = c[self.cone.soc_cols[:, self._tri]]
+        if keep is None:
+            keep = np.ones(self.n_pairs, dtype=bool)
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (self.n_pairs,):
+            raise ValueError(f"keep must be a boolean mask of shape ({self.n_pairs},)")
+        last = self._last
+        if last is None or not np.array_equal(last[0], keep):
+            pairs = int(keep.sum())
+            soc_cols = np.zeros((5, pairs + self._cols.shape[1]), dtype=np.intp)
+            soc_cols[:4, :pairs] = self.pairs[:, keep]
+            soc_cols[:, pairs:] = self._cols
+            last = self._last = (
+                keep.copy(), soc_cols, ColumnPattern(self._nn_cols, soc_cols, self.layout.dim)
+            )
+        _, soc_cols, pattern = last
+        return self._restriction(c, soc_cols, pattern)
+
+    def _restriction(
+        self, c: np.ndarray, soc_cols: np.ndarray, pattern: ColumnPattern | None
+    ) -> ConeProblem:
+        """The restriction at c whose blocks are the distance blocks of the
+        leading columns of soc_cols, then the radius and triangle blocks."""
+        fixed = self._cols.shape[1]
+        pairs = soc_cols.shape[1] - fixed
+        coef = np.zeros((4, 5, pairs + fixed))
+        # distance: l = (x_j - x_i, y_j - y_i) over (x_i, x_j, y_i, y_j)
+        coef[1, 0, :pairs], coef[1, 1, :pairs] = 1.0, -1.0
+        coef[2, 2, :pairs], coef[2, 3, :pairs] = 1.0, -1.0
+        coef[:, :, pairs:] = self._coef
+        p = self._nn_cols.shape[1]
+        h = np.zeros(p + 4 * (pairs + fixed))
+        h_soc = h[p:].reshape(4, -1)
+        h_soc[0] = 1.0
+
+        tri = slice(pairs + self._tri.start, None)
+        x_i, x_next, y_i, y_next, _ = c[self._cols[:, self._tri]]
         a = y_next + x_i                    # g = a^2 + b^2
         b = x_next - y_i
         # bound = tangent of g at c minus 8 u_i
         bound = np.array([2.0 * a, 2.0 * b, -2.0 * b, 2.0 * a, np.full_like(a, -8.0)])
         offset = -(a * a + b * b)
-        self.cone.soc_coef[0, :, self._tri] = -0.5 * bound
-        self.cone.soc_coef[3, :, self._tri] = 0.5 * bound
-        self._h_soc[0, self._tri] = 0.5 + 0.5 * offset
-        self._h_soc[3, self._tri] = 0.5 - 0.5 * offset
-        return self.cone
-
-    def screened(self, keep: np.ndarray) -> ConeProblem:
-        """The restriction last built by `at`, holding only the distance
-        blocks of the pairs where the boolean mask `keep` (one entry per
-        pair, in block order) is true; every other row is kept. A copy:
-        later calls to `at` leave it unchanged."""
-        keep = np.asarray(keep)
-        if keep.dtype != bool or keep.shape != (self.n_pairs,):
-            raise ValueError(f"keep must be a boolean mask of shape ({self.n_pairs},)")
-        cone = self.cone
-        blocks = np.concatenate([keep, np.ones(cone.n_soc - self.n_pairs, dtype=bool)])
-        last = self._last_screened
-        if last is None or not np.array_equal(last[0], keep):
-            soc_cols = np.ascontiguousarray(cone.soc_cols[:, blocks])
-            last = self._last_screened = (
-                keep.copy(), soc_cols, ColumnPattern(cone.nn_cols, soc_cols, cone.dim)
-            )
-        _, soc_cols, pattern = last
+        coef[0, :, tri] = -0.5 * bound
+        coef[3, :, tri] = 0.5 * bound
+        h_soc[0, tri] = 0.5 + 0.5 * offset
+        h_soc[3, tri] = 0.5 - 0.5 * offset
         return ConeProblem(
-            c=cone.c,
-            h=np.concatenate([cone.h[: cone.n_nonneg], self._h_soc[:, blocks].ravel()]),
-            nn_cols=cone.nn_cols,
-            nn_coef=cone.nn_coef,
+            c=self._c,
+            h=h,
+            nn_cols=self._nn_cols,
+            nn_coef=self._nn_coef,
             soc_cols=soc_cols,
-            # contiguous like the template's arrays, so that einsum sums in
-            # the same order and every row equals the full cone's
-            soc_coef=np.ascontiguousarray(cone.soc_coef[:, :, blocks]),
+            soc_coef=coef,
             pattern=pattern,
         )
 
     def distance_sq(self, z: np.ndarray) -> np.ndarray:
         """Squared distance at z of every distance pair, in block order."""
         z = _checked(z, self.layout.dim)
-        x_i, x_j, y_i, y_j = z[self.cone.soc_cols[:4, : self.n_pairs]]
+        x_i, x_j, y_i, y_j = z[self.pairs]
         return (x_j - x_i) ** 2 + (y_j - y_i) ** 2
 
     def evaluate(self, z: np.ndarray) -> EvaluationReport:
         """Program residuals g_i(z) - h_i(z), in cone row order, and the
-        objective. Leaves the template linearized at z."""
-        cone = self.at(z)
+        objective. The distance residuals are those the restriction's blocks
+        give, 1 - (x_i - x_j)^2 - (y_i - y_j)^2, in closed form."""
+        z = _checked(z, self.layout.dim)
+        x_i, x_j, y_i, y_j = z[self.pairs]
+        distance = (1.0 - (x_i - x_j) ** 2) - (y_i - y_j) ** 2
+        rest = self._restriction(z, self._cols, None).residuals(z)
+        p = self._nn_cols.shape[1]
         return EvaluationReport(
-            objective=float(-(cone.c @ z)),
-            residuals=cone.residuals(z),
+            objective=float(-(self._c @ z)),
+            residuals=np.concatenate([rest[:p], distance, rest[p:]]),
         )
 
 

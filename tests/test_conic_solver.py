@@ -261,6 +261,13 @@ class TestSolverCertificates:
             SolverConfig(tol_solver=0.0).validate()
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0).validate()
+        # an infinite tolerance would accept the warm start after 0 iterations
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SolverConfig(tol_solver=tol).validate()
+        for cap in (2.5, "3", True):
+            with pytest.raises(ValueError):
+                SolverConfig(max_iterations=cap).validate()
 
 
 class TestInfeasible:
@@ -377,9 +384,8 @@ class TestCholesky:
         # 32-gon, the cone the outer loop solves
         template = ConeTemplate(32)
         z0 = polygon_to_vector(build_pendant_polygon(32))
-        template.at(z0)
         keep = ccp._near_unit(template.distance_sq(z0))
-        cone = template.screened(keep)
+        cone = template.at(z0, keep)
         assert 0 < keep.sum() < template.n_pairs
         terms = self.first_iteration_terms(cone)
         ref = self.reference(dense_gram(cone, *terms), REGULARIZATION)
@@ -391,11 +397,10 @@ class TestCholesky:
         # afresh from the same arrays
         template = ConeTemplate(16)
         z0 = polygon_to_vector(build_pendant_polygon(16))
-        template.at(z0)
         a = ccp._near_unit(template.distance_sq(z0))
         b = a.copy()
         b[np.flatnonzero(~a)[0]] = True
-        cones = [template.screened(mask) for mask in (a, b, a, a)]
+        cones = [template.at(z0, mask) for mask in (a, b, a, a)]
         patterns = [cone.pattern for cone in cones]
         assert [patterns[i] is patterns[i - 1] for i in (1, 2, 3)] == [False, False, True]
         assert cones[1].n_soc == cones[0].n_soc + 1

@@ -1,9 +1,11 @@
 """The cone template: the program's rows, its restrictions, and evaluation.
 
-`ConeTemplate(n)` builds the program, `at(c)` its restriction at c and
-`evaluate(z)` its residuals; `reference_program` writes the same residuals
+`ConeTemplate(n)` builds the program, `at(c, keep)` its restriction at c
+and `evaluate(z)` its residuals; `reference_program` writes the same residuals
 out in closed form.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,17 +37,18 @@ def pendant6_vector():
 
 
 class TestBuildProgram:
-    def test_dimension_and_family_counts(self, template6):
+    def test_dimension_and_family_counts(self, template6, pendant6_vector):
+        cone = template6.at(pendant6_vector)
         assert template6.layout.dim == 14
-        assert (template6.n_pairs, template6.cone.n_nonneg, template6.cone.n_soc) == (
-            10, 5 + 4, 10 + 5 + 4)
+        assert (template6.n_pairs, cone.n_nonneg, cone.n_soc) == (10, 5 + 4, 10 + 5 + 4)
 
     def test_counts_formula_general(self):
         for n in (4, 5, 8, 13):
             template = ConeTemplate(n)
+            cone = template.at(np.zeros(template.layout.dim))
             assert template.n_pairs == (n - 1) * (n - 2) // 2
-            assert template.cone.n_nonneg == (n - 1) + (n - 2)
-            assert template.cone.n_soc == template.n_pairs + (n - 1) + (n - 2)
+            assert cone.n_nonneg == (n - 1) + (n - 2)
+            assert cone.n_soc == template.n_pairs + (n - 1) + (n - 2)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -237,7 +240,7 @@ class TestConeTemplate:
         keep = rng.random(template.n_pairs) < 0.3
         for z in reference_points(n):
             full = template.at(z)
-            sub = template.screened(keep)
+            sub = template.at(z, keep)
             blocks = np.concatenate([keep, np.ones(full.n_soc - template.n_pairs, bool)])
             rows = np.concatenate(
                 [np.ones(full.n_nonneg, bool), np.tile(blocks, 4)]
@@ -247,7 +250,27 @@ class TestConeTemplate:
             x = rng.uniform(-1.0, 1.0, full.dim)
             assert np.array_equal(sub.matvec(x), full.matvec(x)[rows])
         with pytest.raises(ValueError):
-            template.screened(keep[1:])
+            template.at(z, keep[1:])
+
+    @pytest.mark.parametrize("n", [6, 16, 64])
+    def test_evaluate_is_the_full_restriction_at_z(self, n):
+        # the closed-form distance residuals are the distance blocks' own
+        template = ConeTemplate(n)
+        rng = np.random.default_rng(n)
+        for z in [*reference_points(n), *rng.uniform(-2.0, 2.0, (20, 3 * n - 4))]:
+            assert np.array_equal(template.evaluate(z).residuals, template.at(z).residuals(z))
+
+    def test_template_holds_pair_columns_only(self):
+        # the distance pairs are ~n^2/2 of the blocks; at n = 512 their
+        # coefficients, columns and h as cone blocks took 30 MB
+        tracemalloc.start()
+        try:
+            template = ConeTemplate(512)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert template.pairs.shape == (4, template.n_pairs)
+        assert held < 8e6
 
     @pytest.mark.parametrize("n", [6, 32])
     def test_distance_sq_in_pair_order(self, n):

@@ -1,8 +1,14 @@
 """Tables, SVG rendering, and run artifact export."""
 
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import optigon
 from optigon.ccp import maximize_area, run_sweep
 from optigon.verification import verify_structure
 from optigon.geometry import (
@@ -144,6 +150,19 @@ class TestExportRun:
         assert all(p.exists() for p in paths)
         assert {p.suffix for p in paths} == {".json", ".csv", ".svg"}
         assert all(p.parent.name == "n006" for p in paths)
+        for p in paths:
+            digest = hashlib.sha256(p.read_bytes()).hexdigest()[:12]
+            assert p.stem.endswith(f"-{digest}")
+
+    def test_import_leaves_openssl_unloaded(self):
+        # hashlib loads OpenSSL's libcrypto; only export_run needs it
+        src = str(Path(optigon.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import optigon.cli; " \
+            "print(optigon.__file__, '_hashlib' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert out == [optigon.__file__, "False"]
 
     def test_polygon_artifact_round_trips_area(self, hexagon_result, hexagon_report, tmp_path):
         paths = export_run(hexagon_result, tmp_path, hexagon_report)
