@@ -1,6 +1,6 @@
 """Second-order-cone interior-point solver for the convex restrictions.
 
-Solves a `ConeProblem` (built once per n by `formulation.ConeTemplate`)
+Solves a `ConeProblem` (one per solve, built by `formulation.ConeTemplate.at`)
 
     minimize c^T x   subject to   G x + s = h,   s in R^p_+ x (Q^4)^m.
 

@@ -168,8 +168,9 @@ def export_run(
         "drawing": (render_svg(result.polygon), ".svg"),
     }
     # imported here, not at the top: hashlib loads OpenSSL, which adds
-    # 3.5 MB to the peak RSS of `import optigon.cli` (Linux, CPython 3.11);
-    # a process that writes no artifacts never loads it
+    # 3.4 MB to the peak RSS of `import optigon.cli` (35.5 -> 32.1 MB; Linux,
+    # CPython 3.11, numpy 2); with numpy >= 2 a process that writes no
+    # artifacts never loads it (numpy 1.x loads it through numpy.random)
     import hashlib
 
     written = []
