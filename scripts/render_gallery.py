@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render SVG drawings of computed optimal polygons and reference shapes.
+"""Render SVG drawings of the pendant start and the computed optimum for each n.
 
     python scripts/render_gallery.py --n 6 16 32 64 --out gallery/
 """
@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from optigon.ccp import CcpStatus, maximize_area
-from optigon.geometry import build_pendant_polygon, build_regular_polygon
+from optigon.geometry import build_pendant_polygon
 from optigon.reporting import render_svg
 
 
@@ -22,13 +22,9 @@ def main() -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     for n in args.n:
-        for name, polygon in (
-            ("regular", build_regular_polygon(n)),
-            ("pendant", build_pendant_polygon(n)),
-        ):
-            path = args.out / f"n{n:03d}-{name}.svg"
-            path.write_text(render_svg(polygon, vertex_labels=args.labels))
-            print(f"wrote {path}")
+        path = args.out / f"n{n:03d}-pendant.svg"
+        path.write_text(render_svg(build_pendant_polygon(n), vertex_labels=args.labels))
+        print(f"wrote {path}")
         result = maximize_area(n)
         if result.status is not CcpStatus.CONVERGED:
             print(f"n={n} failed: {result.message}", file=sys.stderr)

@@ -29,35 +29,21 @@ from .errors import (
     SubproblemFailure,
     UpperBoundViolation,
 )
-from .formulation import (
-    ConeTemplate,
-    DecisionLayout,
-    polygon_to_vector,
-    vector_to_polygon,
-)
+from .formulation import ConeTemplate, polygon_to_vector, vector_to_polygon
 from .geometry import (
     DiameterGraph,
     Polygon,
     area,
     build_pendant_polygon,
-    build_regular_polygon,
     diameter,
     diameter_graph,
     load_polygon,
     pendant_area,
     polygon_from_json,
     polygon_to_json,
-    regular_area,
-    save_polygon,
     upper_bound,
 )
 from .reporting import export_run, render_svg, render_table_csv, render_table_text, sweep_row
-from .verification import (
-    StructureReport,
-    check_axial_symmetry,
-    check_pendant_cycle,
-    check_unit_distance_chords,
-    verify_structure,
-)
+from .verification import StructureReport, verify_structure
 
 __version__ = "0.1.0"

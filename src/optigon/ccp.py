@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,14 +43,7 @@ from .errors import (
     UpperBoundViolation,
 )
 from .formulation import ConeTemplate, polygon_to_vector, vector_to_polygon
-from .geometry import (
-    TOL_FEAS,
-    Polygon,
-    area,
-    build_pendant_polygon,
-    build_regular_polygon,
-    upper_bound,
-)
+from .geometry import TOL_FEAS, Polygon, area, build_pendant_polygon, upper_bound
 
 __all__ = [
     "CcpConfig",
@@ -58,7 +52,6 @@ __all__ = [
     "IterateRecord",
     "SCREEN_MARGIN",
     "StepResult",
-    "default_initial_polygon",
     "failed_result",
     "maximize_area",
     "run_sweep",
@@ -89,8 +82,13 @@ class CcpConfig:
     def validate(self) -> None:
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be >= 1")
+        if (not isinstance(self.max_outer_iterations, numbers.Integral)
+                or isinstance(self.max_outer_iterations, bool)
+                or self.max_outer_iterations < 1):
+            raise ValueError(
+                f"max_outer_iterations must be an integer >= 1, "
+                f"got {self.max_outer_iterations!r}"
+            )
         self.solver.validate()
         # otherwise solver noise can trigger the outer stopping test
         if self.solver.tol_solver > self.epsilon / 100.0:
@@ -127,13 +125,6 @@ class CcpResult:
     @property
     def converged(self) -> bool:
         return self.status is CcpStatus.CONVERGED
-
-
-def default_initial_polygon(n: int) -> Polygon:
-    """Pendant-vertex polygon for even n >= 6, regular polygon otherwise."""
-    if n >= 6 and n % 2 == 0:
-        return build_pendant_polygon(n)
-    return build_regular_polygon(n)
 
 
 class StepResult(NamedTuple):
@@ -191,14 +182,15 @@ def maximize_area(
 ) -> CcpResult:
     """Run the outer loop for an n-gon and return the final polygon.
 
-    The default initial iterate is the pendant-vertex polygon. A supplied
-    initial polygon must be feasible within TOL_FEAS.
+    n must be even and >= 6 (ValueError otherwise), with or without an
+    initial polygon. The default initial iterate is the pendant-vertex
+    polygon. A supplied initial polygon must be feasible within TOL_FEAS.
     """
     cfg = cfg or CcpConfig()
     cfg.validate()
     template = ConeTemplate(n)
     if initial is None:
-        initial = default_initial_polygon(n)
+        initial = build_pendant_polygon(n)
     else:
         if initial.n != n:
             raise InfeasibleInitial(f"initial polygon has {initial.n} vertices, expected {n}")

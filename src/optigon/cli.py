@@ -14,7 +14,7 @@ from . import reporting, verification
 from .ccp import CcpConfig, CcpResult, CcpStatus, failed_result, maximize_area, run_sweep
 from .conic_solver import SolverConfig
 from .errors import InvalidPolygon, OptigonError
-from .geometry import load_polygon, pendant_area, upper_bound
+from .geometry import load_polygon, pendant_area, require_even_ge6, upper_bound
 
 USAGE_ERROR = 2
 SOLVER_ERROR = 1
@@ -100,13 +100,7 @@ def _config_from(args) -> CcpConfig:
     )
 
 
-def _require_headline_n(n: int) -> None:
-    if n % 2 != 0 or n < 6:
-        raise ValueError(f"n must be even and >= 6, got {n}")
-
-
 def _cmd_solve(args) -> int:
-    _require_headline_n(args.n)
     cfg = _config_from(args)
     result = maximize_area(args.n, cfg)
     return _emit_results([result], args)
@@ -119,7 +113,7 @@ def _cmd_sweep(args) -> int:
     if not ns:
         raise ValueError(f"empty range: --from {args.start} --to {args.stop}")
     for n in ns:
-        _require_headline_n(n)
+        require_even_ge6(n)
     cfg = _config_from(args)
     if args.jobs > 1:
         results = _pool_sweep(ns, cfg, args.jobs)
@@ -161,7 +155,7 @@ def _emit_results(results: list[CcpResult], args) -> int:
     ok = [r for r in results if r.polygon is not None]
     failed = [r for r in results if r.polygon is None]
     reports = [verification.verify_structure(r.polygon) for r in ok]
-    rows = [reporting.sweep_row(r, report.passed) for r, report in zip(ok, reports)]
+    rows = [reporting.sweep_row(r) for r in ok]
 
     if args.format == "json":
         payload = []

@@ -34,10 +34,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import Polygon
+from .geometry import Polygon, require_even_ge6
 
 __all__ = [
-    "DecisionLayout",
     "EvaluationReport",
     "ColumnPattern",
     "ConeProblem",
@@ -46,34 +45,6 @@ __all__ = [
     "polygon_to_vector",
     "vector_to_polygon",
 ]
-
-
-@dataclass(frozen=True)
-class DecisionLayout:
-    """Flat index map for the decision vector of an n-gon program."""
-
-    n: int
-
-    @property
-    def dim(self) -> int:
-        return 3 * self.n - 4
-
-    def x(self, i: int) -> int:
-        self._check_vertex(i)
-        return i - 1
-
-    def y(self, i: int) -> int:
-        self._check_vertex(i)
-        return (self.n - 1) + i - 1
-
-    def u(self, i: int) -> int:
-        if not 1 <= i <= self.n - 2:
-            raise IndexError(f"u index {i} out of range 1..{self.n - 2}")
-        return 2 * (self.n - 1) + i - 1
-
-    def _check_vertex(self, i: int) -> None:
-        if not 1 <= i <= self.n - 1:
-            raise IndexError(f"vertex index {i} out of range 1..{self.n - 1}")
 
 
 @dataclass(frozen=True)
@@ -253,14 +224,15 @@ class ConeProblem:
 class ConeTemplate:
     """The cone problem of every convex restriction of the n-gon program.
 
-    Built once per n. The nonnegative rows are the n-1 half-plane rows, then
-    the n-2 rows u_i >= 0; the Q^4 blocks are the distance pairs (i, j) in
-    row-major order of i < j, then the n-1 radius blocks, then the n-2
-    triangle-area blocks. Every distance block has the same coefficients,
-    so the template keeps the pairs only as their columns `pairs`, rows
-    (x_i, x_j, y_i, y_j) of a (4, n_pairs) array, and keeps the radius and
-    triangle blocks in fixed-shape arrays. Restrictions differ only in the
-    triangle blocks, whose first and last rows hold the tangent of g at c.
+    Built once per even n >= 6; any other n raises ValueError. The
+    nonnegative rows are the n-1 half-plane rows, then the n-2 rows
+    u_i >= 0; the Q^4 blocks are the distance pairs (i, j) in row-major
+    order of i < j, then the n-1 radius blocks, then the n-2 triangle-area
+    blocks. Every distance block has the same coefficients, so the template
+    keeps the pairs only as their columns `pairs`, rows (x_i, x_j, y_i, y_j)
+    of a (4, n_pairs) array, and keeps the radius and triangle blocks in
+    fixed-shape arrays. Restrictions differ only in the triangle blocks,
+    whose first and last rows hold the tangent of g at c.
 
     `at(c, keep)` builds the restriction at c holding the distance blocks
     of the kept pairs; `distance_sq` gives every pair's squared length, to
@@ -269,9 +241,9 @@ class ConeTemplate:
     """
 
     def __init__(self, n: int):
-        if n < 4:
-            raise ValueError(f"n must be >= 4, got {n}")
-        self.layout = DecisionLayout(n)
+        require_even_ge6(n)
+        self.n = n
+        self.dim = 3 * n - 4                # length of the decision vector z
         x = np.arange(n - 1)                # x index of vertex i + 1
         y = x + n - 1
         u = np.arange(n - 2) + 2 * (n - 1)
@@ -294,7 +266,7 @@ class ConeTemplate:
         self._coef[1, :, self._tri] = [[1.0], [0.0], [0.0], [-1.0], [0.0]]
         self._coef[2, :, self._tri] = [[0.0], [-1.0], [-1.0], [0.0], [0.0]]
 
-        self._c = np.zeros(self.layout.dim)
+        self._c = np.zeros(self.dim)
         self._c[u] = -1.0
         self._nn_cols = np.concatenate([y, u])[None, :]
         self._nn_coef = np.full((1, 2 * n - 3), -1.0)
@@ -302,17 +274,13 @@ class ConeTemplate:
         # the next one with the same mask reuses its columns and pattern
         self._last: tuple[np.ndarray, np.ndarray, ColumnPattern] | None = None
 
-    @property
-    def n(self) -> int:
-        return self.layout.n
-
     def at(self, c: np.ndarray, keep: np.ndarray | None = None) -> ConeProblem:
         """The restriction at reference point c, holding the distance blocks
         of the pairs where the boolean mask `keep` (one entry per pair, in
         block order) is true, or of every pair when keep is None; every other
         row is kept. Each call builds new coefficients and h; the columns and
         pattern are the last call's when its mask was the same."""
-        c = _checked(c, self.layout.dim)
+        c = _checked(c, self.dim)
         if keep is None:
             keep = np.ones(self.n_pairs, dtype=bool)
         keep = np.asarray(keep)
@@ -325,7 +293,7 @@ class ConeTemplate:
             soc_cols[:4, :pairs] = self.pairs[:, keep]
             soc_cols[:, pairs:] = self._cols
             last = self._last = (
-                keep.copy(), soc_cols, ColumnPattern(self._nn_cols, soc_cols, self.layout.dim)
+                keep.copy(), soc_cols, ColumnPattern(self._nn_cols, soc_cols, self.dim)
             )
         _, soc_cols, pattern = last
         return self._restriction(c, soc_cols, pattern)
@@ -370,7 +338,7 @@ class ConeTemplate:
 
     def distance_sq(self, z: np.ndarray) -> np.ndarray:
         """Squared distance at z of every distance pair, in block order."""
-        z = _checked(z, self.layout.dim)
+        z = _checked(z, self.dim)
         x_i, x_j, y_i, y_j = z[self.pairs]
         return (x_j - x_i) ** 2 + (y_j - y_i) ** 2
 
@@ -378,7 +346,7 @@ class ConeTemplate:
         """Program residuals g_i(z) - h_i(z), in cone row order, and the
         objective. The distance residuals are those the restriction's blocks
         give, 1 - (x_i - x_j)^2 - (y_i - y_j)^2, in closed form."""
-        z = _checked(z, self.layout.dim)
+        z = _checked(z, self.dim)
         x_i, x_j, y_i, y_j = z[self.pairs]
         distance = (1.0 - (x_i - x_j) ** 2) - (y_i - y_j) ** 2
         rest = self._restriction(z, self._cols, None).residuals(z)
@@ -393,22 +361,19 @@ def polygon_to_vector(polygon: Polygon) -> np.ndarray:
     """Pack a polygon into a decision vector, with u_i set to the exact fan
     triangle areas (tight for the triangle-area constraints)."""
     n = polygon.n
-    layout = DecisionLayout(n)
-    z = np.zeros(layout.dim)
     v = polygon.vertices
+    z = np.zeros(3 * n - 4)
     z[: n - 1] = v[1:, 0]
     z[n - 1 : 2 * (n - 1)] = v[1:, 1]
-    for i in range(1, n - 1):
-        z[layout.u(i)] = (v[i + 1, 1] * v[i, 0] - v[i + 1, 0] * v[i, 1]) / 2.0
+    z[2 * (n - 1) :] = (v[2:, 1] * v[1:-1, 0] - v[2:, 0] * v[1:-1, 1]) / 2.0
     return z
 
 
 def vector_to_polygon(z: np.ndarray, n: int) -> Polygon:
-    layout = DecisionLayout(n)
     z = np.asarray(z, dtype=float)
-    if z.shape != (layout.dim,):
+    if z.shape != (3 * n - 4,):
         raise DimensionMismatch(
-            f"expected decision vector of shape ({layout.dim},), got {z.shape}"
+            f"expected decision vector of shape ({3 * n - 4},), got {z.shape}"
         )
     v = np.zeros((n, 2))
     v[1:, 0] = z[: n - 1]

@@ -143,22 +143,13 @@ def diameter_graph(polygon: Polygon, tol_diam: float = TOL_DIAM) -> DiameterGrap
     return DiameterGraph(n=n, edges=frozenset(edges))
 
 
-def regular_area(n: int) -> float:
-    """Area of the regular small n-gon (closed form)."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if n % 2 == 1:
-        return (n / 2.0) * (math.sin(math.pi / n) - math.tan(math.pi / (2 * n)))
-    return (n / 8.0) * math.sin(2 * math.pi / n)
-
-
 def pendant_area(n: int) -> float:
     """Area of the (n-1)-gon-plus-pendant-vertex polygon, even n >= 6.
 
     This is the regular small (n-1)-gon with one extra vertex at distance
     one along the mediatrix of one of its angles.
     """
-    _require_even_ge6(n)
+    require_even_ge6(n)
     m = n - 1
     return (
         (m / 2.0) * (math.sin(math.pi / m) - math.tan(math.pi / (2 * m)))
@@ -183,7 +174,7 @@ def build_pendant_polygon(n: int) -> Polygon:
     Vertices 1..n/2-1 are scaled points of the regular (n-1)-gon, the apex
     n/2 sits at (0, 1), and the rest mirror across x = 0.
     """
-    _require_even_ge6(n)
+    require_even_ge6(n)
     m = n - 1
     scale = 2.0 * math.cos(math.pi / (2 * m))
     v = np.zeros((n, 2))
@@ -197,32 +188,11 @@ def build_pendant_polygon(n: int) -> Polygon:
     return Polygon(v)
 
 
-def build_regular_polygon(n: int) -> Polygon:
-    """Regular small n-gon with v_0 at the origin, apex convention as above.
-
-    Used as a reference shape and as the fallback initial iterate when the
-    pendant construction does not apply (n = 4 or odd n).
-    """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if n % 2 == 0:
-        radius = 0.5
-    else:
-        radius = 1.0 / (2.0 * math.cos(math.pi / (2 * n)))
-    v = np.zeros((n, 2))
-    for i in range(n):
-        phi = -math.pi / 2 + 2 * math.pi * i / n
-        v[i, 0] = radius * math.cos(phi)
-        v[i, 1] = radius * (1.0 + math.sin(phi))
-    v[0] = (0.0, 0.0)  # exact, avoids -0.0 and rounding at the anchor
-    return Polygon(v)
-
-
-def _require_even_ge6(n: int) -> None:
-    if n % 2 != 0:
-        raise ValueError(f"n must be even, got {n}")
-    if n < 6:
-        raise ValueError(f"n must be >= 6, got {n}")
+def require_even_ge6(n: int) -> None:
+    """Raise ValueError unless n is even and >= 6, the paper's n = 2m: the
+    only n that the program, the pendant start and the structure checks take."""
+    if n % 2 != 0 or n < 6:
+        raise ValueError(f"n must be even and >= 6, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +219,6 @@ def polygon_from_json(text: str) -> Polygon:
     if count != n:
         raise InvalidPolygon(f"vertex count {count} does not match n={n}")
     return Polygon(v)
-
-
-def save_polygon(polygon: Polygon, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(polygon_to_json(polygon))
 
 
 def load_polygon(path) -> Polygon:

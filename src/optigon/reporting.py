@@ -36,10 +36,9 @@ class SweepRow:
     upper_bound: float
     area_computed: float
     iterations: int
-    structure_pass: bool
 
 
-def sweep_row(result: CcpResult, structure_pass: bool) -> SweepRow:
+def sweep_row(result: CcpResult) -> SweepRow:
     return SweepRow(
         n=result.n,
         area_pendant=pendant_area(result.n),
@@ -47,7 +46,6 @@ def sweep_row(result: CcpResult, structure_pass: bool) -> SweepRow:
         upper_bound=upper_bound(result.n),
         area_computed=result.area,
         iterations=result.iterations,
-        structure_pass=bool(structure_pass),
     )
 
 

@@ -3,8 +3,8 @@
 For even n >= 6 the optimal small n-gon is expected to have a unit-distance
 graph consisting of an (n-1)-cycle plus one pendant edge at the apex vertex
 n/2, mirror symmetry across x = 0, and an explicit list of unit-distance
-chords. These checks quantify how far any given polygon is from that
-structure.
+chords. `verify_structure` measures how far a polygon is from that
+structure; like the program, it takes even n >= 6 only.
 """
 
 from __future__ import annotations
@@ -13,45 +13,18 @@ import json
 import math
 from dataclasses import dataclass
 
-from .geometry import Polygon, diameter_graph
+from .geometry import DiameterGraph, Polygon, diameter_graph, require_even_ge6
 
 __all__ = [
     "TOL_FINAL",
-    "CycleCheck",
-    "SymmetryCheck",
-    "UnitDistanceCheck",
     "StructureReport",
-    "check_pendant_cycle",
-    "check_axial_symmetry",
-    "check_unit_distance_chords",
+    "unit_chord_pairs",
     "verify_structure",
     "report_to_json",
 ]
 
 #: Verification tolerance for final iterates of a converged run.
 TOL_FINAL = 1e-6
-
-
-@dataclass(frozen=True)
-class CycleCheck:
-    has_pendant_cycle: bool
-    cycle_length: int
-    pendant_vertex: int | None
-
-
-@dataclass(frozen=True)
-class SymmetryCheck:
-    symmetry_defect: float
-    apex_defect: float
-    symmetric: bool
-    apex_ok: bool
-
-
-@dataclass(frozen=True)
-class UnitDistanceCheck:
-    defects: tuple[tuple[tuple[int, int], float], ...]
-    max_defect: float
-    all_unit: bool
 
 
 @dataclass(frozen=True)
@@ -75,19 +48,68 @@ class StructureReport:
         )
 
 
-def check_pendant_cycle(polygon: Polygon, tol: float) -> CycleCheck:
-    """Is the unit-distance graph an (n-1)-cycle plus one pendant edge?
+def unit_chord_pairs(n: int) -> list[tuple[int, int]]:
+    """Vertex pairs expected at unit distance in the optimal structure."""
+    require_even_ge6(n)
+    half = n // 2
+    pairs = [(0, half - 1), (0, half + 1)]
+    for i in range(1, half - 1):
+        pairs.append((i, i + half))
+        pairs.append((i, i + half + 1))
+    pairs.append((half - 1, n - 1))
+    return pairs
+
+
+def verify_structure(polygon: Polygon, tol: float = TOL_FINAL) -> StructureReport:
+    """Measure how far the polygon is from the expected optimal structure.
+
+    The report holds the pendant cycle of the unit-distance graph, the
+    mirror defect max |x_{n-i} + x_i|, |y_{n-i} - y_i| over i = 1..n/2-1,
+    the apex defect max |x_{n/2}|, |y_{n/2} - 1|, and |distance - 1| for
+    every expected unit chord. Raises ValueError unless tol is finite and
+    positive and n is even and >= 6.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    n = polygon.n
+    require_even_ge6(n)
+    v = polygon.vertices
+    has_cycle, cycle_length, pendant = _pendant_cycle(diameter_graph(polygon, tol_diam=tol))
+
+    half = n // 2
+    symmetry = 0.0
+    for i in range(1, half):
+        symmetry = max(symmetry, abs(v[n - i, 0] + v[i, 0]), abs(v[n - i, 1] - v[i, 1]))
+    symmetry = float(symmetry)
+    apex = float(max(abs(v[half, 0]), abs(v[half, 1] - 1.0)))
+
+    defects = tuple(
+        ((i, j), abs(math.hypot(v[j, 0] - v[i, 0], v[j, 1] - v[i, 1]) - 1.0))
+        for i, j in unit_chord_pairs(n)
+    )
+    return StructureReport(
+        n=n,
+        tol=tol,
+        has_pendant_cycle=has_cycle,
+        cycle_length=cycle_length,
+        pendant_vertex=pendant,
+        symmetry_defect=symmetry,
+        apex_defect=apex,
+        unit_edge_defects=defects,
+        max_defect=max(symmetry, apex, max(d for _, d in defects)),
+    )
+
+
+def _pendant_cycle(graph: DiameterGraph) -> tuple[bool, int, int | None]:
+    """(True, n - 1, pendant vertex) if the graph is an (n-1)-cycle plus one
+    pendant edge, else (False, 0, None).
 
     Detection by degree count: one degree-1 vertex attached to a degree-3
     vertex on the cycle, every other vertex of degree 2, and a single cycle
     traversal covering the remaining n-1 vertices.
     """
-    if polygon.n % 2 != 0:
-        raise ValueError("pendant-cycle structure is defined for even n")
-    graph = diameter_graph(polygon, tol_diam=tol)
-    n = polygon.n
-    failed = CycleCheck(has_pendant_cycle=False, cycle_length=0, pendant_vertex=None)
-
+    n = graph.n
+    failed = (False, 0, None)
     deg = graph.degrees()
     leaves = [i for i in range(n) if deg[i] == 1]
     if len(leaves) != 1:
@@ -117,78 +139,7 @@ def check_pendant_cycle(polygon: Polygon, tol: float) -> CycleCheck:
         length += 1
     if length != n - 1 or len(visited) != n - 1:
         return failed
-    return CycleCheck(has_pendant_cycle=True, cycle_length=length, pendant_vertex=pendant)
-
-
-def check_axial_symmetry(polygon: Polygon, tol: float) -> SymmetryCheck:
-    """Mirror symmetry across x = 0: x_{n-i} = -x_i, y_{n-i} = y_i, apex at (0, 1)."""
-    if polygon.n % 2 != 0:
-        raise ValueError("axial symmetry check is defined for even n")
-    v = polygon.vertices
-    n = polygon.n
-    defect = 0.0
-    for i in range(1, n // 2):
-        defect = max(defect, abs(v[n - i, 0] + v[i, 0]), abs(v[n - i, 1] - v[i, 1]))
-    apex = float(max(abs(v[n // 2, 0]), abs(v[n // 2, 1] - 1.0)))
-    defect = float(defect)
-    return SymmetryCheck(
-        symmetry_defect=defect,
-        apex_defect=apex,
-        symmetric=defect <= tol,
-        apex_ok=apex <= tol,
-    )
-
-
-def unit_chord_pairs(n: int) -> list[tuple[int, int]]:
-    """Vertex pairs expected at unit distance in the optimal structure."""
-    if n % 2 != 0 or n < 6:
-        raise ValueError("unit chord list is defined for even n >= 6")
-    half = n // 2
-    pairs = [(0, half - 1), (0, half + 1)]
-    for i in range(1, half - 1):
-        pairs.append((i, i + half))
-        pairs.append((i, i + half + 1))
-    pairs.append((half - 1, n - 1))
-    return pairs
-
-
-def check_unit_distance_chords(polygon: Polygon, tol: float) -> UnitDistanceCheck:
-    """Defects |distance - 1| for every expected unit chord."""
-    v = polygon.vertices
-    defects = []
-    worst = 0.0
-    for i, j in unit_chord_pairs(polygon.n):
-        dist = math.hypot(v[j, 0] - v[i, 0], v[j, 1] - v[i, 1])
-        defect = abs(dist - 1.0)
-        worst = max(worst, defect)
-        defects.append(((i, j), defect))
-    return UnitDistanceCheck(
-        defects=tuple(defects), max_defect=worst, all_unit=worst <= tol
-    )
-
-
-def verify_structure(polygon: Polygon, tol: float = TOL_FINAL) -> StructureReport:
-    """Run all three structural checks and aggregate into one report.
-
-    Raises ValueError unless tol is finite and positive.
-    """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    cycle = check_pendant_cycle(polygon, tol)
-    sym = check_axial_symmetry(polygon, tol)
-    unit = check_unit_distance_chords(polygon, tol)
-    max_defect = max(sym.symmetry_defect, sym.apex_defect, unit.max_defect)
-    return StructureReport(
-        n=polygon.n,
-        tol=tol,
-        has_pendant_cycle=cycle.has_pendant_cycle,
-        cycle_length=cycle.cycle_length,
-        pendant_vertex=cycle.pendant_vertex,
-        symmetry_defect=sym.symmetry_defect,
-        apex_defect=sym.apex_defect,
-        unit_edge_defects=unit.defects,
-        max_defect=max_defect,
-    )
+    return True, length, pendant
 
 
 def report_to_json(report: StructureReport) -> str:

@@ -206,11 +206,12 @@ class TestRestart:
 
 class TestInitialValidation:
     def test_rejects_infeasible_initial(self):
-        too_big = Polygon(
-            np.array([(0.0, 0.0), (1.5, 0.0), (1.5, 1.0), (0.0, 1.0)])
-        )
+        # the pendant hexagon scaled to diameter 1.5: a valid polygon that
+        # breaks every distance row
+        too_big = Polygon(1.5 * build_pendant_polygon(6).vertices)
+        too_big.validate()
         with pytest.raises(InfeasibleInitial):
-            maximize_area(4, initial=too_big)
+            maximize_area(6, initial=too_big)
 
     def test_rejects_wrong_size_initial(self):
         with pytest.raises(InfeasibleInitial):
@@ -243,6 +244,14 @@ class TestConfig:
             "epsilon", "max_outer_iterations", "solver"]
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [
             "tol_solver", "max_iterations"]
+
+    @pytest.mark.parametrize("cap", [2.5, float("inf"), True, 0])
+    def test_outer_cap_must_be_a_positive_integer(self, cap):
+        # 2.5 used to run 3 outer iterations and inf to leave the loop uncapped
+        with pytest.raises(ValueError, match="max_outer_iterations"):
+            CcpConfig(max_outer_iterations=cap).validate()
+        with pytest.raises(ValueError, match="max_outer_iterations"):
+            maximize_area(6, CcpConfig(max_outer_iterations=cap))
 
     def test_outer_limit_status(self):
         result = maximize_area(6, CcpConfig(max_outer_iterations=2))

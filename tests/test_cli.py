@@ -11,13 +11,17 @@ from optigon import ccp, cli, reporting, verification
 from optigon.ccp import maximize_area
 from optigon.cli import main
 from optigon.conic_solver import SolverConfig, SolverResult, SolverStatus
-from optigon.geometry import build_pendant_polygon, save_polygon
+from optigon.formulation import ConeTemplate
+from optigon.geometry import build_pendant_polygon, polygon_to_json
+from optigon.verification import verify_structure
+
+from shapes import build_regular_polygon
 
 
 @pytest.fixture()
 def pendant_json(tmp_path):
     path = tmp_path / "pendant6.json"
-    save_polygon(build_pendant_polygon(6), path)
+    path.write_text(polygon_to_json(build_pendant_polygon(6)), encoding="utf-8")
     return path
 
 
@@ -181,7 +185,7 @@ class TestVerifyOnce:
         expected_dir = tmp_path / "expected"
         for r, rep in zip(ok, reports):
             reporting.export_run(r, expected_dir, rep)
-        rows = [reporting.sweep_row(r, rep.passed) for r, rep in zip(ok, reports)]
+        rows = [reporting.sweep_row(r) for r in ok]
         if fmt == "csv":
             expected_out = reporting.render_table_csv(rows)
         elif fmt == "text":
@@ -318,3 +322,22 @@ class TestUsage:
         monkeypatch.chdir(tmp_path)
         assert main(["sweep", "--from", "6", "--to", "8", *flag]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_only_even_n_from_six_is_accepted(n, tmp_path, capsys):
+    # one guard, geometry.require_even_ge6, refuses the n outside the paper's
+    # problem at every entry; drawing a polygon takes any n
+    polygon = build_regular_polygon(n)
+    for call in (lambda: ConeTemplate(n), lambda: maximize_area(n),
+                 lambda: maximize_area(n, initial=polygon), lambda: verify_structure(polygon)):
+        with pytest.raises(ValueError, match="n must be even and >= 6"):
+            call()
+    path = tmp_path / "poly.json"
+    path.write_text(polygon_to_json(polygon), encoding="utf-8")
+    assert main(["solve", "--n", str(n)]) == 2
+    assert main(["verify", "--input", str(path)]) == 2
+    assert main(["render", "--input", str(path), "--output", str(tmp_path / "out.svg")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n must be even and >= 6, got {n}\n" * 2

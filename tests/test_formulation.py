@@ -13,17 +13,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optigon.errors import DimensionMismatch
-from optigon.formulation import (
-    ConeTemplate,
-    DecisionLayout,
-    polygon_to_vector,
-    vector_to_polygon,
-)
-from optigon.geometry import Polygon, build_pendant_polygon, build_regular_polygon
+from optigon.formulation import ConeTemplate, polygon_to_vector, vector_to_polygon
+from optigon.geometry import Polygon, area, build_pendant_polygon, pendant_area
 
 from reference_program import fan_residuals, restriction_residuals
 
 RNG = np.random.default_rng(20240817)
+
+
+# positions in z = (x_1..x_{n-1}, y_1..y_{n-1}, u_1..u_{n-2}) of x_i, y_i, u_i
+def x_at(i):
+    return i - 1
+
+
+def y_at(n, i):
+    return n - 1 + i - 1
+
+
+def u_at(n, i):
+    return 2 * (n - 1) + i - 1
 
 
 @pytest.fixture(scope="module")
@@ -39,13 +47,13 @@ def pendant6_vector():
 class TestBuildProgram:
     def test_dimension_and_family_counts(self, template6, pendant6_vector):
         cone = template6.at(pendant6_vector)
-        assert template6.layout.dim == 14
+        assert template6.dim == 14
         assert (template6.n_pairs, cone.n_nonneg, cone.n_soc) == (10, 5 + 4, 10 + 5 + 4)
 
     def test_counts_formula_general(self):
-        for n in (4, 5, 8, 13):
+        for n in (6, 8, 14, 16):
             template = ConeTemplate(n)
-            cone = template.at(np.zeros(template.layout.dim))
+            cone = template.at(np.zeros(template.dim))
             assert template.n_pairs == (n - 1) * (n - 2) // 2
             assert cone.n_nonneg == (n - 1) + (n - 2)
             assert cone.n_soc == template.n_pairs + (n - 1) + (n - 2)
@@ -90,7 +98,7 @@ class TestEvaluate:
         assert report.min_residual() >= 0.0
 
     def test_inflating_u_drops_residual_by_eight(self, template6, pendant6_vector):
-        u1 = DecisionLayout(6).u(1)
+        u1 = u_at(6, 1)
         base = template6.evaluate(pendant6_vector).residuals[-4:]
         bumped = pendant6_vector.copy()
         bumped[u1] += 1.0
@@ -114,26 +122,21 @@ class TestBuildRestriction:
         #   (y'-x)^2 + (x'+y)^2 + 8u
         #     <= 2(b'+a)(y'+x) - (b'+a)^2 + 2(a'-b)(x'-y) - (a'-b)^2
         # where (a, b) is the reference point
-        layout = DecisionLayout(6)
         c = RNG.uniform(-1.0, 1.0, 14)
         cone = ConeTemplate(6).at(c)
         for i in range(1, 5):
-            ip1 = i + 1
-            a_i, b_i = c[layout.x(i)], c[layout.y(i)]
-            a_n, b_n = c[layout.x(ip1)], c[layout.y(ip1)]
+            xi, yi, ui = x_at(i), y_at(6, i), u_at(6, i)
+            xn, yn = x_at(i + 1), y_at(6, i + 1)
+            a_i, b_i, a_n, b_n = c[xi], c[yi], c[xn], c[yn]
             for _ in range(20):
                 z = RNG.uniform(-1.0, 1.0, 14)
                 rhs = (
-                    2 * (b_n + a_i) * (z[layout.y(ip1)] + z[layout.x(i)])
+                    2 * (b_n + a_i) * (z[yn] + z[xi])
                     - (b_n + a_i) ** 2
-                    + 2 * (a_n - b_i) * (z[layout.x(ip1)] - z[layout.y(i)])
+                    + 2 * (a_n - b_i) * (z[xn] - z[yi])
                     - (a_n - b_i) ** 2
                 )
-                lhs = (
-                    (z[layout.y(ip1)] - z[layout.x(i)]) ** 2
-                    + (z[layout.x(ip1)] + z[layout.y(i)]) ** 2
-                    + 8 * z[layout.u(i)]
-                )
+                lhs = (z[yn] - z[xi]) ** 2 + (z[xn] + z[yi]) ** 2 + 8 * z[ui]
                 assert cone.residuals(z)[i - 5] == pytest.approx(rhs - lhs, abs=1e-10)
 
     def test_restriction_feasible_implies_original_feasible(self, template6, pendant6_vector):
@@ -181,15 +184,14 @@ def reference_points(n):
     exact zeros (the pendant start also has its apex at x = 0 exactly)."""
     rng = np.random.default_rng(n)
     dim = 3 * n - 4
-    start = (build_pendant_polygon(n) if n >= 6 and n % 2 == 0 else build_regular_polygon(n))
     with_zeros = rng.uniform(-1.0, 1.0, dim)
     with_zeros[::3] = 0.0
-    return [polygon_to_vector(start), rng.uniform(-1.0, 1.0, dim),
+    return [polygon_to_vector(build_pendant_polygon(n)), rng.uniform(-1.0, 1.0, dim),
             rng.uniform(-2.0, 2.0, dim), np.zeros(dim), with_zeros]
 
 
 class TestConeTemplate:
-    @pytest.mark.parametrize("n", [5, 6, 7, 16, 32])
+    @pytest.mark.parametrize("n", [6, 8, 16, 32])
     def test_matches_lifted_restriction(self, n):
         # the template's cone, the restriction lifted to Q^4 blocks, has the
         # closed-form residuals of the restriction at every point; each block
@@ -223,7 +225,7 @@ class TestConeTemplate:
         assert cone.nn_cols.shape == cone.nn_coef.shape == (1, 15 + 14)
         assert cone.n_rows == 29 + 4 * m
 
-    @pytest.mark.parametrize("n", [5, 6, 16, 32])
+    @pytest.mark.parametrize("n", [6, 8, 16, 32])
     def test_residuals_match_evaluate(self, n):
         template = ConeTemplate(n)
         for z in reference_points(n):
@@ -297,10 +299,10 @@ class TestTangentUnderestimation:
     @given(st.integers(0, 2**32 - 1))
     def test_gbar_below_g(self, seed):
         rng = np.random.default_rng(seed)
-        z = rng.uniform(-1.5, 1.5, 11)
-        c = rng.uniform(-1.5, 1.5, 11)
-        restricted = ConeTemplate(5).at(c).residuals(z)
-        assert (restricted <= ConeTemplate(5).evaluate(z).residuals + 1e-10).all()
+        z = rng.uniform(-1.5, 1.5, 14)
+        c = rng.uniform(-1.5, 1.5, 14)
+        restricted = ConeTemplate(6).at(c).residuals(z)
+        assert (restricted <= ConeTemplate(6).evaluate(z).residuals + 1e-10).all()
 
     def test_equality_at_reference(self):
         c = polygon_to_vector(build_pendant_polygon(6))
@@ -336,15 +338,16 @@ class TestVectorPacking:
     def test_forward_sets_u_to_triangle_areas(self):
         poly = build_pendant_polygon(8)
         z = polygon_to_vector(poly)
-        layout = DecisionLayout(8)
         v = poly.vertices
         for i in range(1, 7):
             expected = (v[i + 1, 1] * v[i, 0] - v[i + 1, 0] * v[i, 1]) / 2.0
-            assert z[layout.u(i)] == expected
+            assert z[u_at(8, i)] == expected
 
-    def test_objective_on_square(self):
-        z = polygon_to_vector(build_regular_polygon(4))
-        assert ConeTemplate(4).evaluate(z).objective == pytest.approx(0.5, abs=1e-12)
+    def test_objective_on_pendant_hexagon(self):
+        poly = build_pendant_polygon(6)
+        objective = ConeTemplate(6).evaluate(polygon_to_vector(poly)).objective
+        assert objective == pytest.approx(pendant_area(6), abs=1e-12)
+        assert objective == pytest.approx(area(poly), abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -12,16 +12,17 @@ from optigon.geometry import (
     Polygon,
     area,
     build_pendant_polygon,
-    build_regular_polygon,
     diameter,
     diameter_graph,
+    load_polygon,
     pendant_area,
     polygon_from_json,
     polygon_to_json,
-    regular_area,
     upper_bound,
 )
 from optigon.literature import lower_bound
+
+from shapes import build_regular_polygon
 
 # published reference values (best known areas and closed-form columns)
 PENDANT_6 = 0.6722882584
@@ -125,11 +126,6 @@ class TestDiameterGraph:
 
 
 class TestClosedForms:
-    def test_regular_area_values(self):
-        assert regular_area(6) == pytest.approx(0.649519, abs=1e-6)
-        assert regular_area(4) == pytest.approx(0.5, abs=1e-15)
-        assert regular_area(8) == pytest.approx(0.707107, abs=1e-6)
-
     def test_pendant_area_values(self):
         assert pendant_area(6) == pytest.approx(PENDANT_6, abs=1e-9)
         assert pendant_area(8) == pytest.approx(PENDANT_8, abs=1e-9)
@@ -140,24 +136,18 @@ class TestClosedForms:
         assert upper_bound(12) == pytest.approx(UPPER_12, abs=1e-9)
 
     def test_upper_bound_attained_for_odd_n(self):
-        assert upper_bound(3) == regular_area(3)
-        assert upper_bound(7) == regular_area(7)
+        for n in (3, 7):
+            assert area(build_regular_polygon(n)) == pytest.approx(upper_bound(n), abs=1e-15)
 
     def test_bound_sandwich_all_even_n(self):
         for n in range(6, 129, 2):
-            assert regular_area(n) < pendant_area(n) < upper_bound(n)
-
-    def test_regular_area_decreases_from_odd_to_even(self):
-        for n in range(6, 129, 2):
-            assert regular_area(n) < regular_area(n - 1)
+            assert area(build_regular_polygon(n)) < pendant_area(n) < upper_bound(n)
 
     def test_bounds_record(self):
         assert lower_bound(6) == pytest.approx(0.6749814429, abs=1e-12)
-        assert regular_area(6) < pendant_area(6) < upper_bound(6)
+        assert pendant_area(6) < lower_bound(6) < upper_bound(6)
 
     def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            regular_area(2)
         with pytest.raises(ValueError):
             pendant_area(7)
         with pytest.raises(ValueError):
@@ -205,13 +195,18 @@ class TestPendantConstruction:
 
 
 class TestRegularConstruction:
+    """The tests' regular polygons, the negative cases of the structure
+    checks, are the shapes they are named for."""
+
     def test_matches_figure_square(self):
         assert np.abs(build_regular_polygon(4).vertices - square_r4().vertices).max() < 1e-15
 
     def test_area_matches_closed_form(self):
+        # (n/8) sin(2 pi/n) for even n; odd n attain the upper bound
         for n in (3, 4, 5, 6, 8, 9):
             poly = build_regular_polygon(n)
-            assert area(poly) == pytest.approx(regular_area(n), abs=1e-12)
+            closed = n / 8 * math.sin(2 * math.pi / n) if n % 2 == 0 else upper_bound(n)
+            assert area(poly) == pytest.approx(closed, abs=1e-12)
             assert diameter(poly) == pytest.approx(1.0, abs=1e-12)
 
     def test_regular_hexagon_diameter_graph_is_matching(self):
@@ -272,11 +267,9 @@ class TestJsonRoundTrip:
         assert (again.vertices == poly.vertices).all()
 
     def test_file_round_trip(self, tmp_path):
-        from optigon.geometry import load_polygon, save_polygon
-
         poly = build_pendant_polygon(8)
         path = tmp_path / "poly.json"
-        save_polygon(poly, path)
+        path.write_text(polygon_to_json(poly), encoding="utf-8")
         assert (load_polygon(path).vertices == poly.vertices).all()
 
     def test_malformed_json_rejected(self):

@@ -1,19 +1,14 @@
-"""Structural checks: pendant cycle, axial symmetry, unit chords."""
+"""Structure report: pendant cycle, axial symmetry, unit chords."""
 
 import json
 
 import numpy as np
 import pytest
 
-from optigon.geometry import Polygon, build_pendant_polygon, build_regular_polygon, diameter_graph
-from optigon.verification import (
-    check_axial_symmetry,
-    check_pendant_cycle,
-    check_unit_distance_chords,
-    report_to_json,
-    unit_chord_pairs,
-    verify_structure,
-)
+from optigon.geometry import Polygon, build_pendant_polygon, diameter_graph
+from optigon.verification import report_to_json, unit_chord_pairs, verify_structure
+
+from shapes import build_regular_polygon
 
 # figure coordinates of the largest small hexagon and octagon (4 decimals)
 FIGURE_U6 = Polygon(
@@ -46,51 +41,50 @@ FIGURE_U8 = Polygon(
 
 class TestPendantCycle:
     def test_figure_hexagon_passes(self):
-        check = check_pendant_cycle(FIGURE_U6, tol=1e-3)
-        assert check.has_pendant_cycle
-        assert check.pendant_vertex == 3
-        assert check.cycle_length == 5
+        report = verify_structure(FIGURE_U6, tol=1e-3)
+        assert report.has_pendant_cycle
+        assert report.pendant_vertex == 3
+        assert report.cycle_length == 5
 
     def test_regular_hexagon_fails(self):
         # its unit-distance graph is a perfect matching of three diagonals
-        check = check_pendant_cycle(build_regular_polygon(6), tol=1e-9)
-        assert not check.has_pendant_cycle
-        assert check.pendant_vertex is None
+        report = verify_structure(build_regular_polygon(6), tol=1e-9)
+        assert not report.has_pendant_cycle
+        assert (report.cycle_length, report.pendant_vertex) == (0, None)
 
     def test_regular_octagon_fails(self):
-        check = check_pendant_cycle(build_regular_polygon(8), tol=1e-9)
-        assert not check.has_pendant_cycle
+        report = verify_structure(build_regular_polygon(8), tol=1e-9)
+        assert not report.has_pendant_cycle
 
     def test_pendant_construction_passes_for_many_n(self):
         for n in (6, 8, 10, 16, 40):
-            check = check_pendant_cycle(build_pendant_polygon(n), tol=1e-9)
-            assert check.has_pendant_cycle
-            assert check.pendant_vertex == n // 2
-            assert check.cycle_length == n - 1
+            report = verify_structure(build_pendant_polygon(n), tol=1e-9)
+            assert report.has_pendant_cycle
+            assert report.pendant_vertex == n // 2
+            assert report.cycle_length == n - 1
 
     def test_odd_n_rejected(self):
-        with pytest.raises(ValueError):
-            check_pendant_cycle(build_regular_polygon(5), tol=1e-6)
+        with pytest.raises(ValueError, match="even"):
+            verify_structure(build_regular_polygon(5), tol=1e-6)
 
 
 class TestAxialSymmetry:
     def test_pendant_construction_is_symmetric(self):
         for n in (6, 10, 32):
-            check = check_axial_symmetry(build_pendant_polygon(n), tol=1e-12)
-            assert check.symmetric and check.apex_ok
-            assert check.symmetry_defect <= 1e-12
-            assert check.apex_defect <= 1e-12
+            report = verify_structure(build_pendant_polygon(n), tol=1e-12)
+            assert report.symmetry_defect <= 1e-12
+            assert report.apex_defect <= 1e-12
 
     def test_planted_defect_is_detected(self):
         v = build_pendant_polygon(6).vertices.copy()
-        v[1, 0] += 1e-3
-        check = check_axial_symmetry(Polygon(v), tol=1e-6)
-        assert not check.symmetric
-        assert check.symmetry_defect >= 1e-3
+        v[1, 0] -= 1e-3  # inward, so that the polygon stays small
+        report = verify_structure(Polygon(v), tol=1e-6)
+        assert not report.passed
+        assert report.symmetry_defect >= 1e-3
 
     def test_figure_octagon_within_print_precision(self):
-        check = check_axial_symmetry(FIGURE_U8, tol=5e-5)
-        assert check.symmetric and check.apex_ok
+        report = verify_structure(FIGURE_U8, tol=5e-5)
+        assert report.symmetry_defect <= 5e-5 and report.apex_defect <= 5e-5
 
 
 class TestUnitChords:
@@ -99,18 +93,18 @@ class TestUnitChords:
 
     def test_figure_octagon_defects_small(self):
         # 4-decimal printed coordinates carry rounding up to ~1e-4 per chord
-        check = check_unit_distance_chords(FIGURE_U8, tol=1e-4)
-        assert check.all_unit
-        assert check.max_defect <= 1e-4
+        report = verify_structure(FIGURE_U8, tol=1e-4)
+        assert [pair for pair, _ in report.unit_edge_defects] == unit_chord_pairs(8)
+        assert max(defect for _, defect in report.unit_edge_defects) <= 1e-4
 
     def test_pendant_construction_is_exact(self):
-        check = check_unit_distance_chords(build_pendant_polygon(10), tol=1e-12)
-        assert check.all_unit
-        assert check.max_defect <= 1e-12
+        report = verify_structure(build_pendant_polygon(10), tol=1e-12)
+        assert max(defect for _, defect in report.unit_edge_defects) <= 1e-12
+        assert report.max_defect <= 1e-12
 
     def test_regular_octagon_fails(self):
-        check = check_unit_distance_chords(build_regular_polygon(8), tol=1e-6)
-        assert not check.all_unit
+        report = verify_structure(build_regular_polygon(8), tol=1e-6)
+        assert max(defect for _, defect in report.unit_edge_defects) > 1e-6
 
 
 class TestStructureReport:
