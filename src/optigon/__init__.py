@@ -19,7 +19,6 @@ from .ccp import (
 from .conic_solver import ConeProblem, SolverConfig, SolverResult, SolverStatus, solve
 from .errors import (
     AscentViolation,
-    DiameterExceeded,
     DimensionMismatch,
     FeasibilityViolation,
     InfeasibleInitial,
@@ -31,7 +30,6 @@ from .errors import (
 )
 from .formulation import ConeTemplate, polygon_to_vector, vector_to_polygon
 from .geometry import (
-    DiameterGraph,
     Polygon,
     area,
     build_pendant_polygon,

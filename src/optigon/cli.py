@@ -39,8 +39,11 @@ def main(argv=None) -> int:
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("OPTIGON_LOG", "warning").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    # logging also holds names that are not levels, such as BASIC_FORMAT;
+    # those, like unknown names, fall back to WARNING
+    level = getattr(logging, os.environ.get("OPTIGON_LOG", "warning").upper(), None)
+    if not isinstance(level, int):
+        level = logging.WARNING
     logging.basicConfig(
         level=level, stream=sys.stderr, format="%(name)s %(levelname)s: %(message)s"
     )
@@ -134,9 +137,11 @@ def _pool_sweep(ns: list[int], cfg: CcpConfig, jobs: int) -> list[CcpResult]:
 
 
 def _run_pool(ns, cfg, jobs, results) -> list[int]:
-    """Fill results for the entries that finish; return those the pool lost."""
+    """Fill results for the entries that finish; return those the pool lost.
+    The pool forks all its workers at once, so it gets no more workers than
+    entries."""
     broken = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(ns))) as pool:
         futures = {n: pool.submit(_sweep_entry, (n, cfg)) for n in ns}
         for n, future in futures.items():
             try:

@@ -9,10 +9,6 @@ class InvalidPolygon(OptigonError, ValueError):
     """Polygon data violates a structural requirement."""
 
 
-class DiameterExceeded(OptigonError, ValueError):
-    """Polygon is not small: its diameter exceeds one beyond tolerance."""
-
-
 class DimensionMismatch(OptigonError, ValueError):
     """A decision vector does not match the program's dimension."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiameterExceeded, InvalidPolygon
+from .errors import InvalidPolygon
 
 #: Feasibility tolerance for invariant checks (matches the subproblem
 #: solver's target residual).
@@ -74,33 +74,6 @@ class Polygon:
         )
 
 
-@dataclass(frozen=True)
-class DiameterGraph:
-    """Unit-distance graph: edges join vertex pairs at distance one."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-    def neighbors(self, i: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return out
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
-
 def area(polygon: Polygon) -> float:
     """Signed area via the fan from v_0: sum of (y_{i+1} x_i - x_{i+1} y_i)/2.
 
@@ -112,35 +85,28 @@ def area(polygon: Polygon) -> float:
     return float(np.sum(yn * x - xn * y) / 2.0)
 
 
+def _distances(v: np.ndarray) -> np.ndarray:
+    """(n, n) array of pairwise vertex distances."""
+    diff = v[:, None, :] - v[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=2))
+
+
 def diameter(polygon: Polygon) -> float:
     """Largest pairwise vertex distance, by exhaustive O(n^2) scan.
 
     The scan is the verification oracle; n <= 128 makes anything faster
     pointless.
     """
-    v = polygon.vertices
-    diff = v[:, None, :] - v[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+    return float(_distances(polygon.vertices).max())
 
 
-def diameter_graph(polygon: Polygon, tol_diam: float = TOL_DIAM) -> DiameterGraph:
-    """Edges between vertex pairs whose distance lies in [1 - tol, 1 + tol].
-
-    Raises DiameterExceeded if the polygon is not small within tol_diam.
-    """
-    v = polygon.vertices
-    diff = v[:, None, :] - v[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    dmax = dist.max()
-    if dmax > 1.0 + tol_diam:
-        raise DiameterExceeded(f"diameter {dmax} exceeds 1 + {tol_diam}")
-    edges = set()
-    n = polygon.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] >= 1.0 - tol_diam:
-                edges.add((i, j))
-    return DiameterGraph(n=n, edges=frozenset(edges))
+def diameter_graph(polygon: Polygon, tol_diam: float = TOL_DIAM) -> list[tuple[int, int]]:
+    """Unit-distance graph as the sorted pairs (i, j), i < j, whose distance
+    lies in [1 - tol_diam, 1 + tol_diam]."""
+    dist = _distances(polygon.vertices)
+    unit = (dist >= 1.0 - tol_diam) & (dist <= 1.0 + tol_diam)
+    rows, cols = np.nonzero(np.triu(unit, 1))
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def pendant_area(n: int) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from . import verification
 from .ccp import CcpResult
-from .geometry import TOL_DIAM, Polygon, diameter_graph, pendant_area, polygon_to_json, upper_bound
+from .geometry import Polygon, diameter_graph, pendant_area, polygon_to_json, upper_bound
 from .literature import lower_bound
 
 __all__ = [
@@ -77,13 +77,11 @@ def render_table_text(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_svg(
-    polygon: Polygon,
-    *,
-    size: int = 480,
-    tol_diam: float = TOL_DIAM,
-    vertex_labels: bool = False,
-) -> str:
+#: Width and height of an SVG drawing, in pixels.
+SVG_SIZE = 480
+
+
+def render_svg(polygon: Polygon, *, vertex_labels: bool = False) -> str:
     """SVG drawing: dashed boundary, solid unit-distance chords.
 
     The viewport fits the polygon with a 5% margin. Output is byte-for-byte
@@ -98,14 +96,14 @@ def render_svg(
     xmin -= margin
     ymax += margin
     span = extent + 2 * margin
-    scale = size / span
+    scale = SVG_SIZE / span
 
     def px(point):
         return (point[0] - xmin) * scale, (ymax - point[1]) * scale
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
     ]
     for i in range(n):
         (x1, y1), (x2, y2) = px(v[i]), px(v[(i + 1) % n])
@@ -114,7 +112,7 @@ def render_svg(
             f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="#555555" stroke-width="1.5" '
             f'stroke-dasharray="7 5" fill="none"/>'
         )
-    for i, j in diameter_graph(polygon, tol_diam=tol_diam).sorted_edges():
+    for i, j in diameter_graph(polygon):
         (x1, y1), (x2, y2) = px(v[i]), px(v[j])
         lines.append(
             f'  <line class="chord" x1="{x1:.2f}" y1="{y1:.2f}" '

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .geometry import DiameterGraph, Polygon, diameter_graph, require_even_ge6
+from .geometry import Polygon, diameter, diameter_graph, require_even_ge6
 
 __all__ = [
     "TOL_FINAL",
@@ -66,7 +66,8 @@ def verify_structure(polygon: Polygon, tol: float = TOL_FINAL) -> StructureRepor
     The report holds the pendant cycle of the unit-distance graph, the
     mirror defect max |x_{n-i} + x_i|, |y_{n-i} - y_i| over i = 1..n/2-1,
     the apex defect max |x_{n/2}|, |y_{n/2} - 1|, and |distance - 1| for
-    every expected unit chord. Raises ValueError unless tol is finite and
+    every expected unit chord. A polygon wider than 1 + tol has no pendant
+    cycle, so its report fails. Raises ValueError unless tol is finite and
     positive and n is even and >= 6.
     """
     if not 0.0 < tol < math.inf:
@@ -74,7 +75,10 @@ def verify_structure(polygon: Polygon, tol: float = TOL_FINAL) -> StructureRepor
     n = polygon.n
     require_even_ge6(n)
     v = polygon.vertices
-    has_cycle, cycle_length, pendant = _pendant_cycle(diameter_graph(polygon, tol_diam=tol))
+    if diameter(polygon) > 1.0 + tol:
+        has_cycle, cycle_length, pendant = False, 0, None
+    else:
+        has_cycle, cycle_length, pendant = _pendant_cycle(n, diameter_graph(polygon, tol))
 
     half = n // 2
     symmetry = 0.0
@@ -100,46 +104,36 @@ def verify_structure(polygon: Polygon, tol: float = TOL_FINAL) -> StructureRepor
     )
 
 
-def _pendant_cycle(graph: DiameterGraph) -> tuple[bool, int, int | None]:
-    """(True, n - 1, pendant vertex) if the graph is an (n-1)-cycle plus one
-    pendant edge, else (False, 0, None).
+def _pendant_cycle(n: int, edges: list[tuple[int, int]]) -> tuple[bool, int, int | None]:
+    """(True, n - 1, pendant vertex) if the graph on n vertices is an
+    (n-1)-cycle plus one pendant edge, else (False, 0, None).
 
     Detection by degree count: one degree-1 vertex attached to a degree-3
     vertex on the cycle, every other vertex of degree 2, and a single cycle
     traversal covering the remaining n-1 vertices.
     """
-    n = graph.n
     failed = (False, 0, None)
-    deg = graph.degrees()
-    leaves = [i for i in range(n) if deg[i] == 1]
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    leaves = [i for i in range(n) if len(adj[i]) == 1]
     if len(leaves) != 1:
         return failed
     pendant = leaves[0]
-    anchor = next(iter(graph.neighbors(pendant)))
+    anchor = adj[pendant][0]
     expected = {anchor: 3, pendant: 1}
-    for i in range(n):
-        if deg[i] != expected.get(i, 2):
-            return failed
+    if any(len(adj[i]) != expected.get(i, 2) for i in range(n)):
+        return failed
 
-    # walk the cycle from the anchor, never using the pendant edge
-    cycle_neighbors = sorted(graph.neighbors(anchor) - {pendant})
-    if len(cycle_neighbors) != 2:
-        return failed
-    prev, cur = anchor, cycle_neighbors[0]
+    # walk the cycle from the anchor, never using the pendant edge; every
+    # other vertex on the walk has degree 2, so only the anchor can repeat
+    prev, cur = anchor, min(j for j in adj[anchor] if j != pendant)
     length = 1
-    visited = {anchor}
     while cur != anchor:
-        if cur in visited:
-            return failed
-        visited.add(cur)
-        nbrs = [j for j in graph.neighbors(cur) if j != prev]
-        if len(nbrs) != 1:
-            return failed
-        prev, cur = cur, nbrs[0]
+        prev, cur = cur, next(j for j in adj[cur] if j != prev)
         length += 1
-    if length != n - 1 or len(visited) != n - 1:
-        return failed
-    return True, length, pendant
+    return (True, length, pendant) if length == n - 1 else failed
 
 
 def report_to_json(report: StructureReport) -> str:

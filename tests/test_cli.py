@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import concurrent.futures
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -12,7 +14,7 @@ from optigon.ccp import maximize_area
 from optigon.cli import main
 from optigon.conic_solver import SolverConfig, SolverResult, SolverStatus
 from optigon.formulation import ConeTemplate
-from optigon.geometry import build_pendant_polygon, polygon_to_json
+from optigon.geometry import Polygon, build_pendant_polygon, polygon_to_json
 from optigon.verification import verify_structure
 
 from shapes import build_regular_polygon
@@ -22,6 +24,16 @@ from shapes import build_regular_polygon
 def pendant_json(tmp_path):
     path = tmp_path / "pendant6.json"
     path.write_text(polygon_to_json(build_pendant_polygon(6)), encoding="utf-8")
+    return path
+
+
+@pytest.fixture()
+def wide_json(tmp_path):
+    # the pendant hexagon with v_1 moved outward by 1e-3: diameter 1.001
+    v = build_pendant_polygon(6).vertices.copy()
+    v[1, 0] += 1e-3
+    path = tmp_path / "wide6.json"
+    path.write_text(polygon_to_json(Polygon(v)), encoding="utf-8")
     return path
 
 
@@ -104,6 +116,36 @@ class TestSweep:
         assert lines[1].startswith("6,") and lines[2].startswith("10,")
         assert "n=8 failed: worker process died" in captured.err
 
+    @pytest.mark.parametrize("stop, jobs, workers", [(8, 16, 2), (10, 2, 2)])
+    def test_pool_has_no_more_workers_than_entries(self, stop, jobs, workers, monkeypatch, capsys):
+        # the executor runs each task inline and records its size: no process starts
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        ns = range(6, stop + 1, 2)
+        results = {n: maximize_area(n) for n in ns}
+        monkeypatch.setattr("optigon.cli.concurrent.futures.ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(cli, "_sweep_entry", lambda item: results[item[0]])
+        assert main(["sweep", "--from", "6", "--to", str(stop), "--jobs", str(jobs)]) == 0
+        assert sizes == [workers]
+        lines = capsys.readouterr().out.splitlines()
+        for n in ns:
+            assert any(line.startswith(f"n={n} ") for line in lines)
+
     def test_rejects_odd_range(self, capsys):
         assert main(["sweep", "--from", "5", "--to", "9"]) == 2
 
@@ -164,6 +206,28 @@ class TestVerificationFailure:
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("n=6 ") and "structure=pass" in line for line in lines)
         assert any(line.startswith("n=8 ") and "structure=FAIL" in line for line in lines)
+
+    def test_sweep_keeps_every_entry_when_one_polygon_is_not_small(self, monkeypatch, capsys):
+        solve = ccp.maximize_area
+
+        def widen_8(n, cfg=None, initial=None):
+            result = solve(n, cfg, initial)
+            if n != 8:
+                return result
+            v = result.polygon.vertices.copy()
+            v[1] *= 1.001
+            return dataclasses.replace(result, polygon=Polygon(v))
+
+        monkeypatch.setattr(ccp, "maximize_area", widen_8)
+        assert main(["sweep", "--from", "6", "--to", "10"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line.split("|")[0].strip() for line in lines[1:4]] == ["6", "8", "10"]
+        for n, verdict in ((6, "pass"), (8, "FAIL"), (10, "pass")):
+            assert any(
+                line.startswith(f"n={n} ") and f"structure={verdict}" in line for line in lines
+            )
+        assert captured.err == ""
 
 
 class TestVerifyOnce:
@@ -226,12 +290,30 @@ class TestLogging:
         monkeypatch.setenv("OPTIGON_LOG", "debug")
         assert main(["bounds", "--n", "6"]) == 0
 
+    @pytest.mark.parametrize("value", ["basic_format", "_styles"])
+    def test_name_that_is_not_a_level_falls_back(self, value, capsys, monkeypatch):
+        # logging.BASIC_FORMAT is a string and logging._STYLES a dict
+        monkeypatch.setenv("OPTIGON_LOG", value)
+        calls = []
+        monkeypatch.setattr(cli.logging, "basicConfig", lambda **kw: calls.append(kw))
+        assert main(["bounds", "--n", "6"]) == 0
+        assert [kw["level"] for kw in calls] == [cli.logging.WARNING]
+
 
 class TestVerify:
     def test_pendant_polygon_passes(self, pendant_json, capsys):
         assert main(["verify", "--input", str(pendant_json)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
+
+    def test_polygon_that_is_not_small_fails(self, wide_json, capsys):
+        assert main(["verify", "--input", str(wide_json)]) == 1
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["passed"] is False
+        assert (payload["has_pendant_cycle"], payload["cycle_length"]) == (False, 0)
+        assert payload["pendant_vertex"] is None
+        assert captured.err == ""
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["verify", "--input", "/nonexistent/poly.json"]) == 2
@@ -250,6 +332,12 @@ class TestRender:
         assert main(["render", "--input", str(pendant_json), "--output", str(out)]) == 0
         text = out.read_text()
         assert text.startswith("<svg") and 'class="chord"' in text
+
+    def test_renders_polygon_that_is_not_small(self, wide_json, tmp_path, capsys):
+        out = tmp_path / "out.svg"
+        assert main(["render", "--input", str(wide_json), "--output", str(out)]) == 0
+        assert out.read_text().startswith("<svg")
+        assert capsys.readouterr().err == ""
 
 
 class TestMalformedInput:

@@ -119,7 +119,7 @@ class TestStructureReport:
             poly = build_pendant_polygon(n)
             report = verify_structure(poly, tol=1e-9)
             assert report.passed
-            edges = diameter_graph(poly, tol_diam=1e-9).edges
+            edges = diameter_graph(poly, tol_diam=1e-9)
             for pair, _ in report.unit_edge_defects:
                 assert pair in edges
 
@@ -134,3 +134,12 @@ class TestStructureReport:
     def test_failing_report(self):
         report = verify_structure(build_regular_polygon(6), tol=1e-6)
         assert not report.passed
+
+    def test_polygon_that_is_not_small_fails(self):
+        v = build_pendant_polygon(6).vertices.copy()
+        v[1, 0] += 1e-3  # outward: the diameter becomes 1.001
+        report = verify_structure(Polygon(v), tol=1e-6)
+        assert not report.passed
+        assert (report.has_pendant_cycle, report.cycle_length, report.pendant_vertex) == (
+            False, 0, None)
+        assert report.symmetry_defect >= 1e-3
