@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +156,11 @@ def build_pendant_polygon(n: int) -> Polygon:
 
 
 def require_even_ge6(n: int) -> None:
-    """Raise ValueError unless n is even and >= 6, the paper's n = 2m: the
-    only n that the program, the pendant start and the structure checks take."""
+    """Raise ValueError unless n is an even integer >= 6, the paper's n = 2m:
+    the only n that the program, the pendant start and the structure checks
+    take."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n % 2 != 0 or n < 6:
         raise ValueError(f"n must be even and >= 6, got {n}")
 

@@ -5,6 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+# CPython's own SHA-256, as random.py takes it: hashlib would load OpenSSL's
+# libcrypto, 3.5 MB of peak RSS, for the names of the run artifacts
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in hashes
+
 from . import verification
 from .ccp import CcpResult
 from .geometry import Polygon, diameter_graph, pendant_area, polygon_to_json, upper_bound
@@ -150,9 +160,11 @@ def export_run(
 ) -> list[Path]:
     """Write polygon JSON, trace CSV, structure JSON, and SVG for one run.
 
-    Files land in a per-n subdirectory and carry a content hash in their
-    names so identical runs export to identical trees. `report` is the
-    run's structure report at the default tolerance.
+    Files land in a per-n subdirectory and carry the first 12 hex digits of
+    their content's SHA-256 in their names, so identical runs export to
+    identical trees. The digest comes from CPython's built-in module, so
+    exporting loads no OpenSSL. `report` is the run's structure report at
+    the default tolerance.
     """
     if result.polygon is None:
         raise ValueError(f"run for n={result.n} produced no polygon: {result.message}")
@@ -163,17 +175,11 @@ def export_run(
         "structure": (verification.report_to_json(report), ".json"),
         "drawing": (render_svg(result.polygon), ".svg"),
     }
-    # imported here, not at the top: hashlib loads OpenSSL, which adds
-    # 3.4 MB to the peak RSS of `import optigon.cli` (35.5 -> 32.1 MB; Linux,
-    # CPython 3.11, numpy 2); with numpy >= 2 a process that writes no
-    # artifacts never loads it (numpy 1.x loads it through numpy.random)
-    import hashlib
-
     written = []
     try:
         target.mkdir(parents=True, exist_ok=True)
         for kind, (content, suffix) in artifacts.items():
-            digest = hashlib.sha256(content.encode("utf-8")).hexdigest()[:12]
+            digest = sha256(content.encode("utf-8")).hexdigest()[:12]
             path = target / f"n{result.n:03d}-{kind}-{digest}{suffix}"
             path.write_text(content, encoding="utf-8")
             written.append(path)

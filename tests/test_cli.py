@@ -14,8 +14,8 @@ from optigon.ccp import maximize_area
 from optigon.cli import main
 from optigon.conic_solver import SolverConfig, SolverResult, SolverStatus
 from optigon.formulation import ConeTemplate
-from optigon.geometry import Polygon, build_pendant_polygon, polygon_to_json
-from optigon.verification import verify_structure
+from optigon.geometry import Polygon, build_pendant_polygon, pendant_area, polygon_to_json
+from optigon.verification import unit_chord_pairs, verify_structure
 
 from shapes import build_regular_polygon
 
@@ -429,3 +429,15 @@ def test_only_even_n_from_six_is_accepted(n, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: n must be even and >= 6, got {n}\n" * 2
+
+
+@pytest.mark.parametrize("n", [8.0, np.float64(8.0)], ids=["float", "numpy_float"])
+def test_only_integral_n_is_accepted(n):
+    for call in (lambda: ConeTemplate(n), lambda: maximize_area(n),
+                 lambda: build_pendant_polygon(n), lambda: unit_chord_pairs(n),
+                 lambda: pendant_area(n)):
+        with pytest.raises(ValueError, match=r"n must be an integer, got .*8\.0"):
+            call()
+    # numpy integers are integers
+    assert pendant_area(np.int64(8)) == pendant_area(8)
+    assert unit_chord_pairs(np.int64(8)) == unit_chord_pairs(8)

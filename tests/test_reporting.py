@@ -31,6 +31,17 @@ from optigon.reporting import (
 from shapes import build_regular_polygon
 
 
+def run_fresh(code: str) -> list[str]:
+    """Run code in a fresh interpreter that imports optigon from this tree;
+    return the words of its last stdout line."""
+    src = str(Path(optigon.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys\nsys.path.insert(0, {src!r})\n{code}"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return out.splitlines()[-1].split()
+
+
 @pytest.fixture(scope="module")
 def hexagon_result():
     return maximize_area(6)
@@ -153,19 +164,41 @@ class TestExportRun:
             digest = hashlib.sha256(p.read_bytes()).hexdigest()[:12]
             assert p.stem.endswith(f"-{digest}")
 
-    def test_import_leaves_openssl_unloaded(self):
-        # hashlib loads OpenSSL's libcrypto; only export_run needs it. numpy
-        # 1.x loads it itself (numpy.random imports secrets, hence hmac), so
-        # optigon is held to leaving it unloaded when numpy alone does
-        src = str(Path(optigon.__file__).resolve().parents[1])
-        code = f"import sys; sys.path.insert(0, {src!r}); import numpy; " \
-            "numpy_loads = '_hashlib' in sys.modules; import optigon.cli; " \
-            "print(optigon.__file__, numpy_loads, '_hashlib' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        ).stdout.split()
-        assert out[0] == optigon.__file__
-        assert out[2] == out[1]  # optigon.cli loads it only if numpy did
+    def test_import_leaves_openssl_unloaded(self, tmp_path):
+        # hashlib loads OpenSSL's libcrypto; optigon names its artifacts with
+        # CPython's built-in SHA-256 instead. numpy 1.x loads it itself
+        # (numpy.random imports secrets, hence hmac), so optigon is held to
+        # leaving it unloaded when numpy alone does, on import and on a sweep
+        # that writes its artifacts
+        sweep = f"assert optigon.cli.main(['sweep', '--from', '6', '--to', '8', " \
+            f"'--jobs', '1', '--out', {str(tmp_path / 'out')!r}]) == 0"
+        for work in ("", sweep):
+            out = run_fresh(
+                "import numpy\n"
+                "numpy_loads = '_hashlib' in sys.modules\n"
+                "import optigon.cli\n"
+                f"{work}\n"
+                "print(optigon.__file__, numpy_loads, '_hashlib' in sys.modules)"
+            )
+            assert out[0] == optigon.__file__
+            assert out[2] == out[1]  # optigon loads it only if numpy did
+        assert len(list((tmp_path / "out").glob("n00[68]/*"))) == 8
+
+    def test_hashlib_fallback_names_files_alike(self, hexagon_result, hexagon_report, tmp_path):
+        # an interpreter built without CPython's own hash modules takes
+        # sha256 from hashlib, and names every artifact the same
+        out = run_fresh(
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from optigon import ccp, reporting, verification\n"
+            "assert reporting.sha256 is hashlib.sha256\n"
+            "result = ccp.maximize_area(6)\n"
+            f"paths = reporting.export_run(result, {str(tmp_path / 'fallback')!r}, "
+            "verification.verify_structure(result.polygon))\n"
+            "print(*(p.name for p in paths))"
+        )
+        paths = export_run(hexagon_result, tmp_path / "builtin", hexagon_report)
+        assert out == [p.name for p in paths]
 
     def test_polygon_artifact_round_trips_area(self, hexagon_result, hexagon_report, tmp_path):
         paths = export_run(hexagon_result, tmp_path, hexagon_report)
