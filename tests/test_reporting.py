@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import optigon
-from optigon.ccp import maximize_area, run_sweep
+from optigon.ccp import CcpResult, CcpStatus, maximize_area, run_sweep
 from optigon.verification import verify_structure
 from optigon.geometry import (
     Polygon,
@@ -40,6 +40,19 @@ def run_fresh(code: str) -> list[str]:
         capture_output=True, text=True, check=True,
     ).stdout
     return out.splitlines()[-1].split()
+
+
+def converged(n: int, area: float, iterations: int) -> CcpResult:
+    """A converged run with no polygon: the tables read n, area and
+    iterations only."""
+    return CcpResult(
+        n=n, polygon=None, area=area, iterations=iterations,
+        status=CcpStatus.CONVERGED, trace=None,
+    )
+
+
+# n = 82 has no literature bound
+PINNED_RESULTS = [converged(6, 0.6749814429497, 5), converged(82, 0.7849111119, 55)]
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +112,20 @@ class TestTable:
         fields = line.split(",")
         assert float(fields[1]) == round(hexagon_row.area_pendant, 10)
         assert float(fields[4]) == round(hexagon_row.area_computed, 10)
+
+    def test_text_table_bytes(self):
+        assert render_table_text([sweep_row(r) for r in PINNED_RESULTS]) == (
+            "   n | pendant_area | literature   | upper_bound  | computed_area | iterations\n"
+            "   6 | 0.6722882584 | 0.6749814429 | 0.6961524227 | 0.6749814429 |          5\n"
+            "  82 | 0.7849095487 | --           | 0.7849178354 | 0.7849111119 |         55\n"
+        )
+
+    def test_csv_table_bytes(self):
+        assert render_table_csv([sweep_row(r) for r in PINNED_RESULTS]) == (
+            "n,pendant_area,literature_lower_bound,upper_bound,computed_area,iterations\n"
+            "6,0.6722882584,0.6749814429,0.6961524227,0.6749814429,5\n"
+            "82,0.7849095487,--,0.7849178354,0.7849111119,55\n"
+        )
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):

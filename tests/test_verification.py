@@ -131,6 +131,28 @@ class TestStructureReport:
         assert payload["pendant_vertex"] == 3
         assert len(payload["unit_edge_defects"]) == 5
 
+    def test_json_bytes(self):
+        report = verify_structure(build_pendant_polygon(6))
+        expected = {
+            "n": 6,
+            "tol": 1e-6,
+            "passed": True,
+            "has_pendant_cycle": True,
+            "cycle_length": 5,
+            "pendant_vertex": 3,
+            "symmetry_defect": 0.0,
+            "apex_defect": 0.0,
+            "max_defect": 0.0,
+            "unit_edge_defects": [
+                {"pair": [0, 2], "defect": 0.0},
+                {"pair": [0, 4], "defect": 0.0},
+                {"pair": [1, 4], "defect": 0.0},
+                {"pair": [1, 5], "defect": 0.0},
+                {"pair": [2, 5], "defect": 0.0},
+            ],
+        }
+        assert report_to_json(report) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
     def test_failing_report(self):
         report = verify_structure(build_regular_polygon(6), tol=1e-6)
         assert not report.passed
