@@ -41,7 +41,7 @@ from .geometry import (
     polygon_to_json,
     upper_bound,
 )
-from .reporting import export_run, render_svg, render_table_csv, render_table_text, sweep_row
+from .reporting import export_run, render_svg, render_table_csv, render_table_text
 from .verification import StructureReport, verify_structure
 
 __version__ = "0.1.0"

@@ -80,8 +80,9 @@ class CcpConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def validate(self) -> None:
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if (not isinstance(self.epsilon, numbers.Real) or isinstance(self.epsilon, bool)
+                or not 0.0 < self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if (not isinstance(self.max_outer_iterations, numbers.Integral)
                 or isinstance(self.max_outer_iterations, bool)
                 or self.max_outer_iterations < 1):
@@ -137,25 +138,20 @@ class StepResult(NamedTuple):
     resolves: int
 
 
-def step(
-    template: ConeTemplate,
-    z_k: np.ndarray,
-    cfg: CcpConfig,
-    warm_start: np.ndarray | None = None,
-) -> StepResult:
+def step(template: ConeTemplate, z_k: np.ndarray, cfg: CcpConfig) -> StepResult:
     """One outer iteration: solve the convex restriction built at z_k on the
     distance pairs near unit distance, re-solving with any dropped pair the
     candidate violates until none is (see the module docstring). Each solve
-    gets `template.at(z_k, keep)`, built afresh for the current mask; it
-    shares its columns and `ColumnPattern` with the solve before when the
-    mask is unchanged.
+    gets `template.at(z_k, keep)`, built afresh for the current mask, and
+    warm-starts at z_k; it shares its columns and `ColumnPattern` with the
+    solve before when the mask is unchanged.
 
     Raises SubproblemFailure unless every solve reached optimality.
     """
     keep = _near_unit(template.distance_sq(z_k))
     resolves = 0
     while True:
-        result = solve(template.at(z_k, keep), cfg.solver, warm_start=warm_start)
+        result = solve(template.at(z_k, keep), cfg.solver, warm_start=z_k)
         if result.status is not SolverStatus.OPTIMAL:
             raise SubproblemFailure(
                 f"subproblem solve failed with status {result.status.value} "
@@ -213,7 +209,7 @@ def maximize_area(
     area_prev = area(initial)
     while k < cfg.max_outer_iterations:
         try:
-            z_next, solver_result, pairs_kept, resolves = step(template, z, cfg, warm_start=z)
+            z_next, solver_result, pairs_kept, resolves = step(template, z, cfg)
         except SubproblemFailure as exc:
             status = CcpStatus.SUBPROBLEM_FAILURE
             message = str(exc)

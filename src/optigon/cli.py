@@ -160,7 +160,6 @@ def _emit_results(results: list[CcpResult], args) -> int:
     ok = [r for r in results if r.polygon is not None]
     failed = [r for r in results if r.polygon is None]
     reports = [verification.verify_structure(r.polygon) for r in ok]
-    rows = [reporting.sweep_row(r) for r in ok]
 
     if args.format == "json":
         payload = []
@@ -172,18 +171,18 @@ def _emit_results(results: list[CcpResult], args) -> int:
                     "iterations": r.iterations,
                     "status": r.status.value,
                     "structure_pass": report.passed,
-                    "vertices": [list(map(float, v)) for v in r.polygon.vertices],
+                    "vertices": r.polygon.vertices.tolist(),
                 }
             )
         for r in failed:
             payload.append({"n": r.n, "status": r.status.value, "message": r.message})
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        if rows:
-            print(reporting.render_table_csv(rows), end="")
+        if ok:
+            print(reporting.render_table_csv(ok), end="")
     else:
-        if rows:
-            print(reporting.render_table_text(rows), end="")
+        if ok:
+            print(reporting.render_table_text(ok), end="")
         for r, report in zip(ok, reports):
             print(
                 f"n={r.n} area={r.area:.10f} k={r.iterations} status={r.status.value} "

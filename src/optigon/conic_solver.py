@@ -86,8 +86,9 @@ class SolverConfig:
     max_iterations: int = 200
 
     def validate(self) -> None:
-        if not 0.0 < self.tol_solver < math.inf:
-            raise ValueError(f"tol_solver must be finite and positive, got {self.tol_solver}")
+        if (not isinstance(self.tol_solver, numbers.Real) or isinstance(self.tol_solver, bool)
+                or not 0.0 < self.tol_solver < math.inf):
+            raise ValueError(f"tol_solver must be finite and positive, got {self.tol_solver!r}")
         if (not isinstance(self.max_iterations, numbers.Integral)
                 or isinstance(self.max_iterations, bool) or self.max_iterations < 1):
             raise ValueError(
@@ -149,20 +150,20 @@ def _parts(u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u_nn, u_soc, _jdet(u_soc)
 
 
-def _mul(u: np.ndarray, v: np.ndarray, p: int, u_parts: tuple | None = None) -> np.ndarray:
+def _mul(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     """Jordan product: elementwise on the orthant, (u^T v, u_0 v_1 + v_0 u_1)
-    on each block. u_parts, if given, is _parts(u, p)."""
-    u_nn, u_soc = u_parts[:2] if u_parts else _split(u, p)
+    on each block."""
+    u_nn, u_soc = _split(u, p)
     v_nn, v_soc = _split(v, p)
     soc = u_soc[0] * v_soc + v_soc[0] * u_soc
     soc[0] = _bdot(u_soc, v_soc)
     return _join(u_nn * v_nn, soc)
 
 
-def _inv_mul(lam: np.ndarray, d: np.ndarray, p: int, lam_parts: tuple | None = None) -> np.ndarray:
-    """The solution x of lam o x = d. lam_parts, if given, is _parts(lam, p)."""
-    lam_nn, lam_soc, lam_det = lam_parts or _parts(lam, p)
-    d_nn, d_soc = _split(d, p)
+def _inv_mul(lam_parts: tuple, d: np.ndarray) -> np.ndarray:
+    """The solution x of lam o x = d, for lam_parts = _parts(lam, p)."""
+    lam_nn, lam_soc, lam_det = lam_parts
+    d_nn, d_soc = _split(d, len(lam_nn))
     l0 = lam_soc[0]
     d0 = d_soc[0]
     cross = _bdot(lam_soc, d_soc) - l0 * d0
@@ -195,7 +196,7 @@ class _Scaling:
         self.w_nn_sq = self.w_nn**2
         self._wbar0_plus_1 = 1.0 + self.wbar[0]
         self.lam = _join(np.sqrt(s_nn * z_nn), (rs * rz) ** 0.25 * self._wbar_mul(zbar))
-        # reused by lam o v, lam^{-1} o d and _max_step
+        # reused by lam^{-1} o d and _max_step
         self.lam_parts = _parts(self.lam, p)
         # the divisors of _inv_mul; rounding can leave them at or below zero
         # when s and z are interior only to machine precision
@@ -233,15 +234,14 @@ class _Scaling:
         return out
 
 
-def _max_step(
-    u: np.ndarray, dus: tuple[np.ndarray, ...], p: int, u_parts: tuple | None = None
-) -> float:
-    """Largest t with u + t*du inside the cone for every du in dus (u
-    strictly interior). The directions are stacked side by side, so one
-    pass serves them all; each block's root is the one a single direction
-    gives. u_parts, if given, is _parts(u, p)."""
+def _max_step(u_parts: tuple, dus: tuple[np.ndarray, ...]) -> float:
+    """Largest t with u + t*du inside the cone for every du in dus, for
+    u_parts = _parts(u, p) of a strictly interior u. The directions are
+    stacked side by side, so one pass serves them all; each block's root is
+    the one a single direction gives."""
     k = len(dus)
-    u_nn, u_soc, u_det = u_parts or _parts(u, p)
+    u_nn, u_soc, u_det = u_parts
+    p = len(u_nn)
     d_nn = np.concatenate([du[:p] for du in dus])
     d_soc = np.concatenate([du[p:].reshape(4, -1) for du in dus], axis=1)
     neg = d_nn < 0
@@ -435,7 +435,7 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
 
         def newton_base(bx, bz, ds_rhs):
             """The direction (dx, ds, dz, dst, dzt) and G dx."""
-            dt = _inv_mul(W.lam, ds_rhs, p, W.lam_parts)
+            dt = _inv_mul(W.lam_parts, ds_rhs)
             t = bz - W.apply(dt)
             dx = cho_solve(factor, bx + cone.rmatvec(W.apply_inv_sq(t)))
             g_dx = cone.matvec(dx)
@@ -457,7 +457,7 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
                 # G dx of the base solve; a refined dx needs its own product
                 e2 = bz - ((cone.matvec(dx) if g_dx is None else g_dx) + ds)
                 g_dx = None
-                e3 = ds_rhs - _mul(W.lam, dst + dzt, p, W.lam_parts)
+                e3 = ds_rhs - _mul(W.lam, dst + dzt, p)
                 err = max(np.abs(e1).max(), np.abs(e2).max(initial=0.0), np.abs(e3).max(initial=0.0))
                 improved = best is None or err < best[0]
                 if improved:
@@ -470,9 +470,9 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
 
         try:
             # predictor (affine scaling) direction
-            lam_sq = _mul(W.lam, W.lam, p, W.lam_parts)
+            lam_sq = _mul(W.lam, W.lam, p)
             dx_a, ds_a, dz_a, dst_a, dzt_a = newton(-r_x, -r_z, -lam_sq)
-            alpha_aff = min(1.0, _max_step(W.lam, (dst_a, dzt_a), p, W.lam_parts))
+            alpha_aff = min(1.0, _max_step(W.lam_parts, (dst_a, dzt_a)))
             gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
             sigma = min(1.0, max(0.0, gap_aff / gap) ** 3) if gap > 0 else 0.0
 
@@ -485,7 +485,7 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
             status = SolverStatus.NUMERICAL_FAILURE
             break
 
-        alpha = min(1.0, STEP_FRACTION * _max_step(W.lam, (dst, dzt), p, W.lam_parts))
+        alpha = min(1.0, STEP_FRACTION * _max_step(W.lam_parts, (dst, dzt)))
         if alpha <= 1e-13:
             status = SolverStatus.NUMERICAL_FAILURE
             break

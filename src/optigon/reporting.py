@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 # CPython's own SHA-256, as random.py takes it: hashlib would load OpenSSL's
@@ -21,8 +20,6 @@ from .geometry import Polygon, diameter_graph, pendant_area, polygon_to_json, up
 from .literature import lower_bound
 
 __all__ = [
-    "SweepRow",
-    "sweep_row",
     "render_table_text",
     "render_table_csv",
     "render_svg",
@@ -36,53 +33,33 @@ TEXT_HEADER = (
 )
 
 
-@dataclass
-class SweepRow:
-    """One row of the sweep report; areas printed at 10 decimals."""
-
-    n: int
-    area_pendant: float
-    literature_lower_bound: float | None
-    upper_bound: float
-    area_computed: float
-    iterations: int
-
-
-def sweep_row(result: CcpResult) -> SweepRow:
-    return SweepRow(
-        n=result.n,
-        area_pendant=pendant_area(result.n),
-        literature_lower_bound=lower_bound(result.n),
-        upper_bound=upper_bound(result.n),
-        area_computed=result.area,
-        iterations=result.iterations,
+def _cells(result: CcpResult) -> tuple[str, ...]:
+    """The six table columns of one run: n, the pendant, literature and
+    upper-bound areas, the computed area, and the outer iterations. Areas
+    print at 10 decimals, a missing literature bound as --."""
+    n = result.n
+    areas = (pendant_area(n), lower_bound(n), upper_bound(n), result.area)
+    return (
+        str(n),
+        *("--" if a is None else f"{a:.10f}" for a in areas),
+        str(result.iterations),
     )
 
 
-def _fmt(value: float | None) -> str:
-    return "--" if value is None else f"{value:.10f}"
-
-
-def render_table_csv(rows: list[SweepRow]) -> str:
-    if not rows:
+def render_table_csv(results: list[CcpResult]) -> str:
+    if not results:
         raise ValueError("no rows to render")
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.n},{_fmt(r.area_pendant)},{_fmt(r.literature_lower_bound)},"
-            f"{_fmt(r.upper_bound)},{_fmt(r.area_computed)},{r.iterations}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *(",".join(_cells(r)) for r in results)]) + "\n"
 
 
-def render_table_text(rows: list[SweepRow]) -> str:
-    if not rows:
+def render_table_text(results: list[CcpResult]) -> str:
+    if not results:
         raise ValueError("no rows to render")
     lines = [TEXT_HEADER]
-    for r in rows:
+    for r in results:
+        n, pendant, literature, upper, computed, iterations = _cells(r)
         lines.append(
-            f"{r.n:>4d} | {_fmt(r.area_pendant)} | {_fmt(r.literature_lower_bound):<12} | "
-            f"{_fmt(r.upper_bound)} | {_fmt(r.area_computed)} | {r.iterations:>10d}"
+            f"{n:>4} | {pendant} | {literature:<12} | {upper} | {computed} | {iterations:>10}"
         )
     return "\n".join(lines) + "\n"
 

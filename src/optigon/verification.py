@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 
 from .geometry import Polygon, diameter, diameter_graph, require_even_ge6
 
@@ -67,11 +68,11 @@ def verify_structure(polygon: Polygon, tol: float = TOL_FINAL) -> StructureRepor
     mirror defect max |x_{n-i} + x_i|, |y_{n-i} - y_i| over i = 1..n/2-1,
     the apex defect max |x_{n/2}|, |y_{n/2} - 1|, and |distance - 1| for
     every expected unit chord. A polygon wider than 1 + tol has no pendant
-    cycle, so its report fails. Raises ValueError unless tol is finite and
-    positive and n is even and >= 6.
+    cycle, so its report fails. Raises ValueError unless tol is a finite
+    positive real number, not a bool, and n is even and >= 6.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     n = polygon.n
     require_even_ge6(n)
     v = polygon.vertices
@@ -137,16 +138,8 @@ def _pendant_cycle(n: int, edges: list[tuple[int, int]]) -> tuple[bool, int, int
 
 
 def report_to_json(report: StructureReport) -> str:
-    payload = {
-        "n": report.n,
-        "tol": report.tol,
+    payload = asdict(report) | {
         "passed": report.passed,
-        "has_pendant_cycle": report.has_pendant_cycle,
-        "cycle_length": report.cycle_length,
-        "pendant_vertex": report.pendant_vertex,
-        "symmetry_defect": report.symmetry_defect,
-        "apex_defect": report.apex_defect,
-        "max_defect": report.max_defect,
         "unit_edge_defects": [
             {"pair": list(pair), "defect": defect}
             for pair, defect in report.unit_edge_defects

@@ -101,7 +101,7 @@ class TestStep:
         cfg = CcpConfig()
         z = polygon_to_vector(build_pendant_polygon(8))
         for _ in range(3):
-            z_next = step(template, z, cfg, warm_start=z).z
+            z_next = step(template, z, cfg).z
             assert program.evaluate(z_next).min_residual() >= -1e-8
             assert program.evaluate(z_next).objective >= (
                 program.evaluate(z).objective - cfg.solver.tol_solver
@@ -135,7 +135,7 @@ class TestScreening:
         cfg = CcpConfig()
         z0 = polygon_to_vector(build_pendant_polygon(n))
         full = solve(template.at(z0), cfg.solver, warm_start=z0)
-        z1, screened, kept, resolves = step(template, z0, cfg, warm_start=z0)
+        z1, screened, kept, resolves = step(template, z0, cfg)
         assert (kept, resolves) == (template.n_pairs, 0)
         assert np.array_equal(z1, full.primal)
         assert np.array_equal(screened.primal, full.primal)
@@ -153,7 +153,7 @@ class TestScreening:
         template = ConeTemplate(12)
         cfg = CcpConfig(solver=SolverConfig(tol_solver=1e-11))
         z0 = polygon_to_vector(build_pendant_polygon(12))
-        z1, result, kept, resolves = step(template, z0, cfg, warm_start=z0)
+        z1, result, kept, resolves = step(template, z0, cfg)
         assert resolves >= 1
         assert 0 < kept < template.n_pairs
         full = solve(template.at(z0), cfg.solver, warm_start=z0)
@@ -232,6 +232,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             CcpConfig(epsilon=epsilon).validate()
 
+    @pytest.mark.parametrize("epsilon", [True, "1e-5", None])
+    def test_epsilon_must_be_a_real_number(self, epsilon):
+        # True used to pass as 1.0; a string or None raised TypeError
+        with pytest.raises(ValueError, match="epsilon"):
+            CcpConfig(epsilon=epsilon).validate()
+
     def test_solver_tolerance_coupling(self):
         with pytest.raises(ValueError):
             CcpConfig(epsilon=1e-5, solver=SolverConfig(tol_solver=1e-6)).validate()
@@ -306,7 +312,7 @@ class TestInvariants:
         ids=["ascent", "feasibility", "upper_bound"],
     )
     def test_broken_step_raises_typed_error(self, monkeypatch, capsys, error, change):
-        def broken_step(template, z_k, cfg, warm_start=None):
+        def broken_step(template, z_k, cfg):
             z = change(z_k.copy(), template.n)
             return StepResult(z, SolverResult(SolverStatus.OPTIMAL, z, 0.0, 0.0, 0.0, 0.0, 1), 0, 0)
 

@@ -249,11 +249,10 @@ class TestVerifyOnce:
         expected_dir = tmp_path / "expected"
         for r, rep in zip(ok, reports):
             reporting.export_run(r, expected_dir, rep)
-        rows = [reporting.sweep_row(r) for r in ok]
         if fmt == "csv":
-            expected_out = reporting.render_table_csv(rows)
+            expected_out = reporting.render_table_csv(ok)
         elif fmt == "text":
-            expected_out = reporting.render_table_text(rows) + "".join(
+            expected_out = reporting.render_table_text(ok) + "".join(
                 f"n={r.n} area={r.area:.10f} k={r.iterations} status={r.status.value} "
                 f"structure=pass max_defect={rep.max_defect:.2e}\n"
                 for r, rep in zip(ok, reports)

@@ -27,6 +27,7 @@ from optigon.conic_solver import (
     _inv_mul,
     _max_step,
     _mul,
+    _parts,
     _Scaling,
     cho_factor,
     cho_solve,
@@ -262,7 +263,8 @@ class TestSolverCertificates:
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0).validate()
         # an infinite tolerance would accept the warm start after 0 iterations
-        for tol in (math.inf, math.nan):
+        # True used to pass as 1.0; a string or None raised TypeError
+        for tol in (math.inf, math.nan, True, "1e-5", None):
             with pytest.raises(ValueError):
                 SolverConfig(tol_solver=tol).validate()
         for cap in (2.5, "3", True):
@@ -305,7 +307,7 @@ class TestConeAlgebra:
         rng = np.random.default_rng(3)
         lam = self.interior_point(rng)
         d = rng.normal(size=lam.size)
-        assert _mul(lam, _inv_mul(lam, d, self.P), self.P) == pytest.approx(d, abs=1e-10)
+        assert _mul(lam, _inv_mul(_parts(lam, self.P), d), self.P) == pytest.approx(d, abs=1e-10)
 
     def test_nt_scaling_maps_s_and_z_to_same_point(self):
         rng = np.random.default_rng(4)
@@ -336,8 +338,9 @@ class TestStepLength:
         soc[0] = np.linalg.norm(soc[1:], axis=0) + rng.uniform(0.01, 1.0, m)
         u = np.concatenate([rng.uniform(0.01, 2.0, p), soc.ravel()])
         d1, d2 = rng.normal(size=(2, u.size)) * rng.uniform(0.1, 10.0)
-        one = min(_max_step(u, (d1,), p), _max_step(u, (d2,), p))
-        assert _max_step(u, (d1, d2), p) == one
+        u_parts = _parts(u, p)
+        one = min(_max_step(u_parts, (d1,)), _max_step(u_parts, (d2,)))
+        assert _max_step(u_parts, (d1, d2)) == one
 
 
 class TestCholesky:

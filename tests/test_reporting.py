@@ -16,15 +16,14 @@ from optigon.geometry import (
     area,
     build_pendant_polygon,
     diameter_graph,
+    pendant_area,
     polygon_from_json,
 )
 from optigon.reporting import (
-    SweepRow,
     export_run,
     render_svg,
     render_table_csv,
     render_table_text,
-    sweep_row,
     trace_csv,
 )
 
@@ -65,25 +64,20 @@ def hexagon_report(hexagon_result):
     return verify_structure(hexagon_result.polygon)
 
 
-@pytest.fixture(scope="module")
-def hexagon_row(hexagon_result):
-    return sweep_row(hexagon_result)
-
-
 class TestTable:
-    def test_hexagon_row_fields(self, hexagon_row):
-        assert hexagon_row.n == 6
-        assert f"{hexagon_row.area_pendant:.10f}" == "0.6722882584"
-        assert f"{hexagon_row.literature_lower_bound:.10f}" == "0.6749814429"
-        assert f"{hexagon_row.upper_bound:.10f}" == "0.6961524227"
-        assert (
-            hexagon_row.area_pendant
-            <= hexagon_row.area_computed
-            <= hexagon_row.upper_bound
+    def test_hexagon_row_fields(self, hexagon_result):
+        n, pendant, literature, upper, computed, iterations = (
+            render_table_csv([hexagon_result]).splitlines()[1].split(",")
         )
+        assert n == "6"
+        assert pendant == "0.6722882584"
+        assert literature == "0.6749814429"
+        assert upper == "0.6961524227"
+        assert float(pendant) <= float(computed) <= float(upper)
+        assert iterations == str(hexagon_result.iterations)
 
-    def test_text_row_matches_reference_columns(self, hexagon_row):
-        text = render_table_text([hexagon_row])
+    def test_text_row_matches_reference_columns(self, hexagon_result):
+        text = render_table_text([hexagon_result])
         lines = text.splitlines()
         assert len(lines) == 2  # header + one row
         fields = [f.strip() for f in lines[1].split("|")]
@@ -91,37 +85,30 @@ class TestTable:
         assert fields[1] == "0.6722882584"
         assert fields[2] == "0.6749814429"
         assert fields[3] == "0.6961524227"
-        assert fields[4] == f"{hexagon_row.area_computed:.10f}"
-        assert fields[5] == str(hexagon_row.iterations)
+        assert fields[4] == f"{hexagon_result.area:.10f}"
+        assert fields[5] == str(hexagon_result.iterations)
 
     def test_missing_literature_bound_renders_as_dashes(self):
-        row = SweepRow(
-            n=82,
-            area_pendant=0.7849095487,
-            literature_lower_bound=None,
-            upper_bound=0.7849178354,
-            area_computed=0.7849111119,
-            iterations=55,
-        )
-        assert "--" in render_table_text([row])
-        csv_fields = render_table_csv([row]).splitlines()[1].split(",")
+        result = converged(82, 0.7849111119, 55)
+        assert "--" in render_table_text([result])
+        csv_fields = render_table_csv([result]).splitlines()[1].split(",")
         assert csv_fields[2] == "--"
 
-    def test_csv_round_trip_is_lossless_at_printed_precision(self, hexagon_row):
-        line = render_table_csv([hexagon_row]).splitlines()[1]
+    def test_csv_round_trip_is_lossless_at_printed_precision(self, hexagon_result):
+        line = render_table_csv([hexagon_result]).splitlines()[1]
         fields = line.split(",")
-        assert float(fields[1]) == round(hexagon_row.area_pendant, 10)
-        assert float(fields[4]) == round(hexagon_row.area_computed, 10)
+        assert float(fields[1]) == round(pendant_area(6), 10)
+        assert float(fields[4]) == round(hexagon_result.area, 10)
 
     def test_text_table_bytes(self):
-        assert render_table_text([sweep_row(r) for r in PINNED_RESULTS]) == (
+        assert render_table_text(PINNED_RESULTS) == (
             "   n | pendant_area | literature   | upper_bound  | computed_area | iterations\n"
             "   6 | 0.6722882584 | 0.6749814429 | 0.6961524227 | 0.6749814429 |          5\n"
             "  82 | 0.7849095487 | --           | 0.7849178354 | 0.7849111119 |         55\n"
         )
 
     def test_csv_table_bytes(self):
-        assert render_table_csv([sweep_row(r) for r in PINNED_RESULTS]) == (
+        assert render_table_csv(PINNED_RESULTS) == (
             "n,pendant_area,literature_lower_bound,upper_bound,computed_area,iterations\n"
             "6,0.6722882584,0.6749814429,0.6961524227,0.6749814429,5\n"
             "82,0.7849095487,--,0.7849178354,0.7849111119,55\n"

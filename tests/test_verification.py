@@ -153,6 +153,12 @@ class TestStructureReport:
         }
         assert report_to_json(report) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("tol", [True, "1e-5", None])
+    def test_tolerance_must_be_a_real_number(self, tol):
+        # True used to pass as 1.0; a string or None raised TypeError
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            verify_structure(build_pendant_polygon(6), tol=tol)
+
     def test_failing_report(self):
         report = verify_structure(build_regular_polygon(6), tol=1e-6)
         assert not report.passed
