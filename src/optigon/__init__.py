@@ -16,7 +16,7 @@ from .ccp import (
     run_sweep,
     step,
 )
-from .conic_solver import ConeProblem, SolverConfig, SolverResult, SolverStatus, solve
+from .conic_solver import ConeProblem, SolverResult, SolverStatus, solve
 from .errors import (
     AscentViolation,
     DimensionMismatch,

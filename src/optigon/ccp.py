@@ -18,23 +18,22 @@ back, together with the pairs now within the margin, and the restriction is
 solved again. Distance constraints are not linearized, so a candidate that
 passes the guard satisfies the full restriction and is its optimum.
 
-Settings: epsilon and the outer-iteration cap here, the tolerance and
-iteration cap of `SolverConfig`. Every run records its iterates and
-warm-starts each subproblem at the current iterate.
+Settings: the two fields of `CcpConfig`, epsilon and the tolerance
+tol_solver of every solve. The iteration caps are the constants
+MAX_OUTER_ITERATIONS here and `conic_solver.MAX_ITERATIONS`. Every run
+records its iterates and warm-starts each subproblem at the current iterate.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .conic_solver import SolverConfig, SolverResult, SolverStatus, solve
+from .conic_solver import TOL_SOLVER, SolverResult, SolverStatus, solve
 from .errors import (
     AscentViolation,
     FeasibilityViolation,
@@ -43,13 +42,16 @@ from .errors import (
     UpperBoundViolation,
 )
 from .formulation import ConeTemplate, polygon_to_vector, vector_to_polygon
-from .geometry import TOL_FEAS, Polygon, area, build_pendant_polygon, upper_bound
+from .geometry import (
+    TOL_FEAS, Polygon, area, build_pendant_polygon, require_positive_real, upper_bound,
+)
 
 __all__ = [
     "CcpConfig",
     "CcpResult",
     "CcpStatus",
     "IterateRecord",
+    "MAX_OUTER_ITERATIONS",
     "SCREEN_MARGIN",
     "StepResult",
     "failed_result",
@@ -63,6 +65,8 @@ log = logging.getLogger("optigon.ccp")
 # a distance pair enters a restriction when it is at least 1 - SCREEN_MARGIN
 # apart at the reference point; a margin >= 1 keeps every pair
 SCREEN_MARGIN = 0.02
+# outer iterations per run before OUTER_LIMIT
+MAX_OUTER_ITERATIONS = 1000
 
 
 class CcpStatus(enum.Enum):
@@ -73,28 +77,19 @@ class CcpStatus(enum.Enum):
 
 @dataclass
 class CcpConfig:
-    """Outer-loop controls; epsilon is the relative-step stopping threshold."""
+    """The run's settings: epsilon is the relative-step stopping threshold,
+    tol_solver the interior-point tolerance of every solve."""
 
     epsilon: float = 1e-5
-    max_outer_iterations: int = 1000
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    tol_solver: float = TOL_SOLVER
 
     def validate(self) -> None:
-        if (not isinstance(self.epsilon, numbers.Real) or isinstance(self.epsilon, bool)
-                or not 0.0 < self.epsilon < math.inf):
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon!r}")
-        if (not isinstance(self.max_outer_iterations, numbers.Integral)
-                or isinstance(self.max_outer_iterations, bool)
-                or self.max_outer_iterations < 1):
-            raise ValueError(
-                f"max_outer_iterations must be an integer >= 1, "
-                f"got {self.max_outer_iterations!r}"
-            )
-        self.solver.validate()
+        require_positive_real("epsilon", self.epsilon)
+        require_positive_real("tol_solver", self.tol_solver)
         # otherwise solver noise can trigger the outer stopping test
-        if self.solver.tol_solver > self.epsilon / 100.0:
+        if self.tol_solver > self.epsilon / 100.0:
             raise ValueError(
-                f"solver tolerance {self.solver.tol_solver} must be <= epsilon/100 "
+                f"solver tolerance {self.tol_solver} must be <= epsilon/100 "
                 f"= {self.epsilon / 100.0}"
             )
 
@@ -151,7 +146,7 @@ def step(template: ConeTemplate, z_k: np.ndarray, cfg: CcpConfig) -> StepResult:
     keep = _near_unit(template.distance_sq(z_k))
     resolves = 0
     while True:
-        result = solve(template.at(z_k, keep), cfg.solver, warm_start=z_k)
+        result = solve(template.at(z_k, keep), cfg.tol_solver, warm_start=z_k)
         if result.status is not SolverStatus.OPTIMAL:
             raise SubproblemFailure(
                 f"subproblem solve failed with status {result.status.value} "
@@ -190,7 +185,7 @@ def maximize_area(
     else:
         if initial.n != n:
             raise InfeasibleInitial(f"initial polygon has {initial.n} vertices, expected {n}")
-        initial.validate(TOL_FEAS)
+        initial.validate()
     z = polygon_to_vector(initial)
     trace: list[IterateRecord] = []
     start = _record(trace, template, k=0, z=z, rel_step=None, solver=None)
@@ -199,15 +194,15 @@ def maximize_area(
             f"initial polygon violates the program by {start.max_violation:.3e}"
         )
 
-    area_cap = upper_bound(n) + 10.0 * cfg.solver.tol_solver
-    slack = 10.0 * cfg.solver.tol_solver
+    area_cap = upper_bound(n) + 10.0 * cfg.tol_solver
+    slack = 10.0 * cfg.tol_solver
 
     status = CcpStatus.OUTER_LIMIT
     message = ""
     k = 0
     objective_prev = start.objective
     area_prev = area(initial)
-    while k < cfg.max_outer_iterations:
+    while k < MAX_OUTER_ITERATIONS:
         try:
             z_next, solver_result, pairs_kept, resolves = step(template, z, cfg)
         except SubproblemFailure as exc:

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from . import reporting, verification
 from .ccp import CcpConfig, CcpResult, CcpStatus, failed_result, maximize_area, run_sweep
-from .conic_solver import SolverConfig
 from .errors import InvalidPolygon, OptigonError
 from .geometry import load_polygon, pendant_area, require_even_ge6, upper_bound
 
@@ -90,21 +89,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps", type=float, default=1e-5, help="relative-step stop threshold")
-    p.add_argument("--solver-tol", type=float, default=1e-9)
+    p.add_argument(
+        "--eps", type=float, default=CcpConfig.epsilon, help="relative-step stop threshold"
+    )
+    p.add_argument("--solver-tol", type=float, default=CcpConfig.tol_solver)
     p.add_argument("--out", type=Path, help="directory for run artifacts")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
 
-def _config_from(args) -> CcpConfig:
-    return CcpConfig(
-        epsilon=args.eps,
-        solver=SolverConfig(tol_solver=args.solver_tol),
-    )
-
-
 def _cmd_solve(args) -> int:
-    cfg = _config_from(args)
+    cfg = CcpConfig(epsilon=args.eps, tol_solver=args.solver_tol)
     result = maximize_area(args.n, cfg)
     return _emit_results([result], args)
 
@@ -117,7 +111,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"empty range: --from {args.start} --to {args.stop}")
     for n in ns:
         require_even_ge6(n)
-    cfg = _config_from(args)
+    cfg = CcpConfig(epsilon=args.eps, tol_solver=args.solver_tol)
     if args.jobs > 1:
         results = _pool_sweep(ns, cfg, args.jobs)
     else:

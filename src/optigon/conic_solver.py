@@ -35,10 +35,11 @@ factored in place without a copy. Each iteration checks that triangle for
 non-finite entries once, and each solve its right-hand side; either ends
 the solve with NUMERICAL_FAILURE.
 
-Settings: the tolerance and iteration cap of `SolverConfig`. At DEBUG
-(`OPTIGON_LOG=debug`) the `optigon.solver` logger writes one line per IPM
-iteration: primal and dual objective, gap, both residuals, and the step
-length and sigma of the step that led there.
+Settings: `solve` takes the tolerance tol_solver (default TOL_SOLVER); the
+iteration cap is the constant MAX_ITERATIONS. At DEBUG (`OPTIGON_LOG=debug`)
+the `optigon.solver` logger writes one line per IPM iteration: primal and
+dual objective, gap, both residuals, and the step length and sigma of the
+step that led there.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ import enum
 import importlib.machinery
 import importlib.util
 import logging
-import math
-import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,8 +56,9 @@ import numpy as np
 from numpy.linalg import LinAlgError  # scipy.linalg.LinAlgError is this class
 
 from .formulation import ConeProblem, GramPattern
+from .geometry import require_positive_real
 
-__all__ = ["ConeProblem", "SolverConfig", "SolverResult", "SolverStatus", "solve"]
+__all__ = ["ConeProblem", "SolverResult", "SolverStatus", "solve"]
 
 log = logging.getLogger("optigon.solver")
 
@@ -66,34 +66,17 @@ log = logging.getLogger("optigon.solver")
 STEP_FRACTION = 0.99
 # initial diagonal shift of the reduced KKT matrix
 REGULARIZATION = 1e-12
+# interior-point iterations per solve before ITERATION_LIMIT
+MAX_ITERATIONS = 200
+# the default tolerance, tighter than the outer loop's stopping threshold
+# so that subproblem noise cannot trigger the outer stopping test
+TOL_SOLVER = 1e-9
 
 
 class SolverStatus(enum.Enum):
     OPTIMAL = "optimal"
     ITERATION_LIMIT = "iteration_limit"
     NUMERICAL_FAILURE = "numerical_failure"
-
-
-@dataclass
-class SolverConfig:
-    """Interior-point controls.
-
-    tol_solver is deliberately tighter than the outer loop's stopping
-    threshold so subproblem noise cannot trigger the outer stopping test.
-    """
-
-    tol_solver: float = 1e-9
-    max_iterations: int = 200
-
-    def validate(self) -> None:
-        if (not isinstance(self.tol_solver, numbers.Real) or isinstance(self.tol_solver, bool)
-                or not 0.0 < self.tol_solver < math.inf):
-            raise ValueError(f"tol_solver must be finite and positive, got {self.tol_solver!r}")
-        if (not isinstance(self.max_iterations, numbers.Integral)
-                or isinstance(self.max_iterations, bool) or self.max_iterations < 1):
-            raise ValueError(
-                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}"
-            )
 
 
 @dataclass
@@ -352,7 +335,7 @@ def _factor_kkt(pattern: GramPattern, H: np.ndarray, kkt: np.ndarray) -> np.ndar
 
 def solve(
     cone: ConeProblem,
-    cfg: SolverConfig | None = None,
+    tol_solver: float = TOL_SOLVER,
     warm_start: np.ndarray | None = None,
 ) -> SolverResult:
     """Solve the cone problem to duality-gap-certified optimality.
@@ -361,14 +344,14 @@ def solve(
     tol_solver and the reported objective is within the duality gap of the
     true optimum. On ITERATION_LIMIT the best iterate seen is returned with
     its residuals. A solve that fails from warm_start is not retried from
-    the cold start. Deterministic for fixed inputs.
+    the cold start. Deterministic for fixed inputs. Raises ValueError
+    unless tol_solver is a finite positive real number.
     """
-    cfg = cfg or SolverConfig()
-    cfg.validate()
-    return _solve_inner(cone, cfg, warm_start)
+    require_positive_real("tol_solver", tol_solver)
+    return _solve_inner(cone, tol_solver, warm_start)
 
 
-def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
+def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
     p = cone.n_nonneg
     h = cone.h
     c = cone.c
@@ -389,7 +372,7 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
     iters = 0
     alpha = 0.0
     sigma = 0.0
-    for iteration in range(cfg.max_iterations + 1):
+    for iteration in range(MAX_ITERATIONS + 1):
         r_x = cone.rmatvec(z) + c
         r_z = cone.matvec(x) + s - h
         gap = float(s @ z)
@@ -410,12 +393,11 @@ def _solve_inner(cone: ConeProblem, cfg: SolverConfig, warm_start):
             best = (score, x.copy(), s.copy(), z.copy(), pres, dres, gap, pobj_min)
 
         iters = iteration
-        if pres <= cfg.tol_solver and dres <= cfg.tol_solver and gap <= cfg.tol_solver * max(
-            1.0, abs(pobj_min)
-        ):
+        if (pres <= tol_solver and dres <= tol_solver
+                and gap <= tol_solver * max(1.0, abs(pobj_min))):
             status = SolverStatus.OPTIMAL
             break
-        if iteration == cfg.max_iterations:
+        if iteration == MAX_ITERATIONS:
             status = SolverStatus.ITERATION_LIMIT
             break
 

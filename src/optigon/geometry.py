@@ -46,22 +46,23 @@ class Polygon:
     def n(self) -> int:
         return self.vertices.shape[0]
 
-    def validate(self, tol_feas: float = TOL_FEAS) -> None:
-        """Check the vertex-convention invariants, raising on violation.
+    def validate(self) -> None:
+        """Check the vertex-convention invariants within TOL_FEAS, raising
+        on violation.
 
         Construction only validates shape and finiteness so that
         intermediate (infeasible) iterates can still be represented;
         this is the explicit invariant check.
         """
         v = self.vertices
-        if max(abs(v[0, 0]), abs(v[0, 1])) > tol_feas:
+        if max(abs(v[0, 0]), abs(v[0, 1])) > TOL_FEAS:
             raise InvalidPolygon(f"v_0 must be at the origin, got {tuple(v[0])}")
-        if (v[:, 1] < -tol_feas).any():
+        if (v[:, 1] < -TOL_FEAS).any():
             raise InvalidPolygon("all vertices must satisfy y >= 0")
         x, y = v[1:-1, 0], v[1:-1, 1]
         xn, yn = v[2:, 0], v[2:, 1]
         cross = yn * x - xn * y
-        if (cross < -tol_feas).any():
+        if (cross < -TOL_FEAS).any():
             i = int(np.argmin(cross)) + 1
             raise InvalidPolygon(
                 f"vertices not in counterclockwise order around v_0 (fan triangle {i})"
@@ -163,6 +164,14 @@ def require_even_ge6(n: int) -> None:
         raise ValueError(f"n must be an integer, got {n!r}")
     if n % 2 != 0 or n < 6:
         raise ValueError(f"n must be even and >= 6, got {n}")
+
+
+def require_positive_real(name: str, value) -> None:
+    """Raise ValueError naming `name` unless value is a finite positive real
+    number. A bool is refused, though it is an int subclass."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

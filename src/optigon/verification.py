@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
-from .geometry import Polygon, diameter, diameter_graph, require_even_ge6
+from .geometry import Polygon, diameter, diameter_graph, require_even_ge6, require_positive_real
 
 __all__ = [
     "TOL_FINAL",
@@ -71,8 +70,7 @@ def verify_structure(polygon: Polygon, tol: float = TOL_FINAL) -> StructureRepor
     cycle, so its report fails. Raises ValueError unless tol is a finite
     positive real number, not a bool, and n is even and >= 6.
     """
-    if not isinstance(tol, numbers.Real) or isinstance(tol, bool) or not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    require_positive_real("tol", tol)
     n = polygon.n
     require_even_ge6(n)
     v = polygon.vertices

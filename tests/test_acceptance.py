@@ -13,7 +13,7 @@ import pytest
 
 from optigon import verification
 from optigon.ccp import CcpStatus, maximize_area
-from optigon.conic_solver import SolverConfig, SolverStatus, solve
+from optigon.conic_solver import TOL_SOLVER, SolverStatus, solve
 from optigon.formulation import ConeTemplate, vector_to_polygon
 from optigon.geometry import pendant_area, upper_bound
 from optigon.literature import lower_bound
@@ -21,7 +21,6 @@ from optigon.literature import lower_bound
 from reference_program import fan_residuals, mini_cone
 from reference_values import PUBLISHED
 
-TOL_SOLVER = SolverConfig().tol_solver
 # criterion 6's tolerance for intermediate iterates, which satisfy the
 # structure only approximately early in a run
 TOL_INTERMEDIATE = 1e-4

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from optigon import ccp, cli, verification
+from optigon import ccp, cli, conic_solver, verification
 from optigon.ccp import (
     CcpConfig,
     CcpStatus,
@@ -14,7 +14,7 @@ from optigon.ccp import (
     run_sweep,
     step,
 )
-from optigon.conic_solver import SolverConfig, SolverResult, SolverStatus, solve
+from optigon.conic_solver import SolverResult, SolverStatus, solve
 from optigon.errors import (
     AscentViolation,
     FeasibilityViolation,
@@ -104,7 +104,7 @@ class TestStep:
             z_next = step(template, z, cfg).z
             assert program.evaluate(z_next).min_residual() >= -1e-8
             assert program.evaluate(z_next).objective >= (
-                program.evaluate(z).objective - cfg.solver.tol_solver
+                program.evaluate(z).objective - cfg.tol_solver
             )
             z = z_next
 
@@ -117,11 +117,11 @@ class TestStep:
         new_area = area(vector_to_polygon(z_next, 6))
         assert abs(new_area - hexagon_result.area) <= 1e-8
 
-    def test_subproblem_failure_raises(self):
-        cfg = CcpConfig(solver=SolverConfig(max_iterations=2))
+    def test_subproblem_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(conic_solver, "MAX_ITERATIONS", 2)
         z0 = polygon_to_vector(build_pendant_polygon(6))
         with pytest.raises(SubproblemFailure):
-            step(ConeTemplate(6), z0, cfg)
+            step(ConeTemplate(6), z0, CcpConfig())
 
 
 class TestScreening:
@@ -134,7 +134,7 @@ class TestScreening:
         template = ConeTemplate(n)
         cfg = CcpConfig()
         z0 = polygon_to_vector(build_pendant_polygon(n))
-        full = solve(template.at(z0), cfg.solver, warm_start=z0)
+        full = solve(template.at(z0), cfg.tol_solver, warm_start=z0)
         z1, screened, kept, resolves = step(template, z0, cfg)
         assert (kept, resolves) == (template.n_pairs, 0)
         assert np.array_equal(z1, full.primal)
@@ -151,14 +151,14 @@ class TestScreening:
         # they agree to ~2e-6, the IPM's own primal accuracy here)
         monkeypatch.setattr(ccp, "SCREEN_MARGIN", 0.0)
         template = ConeTemplate(12)
-        cfg = CcpConfig(solver=SolverConfig(tol_solver=1e-11))
+        cfg = CcpConfig(tol_solver=1e-11)
         z0 = polygon_to_vector(build_pendant_polygon(12))
         z1, result, kept, resolves = step(template, z0, cfg)
         assert resolves >= 1
         assert 0 < kept < template.n_pairs
-        full = solve(template.at(z0), cfg.solver, warm_start=z0)
+        full = solve(template.at(z0), cfg.tol_solver, warm_start=z0)
         assert np.abs(z1 - full.primal).max() <= 1e-7
-        assert template.evaluate(z1).min_residual() >= -cfg.solver.tol_solver
+        assert template.evaluate(z1).min_residual() >= -cfg.tol_solver
 
     def test_records_carry_screening_counts(self, hexagon_result):
         first, *steps = hexagon_result.trace
@@ -238,29 +238,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="epsilon"):
             CcpConfig(epsilon=epsilon).validate()
 
+    @pytest.mark.parametrize("tol", [True, "1e-9", None, float("nan"), float("inf"), 0.0])
+    def test_solver_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol_solver must be finite and positive"):
+            CcpConfig(tol_solver=tol).validate()
+
     def test_solver_tolerance_coupling(self):
         with pytest.raises(ValueError):
-            CcpConfig(epsilon=1e-5, solver=SolverConfig(tol_solver=1e-6)).validate()
+            CcpConfig(epsilon=1e-5, tol_solver=1e-6).validate()
 
     def test_settable_fields(self):
-        # epsilon and tol_solver are the CLI's --eps and --solver-tol; the two
-        # iteration caps reach the OUTER_LIMIT and subproblem-failure paths.
-        # A new setting changes this test on purpose.
-        assert [f.name for f in dataclasses.fields(CcpConfig)] == [
-            "epsilon", "max_outer_iterations", "solver"]
-        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-            "tol_solver", "max_iterations"]
+        # epsilon and tol_solver are the CLI's --eps and --solver-tol; the
+        # iteration caps are the constants ccp.MAX_OUTER_ITERATIONS and
+        # conic_solver.MAX_ITERATIONS. A new setting changes this test on purpose.
+        assert [f.name for f in dataclasses.fields(CcpConfig)] == ["epsilon", "tol_solver"]
 
-    @pytest.mark.parametrize("cap", [2.5, float("inf"), True, 0])
-    def test_outer_cap_must_be_a_positive_integer(self, cap):
-        # 2.5 used to run 3 outer iterations and inf to leave the loop uncapped
-        with pytest.raises(ValueError, match="max_outer_iterations"):
-            CcpConfig(max_outer_iterations=cap).validate()
-        with pytest.raises(ValueError, match="max_outer_iterations"):
-            maximize_area(6, CcpConfig(max_outer_iterations=cap))
-
-    def test_outer_limit_status(self):
-        result = maximize_area(6, CcpConfig(max_outer_iterations=2))
+    def test_outer_limit_status(self, monkeypatch):
+        monkeypatch.setattr(ccp, "MAX_OUTER_ITERATIONS", 2)
+        result = maximize_area(6)
         assert result.status is CcpStatus.OUTER_LIMIT
         assert result.iterations == 2
 
@@ -276,9 +271,9 @@ class TestSweep:
     def test_empty_sweep(self):
         assert run_sweep([]) == []
 
-    def test_failures_are_isolated(self):
-        bad_cfg = CcpConfig(solver=SolverConfig(max_iterations=2))
-        results = run_sweep([6, 8], bad_cfg)
+    def test_failures_are_isolated(self, monkeypatch):
+        monkeypatch.setattr(conic_solver, "MAX_ITERATIONS", 2)
+        results = run_sweep([6, 8])
         assert len(results) == 2
         assert all(r.status is CcpStatus.SUBPROBLEM_FAILURE for r in results)
         assert all(r.message for r in results)

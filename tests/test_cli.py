@@ -12,7 +12,7 @@ import pytest
 from optigon import ccp, cli, reporting, verification
 from optigon.ccp import maximize_area
 from optigon.cli import main
-from optigon.conic_solver import SolverConfig, SolverResult, SolverStatus
+from optigon.conic_solver import SolverResult, SolverStatus
 from optigon.formulation import ConeTemplate
 from optigon.geometry import Polygon, build_pendant_polygon, pendant_area, polygon_to_json
 from optigon.verification import unit_chord_pairs, verify_structure
@@ -81,6 +81,11 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: epsilon must be finite")
+
+    @pytest.mark.parametrize("argv", [["solve", "--n", "6"], ["sweep", "--from", "6", "--to", "8"]])
+    def test_default_flags_are_the_default_config(self, argv):
+        args = cli._build_parser().parse_args(argv)
+        assert ccp.CcpConfig(epsilon=args.eps, tol_solver=args.solver_tol) == ccp.CcpConfig()
 
 
 class TestSweep:
@@ -199,7 +204,7 @@ class TestVerificationFailure:
         assert "structure=FAIL" in capsys.readouterr().out
 
     def test_sweep_exits_1_when_one_entry_fails(self, monkeypatch, capsys):
-        loose = ccp.CcpConfig(epsilon=0.05, solver=SolverConfig(tol_solver=1e-4))
+        loose = ccp.CcpConfig(epsilon=0.05, tol_solver=1e-4)
         results = {6: maximize_area(6), 8: maximize_area(8, loose)}
         monkeypatch.setattr(cli, "_sweep_entry", lambda item: results[item[0]])
         assert main(["sweep", "--from", "6", "--to", "8"]) == 1

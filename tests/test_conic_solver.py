@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optigon
-from optigon import ccp
+from optigon import ccp, conic_solver
 from optigon.conic_solver import (
     REGULARIZATION,
-    SolverConfig,
+    TOL_SOLVER,
     SolverStatus,
     _factor_kkt,
     _inv_mul,
@@ -191,12 +191,11 @@ class TestAnalyticOptima:
 class TestSolverCertificates:
     def test_optimal_status_implies_tolerances(self, hexagon_restriction):
         _, cone = hexagon_restriction
-        cfg = SolverConfig()
-        res = solve(cone, cfg)
+        res = solve(cone)
         assert res.status is SolverStatus.OPTIMAL
-        assert res.max_primal_residual <= cfg.tol_solver
-        assert res.max_dual_residual <= cfg.tol_solver
-        assert res.duality_gap <= cfg.tol_solver * max(1.0, abs(res.objective))
+        assert res.max_primal_residual <= TOL_SOLVER
+        assert res.max_dual_residual <= TOL_SOLVER
+        assert res.duality_gap <= TOL_SOLVER * max(1.0, abs(res.objective))
 
     def test_determinism(self, hexagon_restriction):
         _, cone = hexagon_restriction
@@ -213,9 +212,10 @@ class TestSolverCertificates:
         assert warm.status is SolverStatus.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
 
-    def test_iteration_limit_returns_best_iterate(self, hexagon_restriction):
+    def test_iteration_limit_returns_best_iterate(self, hexagon_restriction, monkeypatch):
         _, cone = hexagon_restriction
-        res = solve(cone, SolverConfig(max_iterations=3))
+        monkeypatch.setattr(conic_solver, "MAX_ITERATIONS", 3)
+        res = solve(cone)
         assert res.status is SolverStatus.ITERATION_LIMIT
         assert np.isfinite(res.objective)
         assert res.max_primal_residual < 1.0
@@ -237,7 +237,7 @@ class TestSolverCertificates:
         # on the cone boundary, where the Newton right-hand side would be
         # non-finite; the scaling rejects it
         z0 = polygon_to_vector(build_pendant_polygon(12))
-        res = solve(ConeTemplate(12).at(z0), SolverConfig(tol_solver=1e-12), warm_start=z0)
+        res = solve(ConeTemplate(12).at(z0), tol_solver=1e-12, warm_start=z0)
         assert res.status is SolverStatus.NUMERICAL_FAILURE
 
     def test_nonfinite_reduced_kkt_matrix_is_numerical_failure(self, monkeypatch):
@@ -257,19 +257,13 @@ class TestSolverCertificates:
         with pytest.raises(ValueError, match="warm start must have shape"):
             solve(cone, warm_start=z0[:-1])
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol_solver=0.0).validate()
-        with pytest.raises(ValueError):
-            SolverConfig(max_iterations=0).validate()
+    def test_config_validation(self, hexagon_restriction):
+        _, cone = hexagon_restriction
         # an infinite tolerance would accept the warm start after 0 iterations
         # True used to pass as 1.0; a string or None raised TypeError
-        for tol in (math.inf, math.nan, True, "1e-5", None):
-            with pytest.raises(ValueError):
-                SolverConfig(tol_solver=tol).validate()
-        for cap in (2.5, "3", True):
-            with pytest.raises(ValueError):
-                SolverConfig(max_iterations=cap).validate()
+        for tol in (True, "1e-9", None, math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="tol_solver must be finite and positive"):
+                solve(cone, tol_solver=tol)
 
 
 class TestInfeasible:
@@ -360,7 +354,8 @@ class TestCholesky:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ConeProblem, "gram_entries", recording_gram)
-            solve(cone, SolverConfig(max_iterations=1))
+            mp.setattr(conic_solver, "MAX_ITERATIONS", 1)
+            solve(cone)
         return built[0]
 
     @pytest.fixture(scope="class")
