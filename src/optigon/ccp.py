@@ -101,7 +101,6 @@ class IterateRecord:
     area: float
     objective: float
     rel_step: float | None
-    solver_status: str
     solver_iterations: int
     max_violation: float
     pairs_kept: int = 0  # distance pairs in the cone of the step's final solve
@@ -137,9 +136,8 @@ def step(template: ConeTemplate, z_k: np.ndarray, cfg: CcpConfig) -> StepResult:
     """One outer iteration: solve the convex restriction built at z_k on the
     distance pairs near unit distance, re-solving with any dropped pair the
     candidate violates until none is (see the module docstring). Each solve
-    gets `template.at(z_k, keep)`, built afresh for the current mask, and
-    warm-starts at z_k; it shares its columns and `ColumnPattern` with the
-    solve before when the mask is unchanged.
+    gets `template.at(z_k, keep)`, a new cone built for the current mask,
+    and warm-starts at z_k.
 
     Raises SubproblemFailure unless every solve reached optimality.
     """
@@ -188,7 +186,7 @@ def maximize_area(
         initial.validate()
     z = polygon_to_vector(initial)
     trace: list[IterateRecord] = []
-    start = _record(trace, template, k=0, z=z, rel_step=None, solver=None)
+    start = _record(trace, template, k=0, z=z, rel_step=None)
     if start.max_violation > TOL_FEAS:
         raise InfeasibleInitial(
             f"initial polygon violates the program by {start.max_violation:.3e}"
@@ -215,8 +213,8 @@ def maximize_area(
         z = z_next
 
         rec = _record(
-            trace, template, k=k, z=z, rel_step=rel, solver=solver_result,
-            pairs_kept=pairs_kept, resolves=resolves,
+            trace, template, k=k, z=z, rel_step=rel,
+            solver_iterations=solver_result.iterations, pairs_kept=pairs_kept, resolves=resolves,
         )
         # ascent, boundedness, and feasibility hold up to solver noise;
         # violations indicate a solver or formulation defect
@@ -285,7 +283,7 @@ def failed_result(n: int, message: str) -> CcpResult:
 
 
 def _record(
-    trace, template, *, k, z, rel_step, solver, pairs_kept=0, resolves=0
+    trace, template, *, k, z, rel_step, solver_iterations=0, pairs_kept=0, resolves=0
 ) -> IterateRecord:
     report = template.evaluate(z)
     polygon = vector_to_polygon(z, template.n)
@@ -295,8 +293,7 @@ def _record(
         area=area(polygon),
         objective=report.objective,
         rel_step=rel_step,
-        solver_status=solver.status.value if solver else "initial",
-        solver_iterations=solver.iterations if solver else 0,
+        solver_iterations=solver_iterations,
         max_violation=max(0.0, -report.min_residual()),
         pairs_kept=pairs_kept,
         resolves=resolves,

@@ -106,6 +106,8 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.step < 1 or args.jobs < 1:
         raise ValueError(f"--step and --jobs must be >= 1, got {args.step} and {args.jobs}")
+    if args.step % 2:
+        raise ValueError(f"--step must be even, got {args.step}")
     ns = list(range(args.start, args.stop + 1, args.step))
     if not ns:
         raise ValueError(f"empty range: --from {args.start} --to {args.stop}")
@@ -229,13 +231,14 @@ def _cmd_bounds(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    usage = ValueError(f"expected an even n >= 6 or a range like 6..128, got {text!r}")
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+    except ValueError:
+        raise usage from None
     if lo % 2 != 0 or lo < 6 or hi < lo:
-        raise ValueError(f"expected an even n >= 6 or a range like 6..128, got {text!r}")
+        raise usage
     return list(range(lo, hi + 1, 2))
 
 

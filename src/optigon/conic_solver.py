@@ -12,17 +12,18 @@ here.
 Every block is Q^4, and G is held in fixed-shape arrays: coefficients of
 shape (4, K, m) over K <= 5 columns per block, nonnegative rows as
 index/coefficient vectors. Between restrictions of one n only the n-2
-triangle-area blocks change; restrictions with the same distance pairs
-share one column pattern. Cone vectors are flat with the
-second-order part viewed as a (4, m) array, so the blockwise
-Jordan-algebra and scaling operations are numpy expressions over all blocks.
+triangle-area blocks and the set of distance blocks change. Cone vectors
+are flat with the second-order part viewed as a (4, m) array, so the
+blockwise Jordan-algebra and scaling operations are numpy expressions over
+all blocks.
 
 Primal-dual method: Nesterov-Todd scaling per block, Mehrotra
 predictor-corrector steps, and a dense Cholesky factorization of the reduced
-KKT matrix H = G^T W^{-2} G. The cone's `ColumnPattern` fixes where H has
-entries; each iteration sums the per-block K x K pieces into those entries
-alone (`ConeProblem.gram_entries`), forms 0.5 (H + H^T) on the triangle that
-dpotrf reads, and scatters it into one zeroed dim x dim buffer per solve.
+KKT matrix H = G^T W^{-2} G. The cone's `gram` pattern, found once per
+cone, fixes where H has entries; each iteration sums the per-block K x K
+pieces into those entries alone (`ConeProblem.gram_entries`), forms
+0.5 (H + H^T) on the triangle that dpotrf reads, and scatters it into one
+zeroed dim x dim buffer per solve.
 Problem sizes here (dim <= 380, a few thousand blocks) make dense
 reduced-KKT linear algebra adequate. No randomness anywhere: results are
 deterministic.
@@ -362,7 +363,7 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
     # dim x dim array per iteration
     kkt = np.empty((cone.dim, cone.dim))
     x, s, z = _initial_point(cone, warm_start, kkt)
-    pattern = cone.pattern.gram
+    pattern = cone.gram
 
     h_scale = max(1.0, np.abs(h).max(initial=0.0))
     c_scale = max(1.0, np.abs(c).max(initial=0.0))
@@ -512,7 +513,7 @@ def _initial_point(cone: ConeProblem, warm_start, kkt: np.ndarray):
     # bincount sums G^T G's (i, j) and (j, i) terms in slot order, which
     # need not agree bit for bit, so its own lower triangle is factored:
     # the mirror of each upper entry of kkt is a lower entry of G^T G
-    pattern = cone.pattern.gram
+    pattern = cone.gram
     _scatter_upper(pattern, cone.gram_entries(np.ones(cone.n_rows))[pattern.mirror], kkt)
     kkt.flat[:: n + 1] += 1e-12 * max(1.0, np.trace(kkt) / max(n, 1))
     factor = cho_factor(kkt.T)

@@ -27,7 +27,7 @@ restriction at each reference point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -38,7 +38,6 @@ from .geometry import Polygon, require_even_ge6
 
 __all__ = [
     "EvaluationReport",
-    "ColumnPattern",
     "ConeProblem",
     "ConeTemplate",
     "GramPattern",
@@ -104,33 +103,6 @@ class GramPattern(NamedTuple):
         return cls(entries, position[flat], upper, mirror, entries[upper])
 
 
-class ColumnPattern:
-    """What follows from the columns of G alone: the column of every slot,
-    and where G^T M G has its entries. Cones with the same nn_cols and
-    soc_cols share one; each array is built on first use."""
-
-    def __init__(self, nn_cols: np.ndarray, soc_cols: np.ndarray, dim: int):
-        self.nn_cols = nn_cols
-        self.soc_cols = soc_cols
-        self.dim = dim
-
-    @cached_property
-    def cols(self) -> np.ndarray:
-        """The column of every slot: nonnegative rows, then blocks."""
-        return np.concatenate([self.nn_cols.ravel(), self.soc_cols.ravel()])
-
-    @cached_property
-    def gram(self) -> GramPattern:
-        """The pattern of G^T M G: one term per slot pair (k, l) of every
-        nonnegative row and every block, in `ConeProblem.gram_entries`' order."""
-        dim = self.dim
-        return GramPattern.of(
-            np.concatenate([(cols[:, None, :] * dim + cols[None, :, :]).ravel()
-                            for cols in (self.nn_cols, self.soc_cols)]),
-            dim,
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class ConeProblem:
     """minimize c^T x subject to G x + s = h, s in R^p_+ x (Q^4)^m.
@@ -142,9 +114,9 @@ class ConeProblem:
     coefficient. h, like every cone vector, holds the p nonnegative rows,
     then row 0 of every block, row 1 of every block, and so on.
 
-    pattern is the `ColumnPattern` of nn_cols and soc_cols; a new one unless
-    given. The reduced KKT matrix G^T M G is never formed densely:
-    `gram_entries` gives its values at the pattern's entries.
+    The reduced KKT matrix G^T M G is never formed densely: `gram` is where
+    it has entries, found once per cone, and `gram_entries` gives its values
+    there.
     """
 
     c: np.ndarray
@@ -153,13 +125,6 @@ class ConeProblem:
     nn_coef: np.ndarray
     soc_cols: np.ndarray
     soc_coef: np.ndarray
-    pattern: ColumnPattern | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.pattern is None:
-            object.__setattr__(
-                self, "pattern", ColumnPattern(self.nn_cols, self.soc_cols, self.dim)
-            )
 
     @property
     def dim(self) -> int:
@@ -177,6 +142,23 @@ class ConeProblem:
     def n_rows(self) -> int:
         return self.n_nonneg + 4 * self.n_soc
 
+    # cached_property writes __dict__, so it works on this frozen dataclass
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """The column of every slot: nonnegative rows, then blocks."""
+        return np.concatenate([self.nn_cols.ravel(), self.soc_cols.ravel()])
+
+    @cached_property
+    def gram(self) -> GramPattern:
+        """The pattern of G^T M G: one term per slot pair (k, l) of every
+        nonnegative row and every block, in `gram_entries`' order."""
+        dim = self.dim
+        return GramPattern.of(
+            np.concatenate([(cols[:, None, :] * dim + cols[None, :, :]).ravel()
+                            for cols in (self.nn_cols, self.soc_cols)]),
+            dim,
+        )
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """G x."""
         nn = np.einsum("kr,kr->r", self.nn_coef, x[self.nn_cols])
@@ -189,13 +171,13 @@ class ConeProblem:
         nn = self.nn_coef * y[:p]
         soc = np.einsum("jkb,jb->kb", self.soc_coef, y[p:].reshape(4, -1))
         return np.bincount(
-            self.pattern.cols, np.concatenate([nn.ravel(), soc.ravel()]), minlength=self.dim
+            self.cols, np.concatenate([nn.ravel(), soc.ravel()]), minlength=self.dim
         )
 
     def gram_entries(
         self, d: np.ndarray, v: np.ndarray | None = None, beta: np.ndarray | None = None
     ) -> np.ndarray:
-        """G^T M G at `pattern.gram.entries`, for M = diag(d), plus
+        """G^T M G at `gram.entries`, for M = diag(d), plus
         beta_b v_b v_b^T on each block b when v (shape (4, m)) and beta
         (shape (m,)) are given. Each entry sums its slot-pair terms in slot
         order, as a dense bincount over the same terms would."""
@@ -206,7 +188,7 @@ class ConeProblem:
         if v is not None:
             u = np.einsum("jkb,jb->kb", A, v)
             soc += (beta * u)[:, None, :] * u[None, :, :]
-        gram = self.pattern.gram
+        gram = self.gram
         return np.bincount(
             gram.slot_entry, np.concatenate([nn.ravel(), soc.ravel()]),
             minlength=len(gram.entries),
@@ -232,12 +214,12 @@ class ConeTemplate:
     keeps the pairs only as their columns `pairs`, rows (x_i, x_j, y_i, y_j)
     of a (4, n_pairs) array, and keeps the radius and triangle blocks in
     fixed-shape arrays. Restrictions differ only in the triangle blocks,
-    whose first and last rows hold the tangent of g at c.
+    whose first and last rows hold the tangent of g at c, and in which
+    distance blocks they hold.
 
-    `at(c, keep)` builds the restriction at c holding the distance blocks
-    of the kept pairs; `distance_sq` gives every pair's squared length, to
-    choose and to check them. A restriction with the same pairs as the one
-    before shares its column array and `ColumnPattern`.
+    `at(c, keep)` builds every restriction, from c and keep alone;
+    `distance_sq` gives every pair's squared length, to choose and to check
+    the pairs.
     """
 
     def __init__(self, n: int):
@@ -270,41 +252,23 @@ class ConeTemplate:
         self._c[u] = -1.0
         self._nn_cols = np.concatenate([y, u])[None, :]
         self._nn_coef = np.full((1, 2 * n - 3), -1.0)
-        # (mask, soc_cols, pattern) of the last restriction built by `at`;
-        # the next one with the same mask reuses its columns and pattern
-        self._last: tuple[np.ndarray, np.ndarray, ColumnPattern] | None = None
 
     def at(self, c: np.ndarray, keep: np.ndarray | None = None) -> ConeProblem:
         """The restriction at reference point c, holding the distance blocks
         of the pairs where the boolean mask `keep` (one entry per pair, in
         block order) is true, or of every pair when keep is None; every other
-        row is kept. Each call builds new coefficients and h; the columns and
-        pattern are the last call's when its mask was the same."""
+        row is kept."""
         c = _checked(c, self.dim)
         if keep is None:
             keep = np.ones(self.n_pairs, dtype=bool)
         keep = np.asarray(keep)
         if keep.dtype != bool or keep.shape != (self.n_pairs,):
             raise ValueError(f"keep must be a boolean mask of shape ({self.n_pairs},)")
-        last = self._last
-        if last is None or not np.array_equal(last[0], keep):
-            pairs = int(keep.sum())
-            soc_cols = np.zeros((5, pairs + self._cols.shape[1]), dtype=np.intp)
-            soc_cols[:4, :pairs] = self.pairs[:, keep]
-            soc_cols[:, pairs:] = self._cols
-            last = self._last = (
-                keep.copy(), soc_cols, ColumnPattern(self._nn_cols, soc_cols, self.dim)
-            )
-        _, soc_cols, pattern = last
-        return self._restriction(c, soc_cols, pattern)
-
-    def _restriction(
-        self, c: np.ndarray, soc_cols: np.ndarray, pattern: ColumnPattern | None
-    ) -> ConeProblem:
-        """The restriction at c whose blocks are the distance blocks of the
-        leading columns of soc_cols, then the radius and triangle blocks."""
+        pairs = int(keep.sum())
         fixed = self._cols.shape[1]
-        pairs = soc_cols.shape[1] - fixed
+        soc_cols = np.zeros((5, pairs + fixed), dtype=np.intp)
+        soc_cols[:4, :pairs] = self.pairs[:, keep]
+        soc_cols[:, pairs:] = self._cols
         coef = np.zeros((4, 5, pairs + fixed))
         # distance: l = (x_j - x_i, y_j - y_i) over (x_i, x_j, y_i, y_j)
         coef[1, 0, :pairs], coef[1, 1, :pairs] = 1.0, -1.0
@@ -333,7 +297,6 @@ class ConeTemplate:
             nn_coef=self._nn_coef,
             soc_cols=soc_cols,
             soc_coef=coef,
-            pattern=pattern,
         )
 
     def distance_sq(self, z: np.ndarray) -> np.ndarray:
@@ -349,7 +312,7 @@ class ConeTemplate:
         z = _checked(z, self.dim)
         x_i, x_j, y_i, y_j = z[self.pairs]
         distance = (1.0 - (x_i - x_j) ** 2) - (y_i - y_j) ** 2
-        rest = self._restriction(z, self._cols, None).residuals(z)
+        rest = self.at(z, np.zeros(self.n_pairs, dtype=bool)).residuals(z)
         p = self._nn_cols.shape[1]
         return EvaluationReport(
             objective=float(-(self._c @ z)),

@@ -100,6 +100,20 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].startswith("6,") and lines[2].startswith("8,")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pool_writes_what_one_process_writes(self, fmt, tmp_path, capsys):
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            argv = ["sweep", "--from", "6", "--to", "10", "--jobs", jobs,
+                    "--format", fmt, "--out", str(out)]
+            assert main(argv) == 0
+            tree = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                    if p.is_file()}
+            outputs.append((capsys.readouterr().out, tree))
+        assert len(outputs[0][1]) == 3 * 4
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="the crash is injected by patching the parent before workers fork",
@@ -155,7 +169,8 @@ class TestSweep:
         assert main(["sweep", "--from", "5", "--to", "9"]) == 2
 
     @pytest.mark.parametrize("flags", [
-        ["--from", "16", "--to", "6"], ["--step", "-2"], ["--step", "0"], ["--jobs", "0"]])
+        ["--from", "16", "--to", "6"], ["--step", "-2"], ["--step", "0"], ["--jobs", "0"],
+        ["--step", "3"]])
     def test_rejects_empty_range_and_nonpositive_counts(self, flags, capsys):
         assert main(["sweep", "--from", "6", "--to", "16", *flags]) == 2
         err = capsys.readouterr().err
@@ -394,8 +409,13 @@ class TestBounds:
         assert capsys.readouterr().out.splitlines()[1] == "6,0.6722882584,0.6961524227"
 
     def test_bad_range_is_usage_error(self, capsys):
-        assert main(["bounds", "--n", "7"]) == 2
-        assert main(["bounds", "--n", "12..6"]) == 2
+        for text in ("7", "12..6", "6..", "abc", "6..x"):
+            assert main(["bounds", "--n", text]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: expected an even n >= 6 or a range like 6..128, got {text!r}\n"
+            )
 
 
 class TestUsage:

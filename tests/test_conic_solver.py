@@ -80,7 +80,7 @@ def dense_gram(cone, d, v=None, beta=None):
 def pattern_factor(cone, d, v=None, beta=None):
     """The reduced KKT factor of the pattern path, as the IPM computes it."""
     kkt = np.empty((cone.dim, cone.dim))
-    return _factor_kkt(cone.pattern.gram, cone.gram_entries(d, v, beta), kkt)
+    return _factor_kkt(cone.gram, cone.gram_entries(d, v, beta), kkt)
 
 
 def dense_factor(H):
@@ -131,7 +131,7 @@ class TestConeOperators:
             rows = p + b + m * np.arange(4)  # row j of block b
             M[np.ix_(rows, rows)] += beta[b] * np.outer(v[:, b], v[:, b])
         G = dense_G(cone)
-        entries = cone.pattern.gram.entries
+        entries = cone.gram.entries
 
         def gram(*args):
             H = np.zeros(cone.dim * cone.dim)
@@ -389,23 +389,20 @@ class TestCholesky:
         ref = self.reference(dense_gram(cone, *terms), REGULARIZATION)
         assert np.array_equal(np.tril(pattern_factor(cone, *terms)), np.tril(ref[0]))
 
-    def test_reused_pattern_gives_the_fresh_factor(self):
-        # masks A, B (A plus one pair), A, A: only the last cone reuses the
-        # pattern of the one before, and each factor is that of a cone built
-        # afresh from the same arrays
+    def test_factor_does_not_depend_on_earlier_restrictions(self):
+        # masks A, B (A plus one pair), A, A from one template: each factor
+        # is that of a cone built afresh from the same arrays, so `at`
+        # carries nothing from one call to the next
         template = ConeTemplate(16)
         z0 = polygon_to_vector(build_pendant_polygon(16))
         a = ccp._near_unit(template.distance_sq(z0))
         b = a.copy()
         b[np.flatnonzero(~a)[0]] = True
         cones = [template.at(z0, mask) for mask in (a, b, a, a)]
-        patterns = [cone.pattern for cone in cones]
-        assert [patterns[i] is patterns[i - 1] for i in (1, 2, 3)] == [False, False, True]
         assert cones[1].n_soc == cones[0].n_soc + 1
         for cone in cones:
             fresh = ConeProblem(cone.c, cone.h, cone.nn_cols, cone.nn_coef,
                                 cone.soc_cols.copy(), cone.soc_coef)
-            assert fresh.pattern is not cone.pattern
             terms = self.first_iteration_terms(cone)
             assert np.array_equal(np.tril(pattern_factor(cone, *terms)),
                                   np.tril(pattern_factor(fresh, *terms)))
