@@ -73,6 +73,7 @@ class CcpStatus(enum.Enum):
     CONVERGED = "converged"
     OUTER_LIMIT = "outer_limit"
     SUBPROBLEM_FAILURE = "subproblem_failure"
+    FAILED = "failed"  # the run raised, or its worker process died
 
 
 @dataclass
@@ -198,8 +199,7 @@ def maximize_area(
     status = CcpStatus.OUTER_LIMIT
     message = ""
     k = 0
-    objective_prev = start.objective
-    area_prev = area(initial)
+    prev = start
     while k < MAX_OUTER_ITERATIONS:
         try:
             z_next, solver_result, pairs_kept, resolves = step(template, z, cfg)
@@ -218,10 +218,10 @@ def maximize_area(
         )
         # ascent, boundedness, and feasibility hold up to solver noise;
         # violations indicate a solver or formulation defect
-        if rec.objective < objective_prev - slack or rec.area < area_prev - slack:
+        if rec.objective < prev.objective - slack or rec.area < prev.area - slack:
             raise AscentViolation(
                 f"ascent violated at iteration {k}: objective "
-                f"{objective_prev} -> {rec.objective}, area {area_prev} -> {rec.area}",
+                f"{prev.objective} -> {rec.objective}, area {prev.area} -> {rec.area}",
                 k, z,
             )
         if rec.area > area_cap:
@@ -235,8 +235,7 @@ def maximize_area(
                 f"iterate {k} infeasible beyond solver noise: {rec.max_violation:.3e}",
                 k, z,
             )
-        objective_prev = rec.objective
-        area_prev = rec.area
+        prev = rec
         log.info(
             "n=%d k=%d area=%.10f rel_step=%.3e solver_iters=%d pairs=%d resolves=%d",
             n, k, rec.area, rel, solver_result.iterations, pairs_kept, resolves,
@@ -245,11 +244,10 @@ def maximize_area(
             status = CcpStatus.CONVERGED
             break
 
-    polygon = vector_to_polygon(z, n)
     return CcpResult(
         n=n,
-        polygon=polygon,
-        area=area(polygon),
+        polygon=vector_to_polygon(z, n),
+        area=trace[-1].area,
         iterations=k,
         status=status,
         trace=trace,
@@ -276,7 +274,7 @@ def failed_result(n: int, message: str) -> CcpResult:
         polygon=None,
         area=float("nan"),
         iterations=0,
-        status=CcpStatus.SUBPROBLEM_FAILURE,
+        status=CcpStatus.FAILED,
         trace=None,
         message=message,
     )

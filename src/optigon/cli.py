@@ -117,7 +117,7 @@ def _cmd_sweep(args) -> int:
     if args.jobs > 1:
         results = _pool_sweep(ns, cfg, args.jobs)
     else:
-        results = [_sweep_entry((n, cfg)) for n in ns]
+        results = run_sweep(ns, cfg)
     return _emit_results(results, args)
 
 
@@ -138,18 +138,13 @@ def _run_pool(ns, cfg, jobs, results) -> list[int]:
     entries."""
     broken = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(ns))) as pool:
-        futures = {n: pool.submit(_sweep_entry, (n, cfg)) for n in ns}
+        futures = {n: pool.submit(run_sweep, [n], cfg) for n in ns}
         for n, future in futures.items():
             try:
-                results[n] = future.result()
+                results[n] = future.result()[0]
             except concurrent.futures.BrokenExecutor:
                 broken.append(n)
     return broken
-
-
-def _sweep_entry(item) -> CcpResult:
-    n, cfg = item
-    return run_sweep([n], cfg)[0]
 
 
 def _emit_results(results: list[CcpResult], args) -> int:
@@ -235,9 +230,10 @@ def _parse_range(text: str) -> list[int]:
     lo_s, dots, hi_s = text.partition("..")
     try:
         lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+        require_even_ge6(lo)
     except ValueError:
         raise usage from None
-    if lo % 2 != 0 or lo < 6 or hi < lo:
+    if hi < lo:
         raise usage
     return list(range(lo, hi + 1, 2))
 

@@ -333,11 +333,7 @@ def polygon_to_vector(polygon: Polygon) -> np.ndarray:
 
 
 def vector_to_polygon(z: np.ndarray, n: int) -> Polygon:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (3 * n - 4,):
-        raise DimensionMismatch(
-            f"expected decision vector of shape ({3 * n - 4},), got {z.shape}"
-        )
+    z = _checked(z, 3 * n - 4)
     v = np.zeros((n, 2))
     v[1:, 0] = z[: n - 1]
     v[1:, 1] = z[n - 1 : 2 * (n - 1)]

@@ -16,18 +16,19 @@ import numpy as np
 
 from .errors import InvalidPolygon
 
-#: Feasibility tolerance for invariant checks (matches the subproblem
-#: solver's target residual).
+#: Feasibility tolerance for invariant checks (equals the outer loop's
+#: noise slack, 10 * tol_solver, at the default solver tolerance).
 TOL_FEAS = 1e-8
 
-#: Tolerance for unit-distance edge detection; iterates of a 1e-5-converged
-#: outer loop carry coordinate error of order 1e-6.
-TOL_DIAM = 1e-6
+#: Tolerance for the unit-distance edges of a final polygon; iterates of a
+#: 1e-5-converged outer loop carry coordinate error of order 1e-6.
+TOL_FINAL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon:
-    """Ordered polygon vertices as an immutable (n, 2) array."""
+    """Ordered polygon vertices as an immutable (n, 2) array. Polygons
+    compare by identity."""
 
     vertices: np.ndarray
 
@@ -68,13 +69,6 @@ class Polygon:
                 f"vertices not in counterclockwise order around v_0 (fan triangle {i})"
             )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polygon):
-            return NotImplemented
-        return self.vertices.shape == other.vertices.shape and bool(
-            (self.vertices == other.vertices).all()
-        )
-
 
 def area(polygon: Polygon) -> float:
     """Signed area via the fan from v_0: sum of (y_{i+1} x_i - x_{i+1} y_i)/2.
@@ -102,7 +96,7 @@ def diameter(polygon: Polygon) -> float:
     return float(_distances(polygon.vertices).max())
 
 
-def diameter_graph(polygon: Polygon, tol_diam: float = TOL_DIAM) -> list[tuple[int, int]]:
+def diameter_graph(polygon: Polygon, tol_diam: float = TOL_FINAL) -> list[tuple[int, int]]:
     """Unit-distance graph as the sorted pairs (i, j), i < j, whose distance
     lies in [1 - tol_diam, 1 + tol_diam]."""
     dist = _distances(polygon.vertices)
@@ -131,6 +125,8 @@ def upper_bound(n: int) -> float:
 
     Attained exactly by the regular n-gon when n is odd.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     return (n / 2.0) * (math.sin(math.pi / n) - math.tan(math.pi / (2 * n)))

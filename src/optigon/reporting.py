@@ -47,14 +47,10 @@ def _cells(result: CcpResult) -> tuple[str, ...]:
 
 
 def render_table_csv(results: list[CcpResult]) -> str:
-    if not results:
-        raise ValueError("no rows to render")
     return "\n".join([CSV_HEADER, *(",".join(_cells(r)) for r in results)]) + "\n"
 
 
 def render_table_text(results: list[CcpResult]) -> str:
-    if not results:
-        raise ValueError("no rows to render")
     lines = [TEXT_HEADER]
     for r in results:
         n, pendant, literature, upper, computed, iterations = _cells(r)

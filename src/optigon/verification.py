@@ -13,7 +13,9 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .geometry import Polygon, diameter, diameter_graph, require_even_ge6, require_positive_real
+from .geometry import (
+    TOL_FINAL, Polygon, diameter, diameter_graph, require_even_ge6, require_positive_real,
+)
 
 __all__ = [
     "TOL_FINAL",
@@ -22,9 +24,6 @@ __all__ = [
     "verify_structure",
     "report_to_json",
 ]
-
-#: Verification tolerance for final iterates of a converged run.
-TOL_FINAL = 1e-6
 
 
 @dataclass(frozen=True)

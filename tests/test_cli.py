@@ -13,8 +13,11 @@ from optigon import ccp, cli, reporting, verification
 from optigon.ccp import maximize_area
 from optigon.cli import main
 from optigon.conic_solver import SolverResult, SolverStatus
+from optigon.errors import AscentViolation
 from optigon.formulation import ConeTemplate
-from optigon.geometry import Polygon, build_pendant_polygon, pendant_area, polygon_to_json
+from optigon.geometry import (
+    Polygon, build_pendant_polygon, pendant_area, polygon_to_json, upper_bound,
+)
 from optigon.verification import unit_chord_pairs, verify_structure
 
 from shapes import build_regular_polygon
@@ -158,7 +161,7 @@ class TestSweep:
         ns = range(6, stop + 1, 2)
         results = {n: maximize_area(n) for n in ns}
         monkeypatch.setattr("optigon.cli.concurrent.futures.ProcessPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(cli, "_sweep_entry", lambda item: results[item[0]])
+        monkeypatch.setattr(cli, "run_sweep", lambda ns, cfg: [results[n] for n in ns])
         assert main(["sweep", "--from", "6", "--to", str(stop), "--jobs", str(jobs)]) == 0
         assert sizes == [workers]
         lines = capsys.readouterr().out.splitlines()
@@ -208,6 +211,22 @@ class TestSubproblemFailure:
             )
 
 
+def test_sweep_entry_that_raised_has_status_failed(monkeypatch, capsys):
+    # every subproblem of the n = 8 run succeeds; the run itself raises
+    solve = ccp.maximize_area
+
+    def fail_8(n, cfg=None, initial=None):
+        if n == 8:
+            raise AscentViolation("ascent violated", 1, np.zeros(20))
+        return solve(n, cfg, initial)
+
+    monkeypatch.setattr(ccp, "maximize_area", fail_8)
+    assert main(["sweep", "--from", "6", "--to", "8", "--format", "json"]) == 1
+    entries = {e["n"]: e for e in json.loads(capsys.readouterr().out)}
+    assert entries[6]["status"] == "converged"
+    assert entries[8] == {"n": 8, "status": "failed", "message": "ascent violated"}
+
+
 class TestVerificationFailure:
     """A reported polygon that fails structure verification makes the exit
     code 1, for solve and for a sweep where only one entry fails."""
@@ -221,7 +240,7 @@ class TestVerificationFailure:
     def test_sweep_exits_1_when_one_entry_fails(self, monkeypatch, capsys):
         loose = ccp.CcpConfig(epsilon=0.05, tol_solver=1e-4)
         results = {6: maximize_area(6), 8: maximize_area(8, loose)}
-        monkeypatch.setattr(cli, "_sweep_entry", lambda item: results[item[0]])
+        monkeypatch.setattr(cli, "run_sweep", lambda ns, cfg: [results[n] for n in ns])
         assert main(["sweep", "--from", "6", "--to", "8"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("n=6 ") and "structure=pass" in line for line in lines)
@@ -293,7 +312,7 @@ class TestVerifyOnce:
             calls.append(polygon)
             return real_verify(polygon, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_sweep_entry", lambda item: results[item[0]])
+        monkeypatch.setattr(cli, "run_sweep", lambda ns, cfg: [results[n] for n in ns])
         monkeypatch.setattr(verification, "verify_structure", counting_verify)
         capsys.readouterr()
         out_dir = tmp_path / "out"
@@ -459,9 +478,12 @@ def test_only_even_n_from_six_is_accepted(n, tmp_path, capsys):
 def test_only_integral_n_is_accepted(n):
     for call in (lambda: ConeTemplate(n), lambda: maximize_area(n),
                  lambda: build_pendant_polygon(n), lambda: unit_chord_pairs(n),
-                 lambda: pendant_area(n)):
+                 lambda: pendant_area(n), lambda: upper_bound(n)):
         with pytest.raises(ValueError, match=r"n must be an integer, got .*8\.0"):
             call()
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 8\.5$"):
+        upper_bound(8.5)
     # numpy integers are integers
     assert pendant_area(np.int64(8)) == pendant_area(8)
+    assert upper_bound(np.int64(8)) == upper_bound(8)
     assert unit_chord_pairs(np.int64(8)) == unit_chord_pairs(8)

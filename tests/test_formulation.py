@@ -350,6 +350,7 @@ class TestVectorPacking:
         assert objective == pytest.approx(area(poly), abs=1e-15)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            vector_to_polygon(np.zeros(9), 6)
+        for z in (np.zeros(9), np.full(14, np.nan)):
+            with pytest.raises(DimensionMismatch):
+                vector_to_polygon(z, 6)
 

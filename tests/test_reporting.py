@@ -20,6 +20,8 @@ from optigon.geometry import (
     polygon_from_json,
 )
 from optigon.reporting import (
+    CSV_HEADER,
+    TEXT_HEADER,
     export_run,
     render_svg,
     render_table_csv,
@@ -113,11 +115,9 @@ class TestTable:
             "82,0.7849095487,--,0.7849178354,0.7849111119,55\n"
         )
 
-    def test_empty_rows_rejected(self):
-        with pytest.raises(ValueError):
-            render_table_text([])
-        with pytest.raises(ValueError):
-            render_table_csv([])
+    def test_empty_rows_render_the_header(self):
+        assert render_table_text([]) == TEXT_HEADER + "\n"
+        assert render_table_csv([]) == CSV_HEADER + "\n"
 
 
 class TestSvg:
