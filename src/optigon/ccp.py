@@ -193,8 +193,8 @@ def maximize_area(
             f"initial polygon violates the program by {start.max_violation:.3e}"
         )
 
-    area_cap = upper_bound(n) + 10.0 * cfg.tol_solver
     slack = 10.0 * cfg.tol_solver
+    area_cap = upper_bound(n) + slack
 
     status = CcpStatus.OUTER_LIMIT
     message = ""

@@ -26,6 +26,7 @@ from optigon.conic_solver import (
     _factor_kkt,
     _inv_mul,
     _max_step,
+    _min_margin,
     _mul,
     _parts,
     _Scaling,
@@ -219,6 +220,20 @@ class TestSolverCertificates:
         assert res.status is SolverStatus.ITERATION_LIMIT
         assert np.isfinite(res.objective)
         assert res.max_primal_residual < 1.0
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_certificate_describes_returned_primal(self, cap, monkeypatch):
+        # the objective and the primal residual describe res.primal bit for
+        # bit, whether the solve stopped on its tolerances or on the cap
+        z0, cone = pendant_restriction(16)
+        if cap is not None:
+            monkeypatch.setattr(conic_solver, "MAX_ITERATIONS", cap)
+        res = solve(cone, warm_start=z0)
+        expected = SolverStatus.OPTIMAL if cap is None else SolverStatus.ITERATION_LIMIT
+        assert res.status is expected
+        assert res.objective == float(-(cone.c @ res.primal))
+        margin = _min_margin(cone.h - cone.matvec(res.primal), cone.n_nonneg)
+        assert res.max_primal_residual == max(0.0, -margin)
 
     def test_debug_log_line_per_iteration(self, hexagon_restriction, caplog):
         _, cone = hexagon_restriction
