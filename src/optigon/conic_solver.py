@@ -10,12 +10,13 @@ re-solve after the outer loop's guard adds dropped pairs is one more call
 here.
 
 Every block is Q^4, and G is held in fixed-shape arrays: coefficients of
-shape (4, K, m) over K <= 5 columns per block, nonnegative rows as
-index/coefficient vectors. Between restrictions of one n only the n-2
-triangle-area blocks and the set of distance blocks change. Cone vectors
-are flat with the second-order part viewed as a (4, m) array, so the
-blockwise Jordan-algebra and scaling operations are numpy expressions over
-all blocks.
+shape (4, K, m) over K <= 5 columns per block, and the nonnegative rows,
+each the sign row -x[col], as their columns alone. Between restrictions of
+one n only the n-2 triangle-area blocks and the set of distance blocks
+change. Cone vectors are flat with the second-order part viewed as a
+(4, m) array, so the blockwise Jordan-algebra and scaling operations are
+numpy expressions over all blocks; each writes its orthant and block parts
+through views into one new output array.
 
 Primal-dual method: Nesterov-Todd scaling per block, Mehrotra
 predictor-corrector steps, and a dense Cholesky factorization of the reduced
@@ -92,17 +93,10 @@ class SolverResult:
 
 
 # ---------------------------------------------------------------------------
-# Jordan algebra of R^p_+ x (Q^4)^m on flat cone vectors
+# Jordan algebra of R^p_+ x (Q^4)^m on flat cone vectors u: the orthant part
+# is u[:p], and the blocks are the (4, m) view u[p:].reshape(4, m)
 
 _REFLECT = np.array([[1.0], [-1.0], [-1.0], [-1.0]])  # J u = (u_0, -u_1)
-
-
-def _split(v: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    return v[:p], v[p:].reshape(4, -1)
-
-
-def _join(nn: np.ndarray, soc: np.ndarray) -> np.ndarray:
-    return np.concatenate([nn, soc.ravel()])
 
 
 def _bdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -115,10 +109,10 @@ def _jdet(u: np.ndarray) -> np.ndarray:
 
 
 def _min_margin(v: np.ndarray, p: int) -> float:
-    nn, soc = _split(v, p)
+    soc = v[p:].reshape(4, -1)
     # u_0 - |u_1| per block, positive iff strictly interior
     margins = soc[0] - np.sqrt(np.maximum(_bdot(soc, soc) - soc[0] ** 2, 0.0))
-    return float(min(nn.min(initial=np.inf), margins.min(initial=np.inf)))
+    return float(min(v[:p].min(initial=np.inf), margins.min(initial=np.inf)))
 
 
 def _identity(p: int, m: int) -> np.ndarray:
@@ -127,40 +121,54 @@ def _identity(p: int, m: int) -> np.ndarray:
 
 def _parts(u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u's orthant part, its blocks as a (4, m) view, and _jdet of the blocks."""
-    u_nn, u_soc = _split(u, p)
-    return u_nn, u_soc, _jdet(u_soc)
+    soc = u[p:].reshape(4, -1)
+    return u[:p], soc, _jdet(soc)
+
+
+def _tiled(parts: tuple, k: int) -> tuple:
+    """k copies of each array of parts, side by side along its last axis."""
+    return tuple(np.concatenate((a,) * k, axis=-1) for a in parts)
 
 
 def _mul(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     """Jordan product: elementwise on the orthant, (u^T v, u_0 v_1 + v_0 u_1)
     on each block."""
-    u_nn, u_soc = _split(u, p)
-    v_nn, v_soc = _split(v, p)
-    soc = u_soc[0] * v_soc + v_soc[0] * u_soc
+    out = np.empty_like(u)
+    np.multiply(u[:p], v[:p], out=out[:p])
+    u_soc, v_soc = u[p:].reshape(4, -1), v[p:].reshape(4, -1)
+    soc = np.multiply(u_soc[0], v_soc, out=out[p:].reshape(4, -1))
+    soc += v_soc[0] * u_soc
     soc[0] = _bdot(u_soc, v_soc)
-    return _join(u_nn * v_nn, soc)
+    return out
 
 
 def _inv_mul(lam_parts: tuple, d: np.ndarray) -> np.ndarray:
     """The solution x of lam o x = d, for lam_parts = _parts(lam, p)."""
     lam_nn, lam_soc, lam_det = lam_parts
-    d_nn, d_soc = _split(d, len(lam_nn))
+    p = len(lam_nn)
+    out = np.empty_like(d)
+    np.divide(d[:p], lam_nn, out=out[:p])
+    d_soc = d[p:].reshape(lam_soc.shape)
     l0 = lam_soc[0]
-    d0 = d_soc[0]
-    cross = _bdot(lam_soc, d_soc) - l0 * d0
-    x0 = (l0 * d0 - cross) / lam_det
-    soc = (d_soc - x0 * lam_soc) / l0
+    l0_d0 = l0 * d_soc[0]
+    cross = _bdot(lam_soc, d_soc) - l0_d0
+    x0 = (l0_d0 - cross) / lam_det
+    soc = np.multiply(x0, lam_soc, out=out[p:].reshape(lam_soc.shape))
+    np.subtract(d_soc, soc, out=soc)
+    soc /= l0
     soc[0] = x0
-    return _join(d_nn / lam_nn, soc)
+    return out
 
 
 class _Scaling:
-    """Nesterov-Todd scaling W at (s, z): W z = W^{-1} s = lam."""
+    """Nesterov-Todd scaling W at (s, z): W z = W^{-1} s = lam. Its products
+    take and return flat cone vectors of p orthant rows and m blocks."""
 
     def __init__(self, s: np.ndarray, z: np.ndarray, p: int):
         self.p = p
-        s_nn, s_soc = _split(s, p)
-        z_nn, z_soc = _split(z, p)
+        s_nn, s_soc = s[:p], s[p:].reshape(4, -1)
+        z_nn, z_soc = z[:p], z[p:].reshape(4, -1)
+        self.m = m = s_soc.shape[1]
         rs = _jdet(s_soc)
         rz = _jdet(z_soc)
         if (rs <= 0).any() or (rz <= 0).any():
@@ -176,72 +184,80 @@ class _Scaling:
         self.eta_sq = self.eta**2
         self.w_nn_sq = self.w_nn**2
         self._wbar0_plus_1 = 1.0 + self.wbar[0]
-        self.lam = _join(np.sqrt(s_nn * z_nn), (rs * rz) ** 0.25 * self._wbar_mul(zbar))
-        # reused by lam^{-1} o d and _max_step
+        self.lam = np.empty_like(s)
+        np.sqrt(s_nn * z_nn, out=self.lam[:p])
+        lam_soc = self._wbar_mul(zbar, self.lam[p:].reshape(4, m))
+        lam_soc *= (rs * rz) ** 0.25
+        # reused by lam^{-1} o d
         self.lam_parts = _parts(self.lam, p)
         # the divisors of _inv_mul; rounding can leave them at or below zero
         # when s and z are interior only to machine precision
         lam_nn, lam_soc, lam_det = self.lam_parts
         if not all((d > 0).all() for d in (lam_nn, lam_soc[0], lam_det)):
             raise FloatingPointError("cone iterate left the interior")
+        # both _max_step calls of an iteration stack two directions
+        self.lam_pair = _tiled(self.lam_parts, 2)
 
-    def _wbar_mul(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _wbar_mul(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         w = self.wbar
         d = _bdot(w, u)
         u0 = u[0]
         coef = u0 + (d - w[0] * u0) / self._wbar0_plus_1
-        out = np.add(u, coef * w, out=out)
+        np.multiply(coef, w, out=out)
+        out += u
         out[0] = d
         return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """W u."""
-        p = self.p
+        p, m = self.p, self.m
         out = np.empty_like(u)
         np.multiply(u[:p], self.w_nn, out=out[:p])
-        soc = self._wbar_mul(u[p:].reshape(4, -1), out[p:].reshape(4, -1))
+        soc = self._wbar_mul(u[p:].reshape(4, m), out[p:].reshape(4, m))
         soc *= self.eta
         return out
 
     def apply_inv_sq(self, u: np.ndarray) -> np.ndarray:
         """W^{-2} u; on a block (2 v v^T - J) u / eta^2 with v = J wbar."""
-        p = self.p
+        p, m = self.p, self.m
         out = np.empty_like(u)
         np.divide(u[:p], self.w_nn_sq, out=out[:p])
-        soc = u[p:].reshape(4, -1)
+        u_soc = u[p:].reshape(4, m)
         v = self.v
-        soc = 2.0 * _bdot(v, soc) * v - soc * _REFLECT
-        np.divide(soc, self.eta_sq, out=out[p:].reshape(4, -1))
+        scale = _bdot(v, u_soc)
+        scale *= 2.0
+        soc = np.multiply(scale, v, out=out[p:].reshape(4, m))
+        soc -= u_soc * _REFLECT
+        soc /= self.eta_sq
         return out
 
 
 def _max_step(u_parts: tuple, dus: tuple[np.ndarray, ...]) -> float:
-    """Largest t with u + t*du inside the cone for every du in dus, for
-    u_parts = _parts(u, p) of a strictly interior u. The directions are
-    stacked side by side, so one pass serves them all; each block's root is
-    the one a single direction gives."""
-    k = len(dus)
-    u_nn, u_soc, u_det = u_parts
-    p = len(u_nn)
+    """Largest t with u + t*du inside the cone for every du in dus, for a
+    strictly interior u given as u_parts = _tiled(_parts(u, p), len(dus)).
+    The directions are stacked side by side in the same way, so one pass
+    serves them all; each block's root is the one a single direction gives."""
+    u_nn, u_soc, c0 = u_parts
+    p = len(u_nn) // len(dus)
     d_nn = np.concatenate([du[:p] for du in dus])
     d_soc = np.concatenate([du[p:].reshape(4, -1) for du in dus], axis=1)
     neg = d_nn < 0
-    t_nn = (np.concatenate((u_nn,) * k)[neg] / -d_nn[neg]).min(initial=np.inf)
+    t_nn = (u_nn[neg] / -d_nn[neg]).min(initial=np.inf)
     # jdet(u + t du) = c0 + c1 t + c2 t^2 on each block
-    c0 = np.concatenate((u_det,) * k)
-    u_soc = np.concatenate((u_soc,) * k, axis=1)
     c1 = 2.0 * (2.0 * u_soc[0] * d_soc[0] - _bdot(u_soc, d_soc))
     c2 = _jdet(d_soc)
     t = np.full(len(c0), np.inf)
-    quad = np.abs(c2) > 1e-14 * (np.abs(c0) + np.abs(c1) + 1.0)
+    # c0 = jdet(u) is positive at an interior u, so it is its own |c0|
+    quad = np.abs(c2) > 1e-14 * (c0 + np.abs(c1) + 1.0)
     lin = ~quad & (c1 < 0)
     t[lin] = -c0[lin] / c1[lin]
     a, b, c = c2[quad], c1[quad], c0[quad]
     disc = b * b - 4.0 * a * c
     real = disc >= 0
     sq = np.sqrt(np.where(real, disc, 0.0))
-    r1 = np.where(real, (-b - sq) / (2.0 * a), np.inf)
-    r2 = np.where(real, (-b + sq) / (2.0 * a), np.inf)
+    minus_b, two_a = -b, 2.0 * a
+    r1 = np.where(real, (minus_b - sq) / two_a, np.inf)
+    r2 = np.where(real, (minus_b + sq) / two_a, np.inf)
     t[quad] = np.minimum(np.where(r1 > 0, r1, np.inf), np.where(r2 > 0, r2, np.inf))
     return float(min(t_nn, t.min(initial=np.inf)))
 
@@ -409,7 +425,7 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
 
         # reduced KKT matrix H = G^T W^{-2} G (+ regularization)
         inv_eta2 = W.eta**-2
-        d = _join(z[:p] / s[:p], -_REFLECT * inv_eta2)
+        d = np.concatenate([z[:p] / s[:p], (-_REFLECT * inv_eta2).ravel()])
         factor = _factor_kkt(pattern, cone.gram_entries(d, W.v, 2.0 * inv_eta2), kkt)
         if factor is None:
             status = SolverStatus.NUMERICAL_FAILURE
@@ -454,12 +470,14 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
             # predictor (affine scaling) direction
             lam_sq = _mul(W.lam, W.lam, p)
             dx_a, ds_a, dz_a, dst_a, dzt_a = newton(-r_x, -r_z, -lam_sq)
-            alpha_aff = min(1.0, _max_step(W.lam_parts, (dst_a, dzt_a)))
+            alpha_aff = min(1.0, _max_step(W.lam_pair, (dst_a, dzt_a)))
             gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
             sigma = min(1.0, max(0.0, gap_aff / gap) ** 3) if gap > 0 else 0.0
 
             # combined predictor-corrector direction
             ds_rhs = sigma * mu * e - lam_sq - _mul(dst_a, dzt_a, p)
+            # free what only the predictor needed, which lowers peak memory
+            del d, lam_sq, dx_a, ds_a, dz_a, dst_a, dzt_a
             dx, ds, dz, dst, dzt = newton(-r_x, -r_z, ds_rhs)
         except ValueError:
             # cho_solve rejects a non-finite right-hand side, which a zero
@@ -467,7 +485,7 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
             status = SolverStatus.NUMERICAL_FAILURE
             break
 
-        alpha = min(1.0, STEP_FRACTION * _max_step(W.lam_parts, (dst, dzt)))
+        alpha = min(1.0, STEP_FRACTION * _max_step(W.lam_pair, (dst, dzt)))
         if alpha <= 1e-13:
             status = SolverStatus.NUMERICAL_FAILURE
             break
@@ -486,6 +504,8 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
         x = x + alpha * dx
         s = s_new
         z = z_new
+        # and this direction before the next iteration's solves
+        del dx, ds, dz, dst, dzt
 
     _, x, gap, pobj_min, dual = best
     return SolverResult(

@@ -18,11 +18,12 @@ g - h, with
     h = (y_{i+1} - x_i)^2 + (x_{i+1} + y_i)^2 + 8 u_i,
 
 and the convex restriction at a reference point c replaces g by its tangent
-at c. Every constraint of a restriction is then an affine row b(z) >= 0 or
-l_1(z)^2 + l_2(z)^2 <= b(z) with affine l_1, l_2, b; the latter is the Q^4
-block ((1 + b)/2, l_1, l_2, (1 - b)/2). `ConeTemplate` holds the rows of
-one n, the distance pairs as column indices alone, and builds the
-restriction at each reference point.
+at c. Every constraint of a restriction is then a sign row y_i >= 0 or
+u_i >= 0, which the cone problem keeps as the column alone, or
+l_1(z)^2 + l_2(z)^2 <= b(z) with affine l_1, l_2, b, the Q^4 block
+((1 + b)/2, l_1, l_2, (1 - b)/2). `ConeTemplate` holds the rows of one n,
+the distance pairs as column indices alone, and builds the restriction at
+each reference point.
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ class ConeProblem:
     """minimize c^T x subject to G x + s = h, s in R^p_+ x (Q^4)^m.
 
     G is kept in fixed-shape arrays, component-major so that numpy loops run
-    over the m blocks. Nonnegative row r is sum_k nn_coef[k, r] x[nn_cols[k, r]];
-    row j (0..3) of second-order block b is
-    sum_k soc_coef[j, k, b] x[soc_cols[k, b]]. Unused slots carry a zero
+    over the m blocks. Every nonnegative row is a sign row: row r is
+    -x[nn_cols[r]]. Row j (0..3) of second-order block b is
+    sum_k soc_coef[j, k, b] x[soc_cols[k, b]]; unused slots carry a zero
     coefficient. h, like every cone vector, holds the p nonnegative rows,
     then row 0 of every block, row 1 of every block, and so on.
 
@@ -122,57 +123,65 @@ class ConeProblem:
     c: np.ndarray
     h: np.ndarray
     nn_cols: np.ndarray
-    nn_coef: np.ndarray
     soc_cols: np.ndarray
     soc_coef: np.ndarray
 
-    @property
+    # cached_property writes __dict__, so it works on this frozen dataclass;
+    # after the first call each lookup is a plain attribute read
+    @cached_property
     def dim(self) -> int:
         return len(self.c)
 
-    @property
+    @cached_property
     def n_nonneg(self) -> int:
-        return self.nn_cols.shape[1]
+        return len(self.nn_cols)
 
-    @property
+    @cached_property
     def n_soc(self) -> int:
         return self.soc_cols.shape[1]
 
-    @property
+    @cached_property
     def n_rows(self) -> int:
         return self.n_nonneg + 4 * self.n_soc
 
-    # cached_property writes __dict__, so it works on this frozen dataclass
     @cached_property
     def cols(self) -> np.ndarray:
         """The column of every slot: nonnegative rows, then blocks."""
-        return np.concatenate([self.nn_cols.ravel(), self.soc_cols.ravel()])
+        return np.concatenate([self.nn_cols, self.soc_cols.ravel()])
+
+    @cached_property
+    def _slot_weights(self) -> np.ndarray:
+        """rmatvec's buffer of one weight per slot, in `cols` order."""
+        return np.empty(len(self.cols))
 
     @cached_property
     def gram(self) -> GramPattern:
-        """The pattern of G^T M G: one term per slot pair (k, l) of every
-        nonnegative row and every block, in `gram_entries`' order."""
+        """The pattern of G^T M G: one term per nonnegative row, then one per
+        slot pair (k, l) of every block, in `gram_entries`' order."""
         dim = self.dim
+        cols = self.soc_cols
         return GramPattern.of(
-            np.concatenate([(cols[:, None, :] * dim + cols[None, :, :]).ravel()
-                            for cols in (self.nn_cols, self.soc_cols)]),
+            np.concatenate([self.nn_cols * (dim + 1),
+                            (cols[:, None, :] * dim + cols[None, :, :]).ravel()]),
             dim,
         )
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """G x."""
-        nn = np.einsum("kr,kr->r", self.nn_coef, x[self.nn_cols])
-        soc = np.einsum("jkb,kb->jb", self.soc_coef, x[self.soc_cols])
-        return np.concatenate([nn, soc.ravel()])
+        p = self.n_nonneg
+        out = np.empty(self.n_rows)
+        np.negative(x[self.nn_cols], out=out[:p])
+        np.einsum("jkb,kb->jb", self.soc_coef, x[self.soc_cols], out=out[p:].reshape(4, -1))
+        return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """G^T y."""
         p = self.n_nonneg
-        nn = self.nn_coef * y[:p]
-        soc = np.einsum("jkb,jb->kb", self.soc_coef, y[p:].reshape(4, -1))
-        return np.bincount(
-            self.cols, np.concatenate([nn.ravel(), soc.ravel()]), minlength=self.dim
-        )
+        weights = self._slot_weights
+        np.negative(y[:p], out=weights[:p])
+        np.einsum("jkb,jb->kb", self.soc_coef, y[p:].reshape(4, -1),
+                  out=weights[p:].reshape(self.soc_cols.shape))
+        return np.bincount(self.cols, weights, minlength=self.dim)
 
     def gram_entries(
         self, d: np.ndarray, v: np.ndarray | None = None, beta: np.ndarray | None = None
@@ -180,17 +189,17 @@ class ConeProblem:
         """G^T M G at `gram.entries`, for M = diag(d), plus
         beta_b v_b v_b^T on each block b when v (shape (4, m)) and beta
         (shape (m,)) are given. Each entry sums its slot-pair terms in slot
-        order, as a dense bincount over the same terms would."""
+        order, as a dense bincount over the same terms would; a sign row's
+        term is d_r = (-1) d_r (-1) on its column's diagonal."""
         p = self.n_nonneg
-        N, A = self.nn_coef, self.soc_coef
-        nn = (N * d[:p])[:, None, :] * N[None, :, :]
+        A = self.soc_coef
         soc = np.einsum("jkb,jlb->klb", A * d[p:].reshape(4, 1, -1), A)
         if v is not None:
             u = np.einsum("jkb,jb->kb", A, v)
             soc += (beta * u)[:, None, :] * u[None, :, :]
         gram = self.gram
         return np.bincount(
-            gram.slot_entry, np.concatenate([nn.ravel(), soc.ravel()]),
+            gram.slot_entry, np.concatenate([d[:p], soc.ravel()]),
             minlength=len(gram.entries),
         )
 
@@ -207,8 +216,8 @@ class ConeTemplate:
     """The cone problem of every convex restriction of the n-gon program.
 
     Built once per even n >= 6; any other n raises ValueError. The
-    nonnegative rows are the n-1 half-plane rows, then the n-2 rows
-    u_i >= 0; the Q^4 blocks are the distance pairs (i, j) in row-major
+    nonnegative rows are the n-1 half-plane rows y_i >= 0, then the n-2 rows
+    u_i >= 0, each the sign row of its column; the Q^4 blocks are the distance pairs (i, j) in row-major
     order of i < j, then the n-1 radius blocks, then the n-2 triangle-area
     blocks. Every distance block has the same coefficients, so the template
     keeps the pairs only as their columns `pairs`, rows (x_i, x_j, y_i, y_j)
@@ -250,8 +259,7 @@ class ConeTemplate:
 
         self._c = np.zeros(self.dim)
         self._c[u] = -1.0
-        self._nn_cols = np.concatenate([y, u])[None, :]
-        self._nn_coef = np.full((1, 2 * n - 3), -1.0)
+        self._nn_cols = np.concatenate([y, u])
 
     def at(self, c: np.ndarray, keep: np.ndarray | None = None) -> ConeProblem:
         """The restriction at reference point c, holding the distance blocks
@@ -274,7 +282,7 @@ class ConeTemplate:
         coef[1, 0, :pairs], coef[1, 1, :pairs] = 1.0, -1.0
         coef[2, 2, :pairs], coef[2, 3, :pairs] = 1.0, -1.0
         coef[:, :, pairs:] = self._coef
-        p = self._nn_cols.shape[1]
+        p = len(self._nn_cols)
         h = np.zeros(p + 4 * (pairs + fixed))
         h_soc = h[p:].reshape(4, -1)
         h_soc[0] = 1.0
@@ -294,7 +302,6 @@ class ConeTemplate:
             c=self._c,
             h=h,
             nn_cols=self._nn_cols,
-            nn_coef=self._nn_coef,
             soc_cols=soc_cols,
             soc_coef=coef,
         )
@@ -313,7 +320,7 @@ class ConeTemplate:
         x_i, x_j, y_i, y_j = z[self.pairs]
         distance = (1.0 - (x_i - x_j) ** 2) - (y_i - y_j) ** 2
         rest = self.at(z, np.zeros(self.n_pairs, dtype=bool)).residuals(z)
-        p = self._nn_cols.shape[1]
+        p = len(self._nn_cols)
         return EvaluationReport(
             objective=float(-(self._c @ z)),
             residuals=np.concatenate([rest[:p], distance, rest[p:]]),

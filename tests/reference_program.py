@@ -40,18 +40,29 @@ def fan_residuals(n, z):
 def mini_cone(objective, halfplanes=(), ellipses=()):
     """Maximize objective . x subject to a . x + b >= 0 for each half-plane
     (a, b) and (s_0 (x_0 - c_0))^2 + (s_1 (x_1 - c_1))^2 <= 1 for each
-    ellipse (s_0, s_1, c_0, c_1), as the block (1, l_0, l_1, 0) in Q^4."""
-    dim, p, m = len(objective), len(halfplanes), len(ellipses)
-    a = np.array([row for row, _ in halfplanes], dtype=float).reshape(p, dim)
-    s0, s1, c0, c1 = np.array(ellipses, dtype=float).reshape(m, 4).T
-    soc_coef = np.zeros((4, 2, m))
-    soc_coef[1, 0], soc_coef[2, 1] = -s0, -s1
-    h_soc = np.stack([np.ones(m), -s0 * c0, -s1 * c1, np.zeros(m)])
+    ellipse (s_0, s_1, c_0, c_1). Each constraint is one Q^4 block over every
+    column: a half-plane is ((1 + beta)/2, 0, 0, (1 - beta)/2) with
+    beta = a . x + b, the form of the triangle-area rows, and an ellipse is
+    (1, l_0, l_1, 0)."""
+    dim = len(objective)
+    a = np.array([row for row, _ in halfplanes], dtype=float).reshape(-1, dim)
+    b = np.array([offset for _, offset in halfplanes], dtype=float)
+    s0, s1, c0, c1 = np.array(ellipses, dtype=float).reshape(-1, 4).T
+    k, m = len(b), len(b) + len(s0)
+    soc_coef = np.zeros((4, dim, m))
+    soc_coef[0, :, :k], soc_coef[3, :, :k] = -0.5 * a.T, 0.5 * a.T
+    if m > k:  # an ellipse needs two columns
+        soc_coef[1, 0, k:], soc_coef[2, 1, k:] = -s0, -s1
+    h_soc = np.stack([
+        np.r_[0.5 + 0.5 * b, np.ones(len(s0))],
+        np.r_[np.zeros(k), -s0 * c0],
+        np.r_[np.zeros(k), -s1 * c1],
+        np.r_[0.5 - 0.5 * b, np.zeros(len(s0))],
+    ])
     return ConeProblem(
         c=-np.asarray(objective, dtype=float),
-        h=np.concatenate([[b for _, b in halfplanes], h_soc.ravel()]),
-        nn_cols=np.repeat(np.arange(dim)[:, None], p, axis=1),
-        nn_coef=-a.T,
-        soc_cols=np.repeat(np.arange(2)[:, None], m, axis=1),
+        h=h_soc.ravel(),
+        nn_cols=np.zeros(0, dtype=np.intp),
+        soc_cols=np.repeat(np.arange(dim)[:, None], m, axis=1),
         soc_coef=soc_coef,
     )

@@ -30,6 +30,7 @@ from optigon.conic_solver import (
     _mul,
     _parts,
     _Scaling,
+    _tiled,
     cho_factor,
     cho_solve,
     solve,
@@ -61,21 +62,40 @@ def dense_G(cone):
 
 def dense_gram(cone, d, v=None, beta=None):
     """G^T M G of `ConeProblem.gram_entries` in a dense dim x dim array,
-    summed term by term in slot order from nn_*/soc_*: the per-entry sums
-    the pattern's bincount must reproduce bit for bit."""
+    summed term by term in slot order from nn_cols and soc_*: the per-entry
+    sums the pattern's bincount must reproduce bit for bit."""
     p = cone.n_nonneg
-    N, A = cone.nn_coef, cone.soc_coef
-    nn = (N * d[:p])[:, None, :] * N[None, :, :]
+    A = cone.soc_coef
     soc = np.einsum("jkb,jlb->klb", A * d[p:].reshape(4, 1, -1), A)
     if v is not None:
         u = np.einsum("jkb,jb->kb", A, v)
         soc += (beta * u)[:, None, :] * u[None, :, :]
     H = np.zeros((cone.dim, cone.dim))
-    for cols, terms in ((cone.nn_cols, nn), (cone.soc_cols, soc)):
-        rows = np.broadcast_to(cols[:, None, :], terms.shape).ravel()
-        columns = np.broadcast_to(cols[None, :, :], terms.shape).ravel()
-        np.add.at(H, (rows, columns), terms.ravel())
+    # sign row r adds (-1) d_r (-1) = d_r on its column's diagonal
+    np.add.at(H, (cone.nn_cols, cone.nn_cols), d[:p])
+    cols = cone.soc_cols
+    rows = np.broadcast_to(cols[:, None, :], soc.shape).ravel()
+    columns = np.broadcast_to(cols[None, :, :], soc.shape).ravel()
+    np.add.at(H, (rows, columns), soc.ravel())
     return H
+
+
+def slot_order_products(cone, x, y):
+    """G x and G^T y summed term by term in slot order from nn_cols and soc_*,
+    with np.add.at over the rows and over `cone.cols`: the sums matvec and
+    rmatvec must reproduce bit for bit."""
+    p, m = cone.n_nonneg, cone.n_soc
+    A = cone.soc_coef
+    g_x = np.zeros(cone.n_rows)
+    g_x[:p] = -x[cone.nn_cols]
+    terms = A * x[cone.soc_cols]  # (j, k, b): row j of block b, slot k
+    rows = p + m * np.arange(4)[:, None, None] + np.arange(m)
+    np.add.at(g_x, np.broadcast_to(rows, terms.shape).ravel(), terms.ravel())
+    # the weight of block slot (k, b) sums its four rows in order
+    weights = np.add.reduce(A * y[p:].reshape(4, 1, m))
+    g_t_y = np.zeros(cone.dim)
+    np.add.at(g_t_y, cone.cols, np.concatenate([-y[:p], weights.ravel()]))
+    return g_x, g_t_y
 
 
 def pattern_factor(cone, d, v=None, beta=None):
@@ -112,11 +132,28 @@ class TestLift:
 
 
 class TestConeOperators:
-    """matvec, rmatvec and gram_entries against dense products with G."""
+    """matvec, rmatvec and gram_entries against dense products with G, and
+    matvec and rmatvec against their slot-order sums bit for bit."""
 
     @pytest.fixture(params=["hexagon", "octagon"])
     def cone(self, request):
         return pendant_restriction(6 if request.param == "hexagon" else 8)[1]
+
+    @pytest.mark.parametrize("n, screened", [(6, False), (8, False), (16, True)],
+                             ids=["hexagon", "octagon", "screened16"])
+    def test_products_sum_in_slot_order(self, n, screened):
+        # bit for bit: a reordered sum changes the iterates, which the
+        # tolerance of test_rmatvec_is_transpose lets through
+        template = ConeTemplate(n)
+        z0 = polygon_to_vector(build_pendant_polygon(n))
+        keep = ccp._near_unit(template.distance_sq(z0)) if screened else None
+        cone = template.at(z0, keep)
+        assert not screened or 0 < keep.sum() < template.n_pairs
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=cone.dim), rng.normal(size=cone.n_rows)
+        g_x, g_t_y = slot_order_products(cone, x, y)
+        assert np.array_equal(cone.matvec(x), g_x)
+        assert np.array_equal(cone.rmatvec(y), g_t_y)
 
     def test_rmatvec_is_transpose(self, cone):
         y = RNG.normal(size=cone.n_rows)
@@ -349,7 +386,8 @@ class TestStepLength:
         d1, d2 = rng.normal(size=(2, u.size)) * rng.uniform(0.1, 10.0)
         u_parts = _parts(u, p)
         one = min(_max_step(u_parts, (d1,)), _max_step(u_parts, (d2,)))
-        assert _max_step(u_parts, (d1, d2)) == one
+        # the solver's path: u's parts tiled once, then both directions
+        assert _max_step(_tiled(u_parts, 2), (d1, d2)) == one
 
 
 class TestCholesky:
@@ -416,8 +454,8 @@ class TestCholesky:
         cones = [template.at(z0, mask) for mask in (a, b, a, a)]
         assert cones[1].n_soc == cones[0].n_soc + 1
         for cone in cones:
-            fresh = ConeProblem(cone.c, cone.h, cone.nn_cols, cone.nn_coef,
-                                cone.soc_cols.copy(), cone.soc_coef)
+            fresh = ConeProblem(cone.c, cone.h, cone.nn_cols, cone.soc_cols.copy(),
+                                cone.soc_coef)
             terms = self.first_iteration_terms(cone)
             assert np.array_equal(np.tril(pattern_factor(cone, *terms)),
                                   np.tril(pattern_factor(fresh, *terms)))

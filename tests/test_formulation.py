@@ -222,7 +222,7 @@ class TestConeTemplate:
         m = 15 * 14 // 2 + 15 + 14
         assert cone.soc_coef.shape == (4, 5, m)
         assert cone.soc_cols.shape == (5, m)
-        assert cone.nn_cols.shape == cone.nn_coef.shape == (1, 15 + 14)
+        assert cone.nn_cols.shape == (15 + 14,)
         assert cone.n_rows == 29 + 4 * m
 
     @pytest.mark.parametrize("n", [6, 8, 16, 32])
