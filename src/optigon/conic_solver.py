@@ -33,19 +33,26 @@ The factorization and the solves call LAPACK's dpotrf/dpotrs directly,
 loaded from scipy's extension file without importing scipy.linalg. The
 buffer is C-ordered and holds the matrix in its upper triangle, so its
 transpose, a Fortran-ordered view with the matrix in the lower triangle, is
-factored in place without a copy. Each iteration checks that triangle for
-non-finite entries once, and each solve its right-hand side; either ends
-the solve with NUMERICAL_FAILURE.
+factored in place without a copy. Importing this module sets the OpenBLAS
+that scipy bundles to one thread for the whole process, since its threaded
+dpotrf rounds differently: results do not depend on the thread count.
+
+One iteration is `_step`. It raises FloatingPointError on an iterate
+outside the cone's interior, a reduced KKT matrix that is not finite or not
+positive definite, a non-finite Newton right-hand side, or no interior
+step; `_solve_inner` turns that error into NUMERICAL_FAILURE in one place.
+Whatever the status, the result is the iterate the loop stopped at.
 
 Settings: `solve` takes the tolerance tol_solver (default TOL_SOLVER); the
 iteration cap is the constant MAX_ITERATIONS. At DEBUG (`OPTIGON_LOG=debug`)
 the `optigon.solver` logger writes one line per IPM iteration: primal and
 dual objective, gap, both residuals, and the step length and sigma of the
-step that led there.
+step that led there; a failed solve adds one line naming the cause.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import importlib.machinery
 import importlib.util
@@ -265,15 +272,15 @@ def _max_step(u_parts: tuple, dus: tuple[np.ndarray, ...]) -> float:
 # ---------------------------------------------------------------------------
 # dense Cholesky through LAPACK
 
-def _load_lapack():
-    """dpotrf and dpotrs of scipy's `_flapack` extension, loaded from its file.
+def _load_lapack(where: Path):
+    """dpotrf and dpotrs of the `_flapack` extension in where, scipy's
+    linalg directory, loaded from its file.
 
     scipy.linalg.lapack exports the same routines, but importing it loads all
     of scipy.linalg: `import optigon.cli` then takes 555 modules and 56.9 MB
     peak RSS, against 238 and 32.0 MB this way (Python 3.11, numpy 2.4, scipy
     1.17). find_spec on a top-level package does not run its __init__."""
     name = "scipy.linalg._flapack"
-    where = Path(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
     paths = [where / f"_flapack{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if p.is_file()), None)
     if path is None:
@@ -287,7 +294,28 @@ def _load_lapack():
     return module.dpotrf, module.dpotrs
 
 
-dpotrf, dpotrs = _load_lapack()
+def _one_blas_thread(libs: Path) -> None:
+    """Run the OpenBLAS that scipy's wheels bundle in libs on one thread,
+    for the whole process: its threaded dpotrf rounds differently from the
+    serial one, so the iterates would depend on the number of cores. Unlike
+    OPENBLAS_NUM_THREADS, the setter acts after the library has loaded.
+    Logs a warning if no bundled OpenBLAS has a setter, as with a scipy
+    built against a system BLAS."""
+    for lib_path in sorted(libs.glob("lib*openblas*.so")):
+        lib = ctypes.CDLL(str(lib_path))
+        for symbol in ("scipy_openblas_set_num_threads64_",
+                       "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+            set_threads = getattr(lib, symbol, None)
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                return
+    log.warning("no bundled OpenBLAS in %s: results may depend on its thread count", libs)
+
+
+_SCIPY = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+dpotrf, dpotrs = _load_lapack(_SCIPY / "linalg")
+_one_blas_thread(_SCIPY.parent / "scipy.libs")
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:
@@ -304,10 +332,10 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
 
 
 def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solution x of A x = b, for c = cho_factor(A). Raises ValueError
-    on a non-finite b."""
+    """The solution x of A x = b, for c = cho_factor(A). Raises
+    FloatingPointError on a non-finite b."""
     if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise FloatingPointError("right-hand side is not finite")
     x, _ = dpotrs(c, b, lower=1)
     return x
 
@@ -320,18 +348,18 @@ def _scatter_upper(pattern: GramPattern, upper: np.ndarray, kkt: np.ndarray) -> 
     kkt.ravel()[pattern.upper_flat] = upper
 
 
-def _factor_kkt(pattern: GramPattern, H: np.ndarray, kkt: np.ndarray) -> np.ndarray | None:
+def _factor_kkt(pattern: GramPattern, H: np.ndarray, kkt: np.ndarray) -> np.ndarray:
     """Cholesky factor of 0.5 (H + H^T) + reg I for the first reg of
     REGULARIZATION, 100 REGULARIZATION, ... <= 1e-6 that makes it positive
-    definite; None if none does or H is not finite. H is given by its values
-    at pattern.entries; the matrix is symmetrized and checked on the
-    triangle dpotrf reads only, and factored in place in kkt, a C-ordered
-    dim x dim buffer."""
+    definite; FloatingPointError if none does or H is not finite. H is given
+    by its values at pattern.entries; the matrix is symmetrized and checked
+    on the triangle dpotrf reads only, and factored in place in kkt, a
+    C-ordered dim x dim buffer."""
     upper = H[pattern.upper]
     upper += H[pattern.mirror]
     upper *= 0.5
     if not np.isfinite(upper).all():
-        return None
+        raise FloatingPointError("reduced KKT matrix is not finite")
     diagonal = kkt.ravel()[:: len(kkt) + 1]
     reg = REGULARIZATION
     while reg <= 1e-6:
@@ -341,7 +369,7 @@ def _factor_kkt(pattern: GramPattern, H: np.ndarray, kkt: np.ndarray) -> np.ndar
             return cho_factor(kkt.T)
         except LinAlgError:
             reg *= 100.0
-    return None
+    raise FloatingPointError("reduced KKT matrix is not positive definite")
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +384,10 @@ def solve(
 
     On OPTIMAL the primal vector satisfies every constraint within
     tol_solver and the reported objective is within the duality gap of the
-    true optimum. On ITERATION_LIMIT the best iterate seen is returned with
-    its residuals. A solve that fails from warm_start is not retried from
-    the cold start. Deterministic for fixed inputs. Raises ValueError
-    unless tol_solver is a finite positive real number.
+    true optimum. Every breakdown ends NUMERICAL_FAILURE; then, and on
+    ITERATION_LIMIT, the result is the iterate the loop stopped at. A failed
+    warm-started solve is not retried cold. Deterministic for fixed inputs.
+    Raises ValueError unless tol_solver is a finite positive real number.
     """
     require_positive_real("tol_solver", tol_solver)
     return _solve_inner(cone, tol_solver, warm_start)
@@ -369,23 +397,16 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
     p = cone.n_nonneg
     h = cone.h
     c = cone.c
-    degree = max(p + cone.n_soc, 1)
-    e = _identity(p, cone.n_soc)
 
     # one buffer for every factorization saves the page faults of a fresh
     # dim x dim array per iteration
     kkt = np.empty((cone.dim, cone.dim))
     x, s, z = _initial_point(cone, warm_start, kkt)
-    pattern = cone.gram
 
     h_scale = max(1.0, np.abs(h).max(initial=0.0))
     c_scale = max(1.0, np.abs(c).max(initial=0.0))
 
-    best = None  # (score, x, gap, c^T x, max |r_x|) of the best iterate so far
-    status = SolverStatus.ITERATION_LIMIT
-    iters = 0
-    alpha = 0.0
-    sigma = 0.0
+    alpha = sigma = 0.0
     for iteration in range(MAX_ITERATIONS + 1):
         r_x = cone.rmatvec(z) + c
         r_z = cone.matvec(x) + s - h
@@ -395,7 +416,6 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
         pres = float(np.abs(r_z).max(initial=0.0) / h_scale)
         dual = float(np.abs(r_x).max())
         dres = dual / c_scale
-        mu = gap / degree
 
         log.debug(
             "ipm %3d: pobj=%+.12e dobj=%+.12e gap=%.3e pres=%.3e dres=%.3e "
@@ -403,111 +423,19 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
             iteration, -pobj_min, -dobj_min, gap, pres, dres, alpha, sigma,
         )
 
-        score = max(pres, dres, gap / max(1.0, abs(pobj_min)))
-        if best is None or score < best[0]:
-            best = (score, x.copy(), gap, pobj_min, dual)
-
-        iters = iteration
-        # every earlier score exceeded tol_solver, or the loop would have
-        # stopped there, so at OPTIMAL best is this iterate
-        if score <= tol_solver:
+        if max(pres, dres, gap / max(1.0, abs(pobj_min))) <= tol_solver:
             status = SolverStatus.OPTIMAL
             break
         if iteration == MAX_ITERATIONS:
             status = SolverStatus.ITERATION_LIMIT
             break
-
         try:
-            W = _Scaling(s, z, p)
-        except FloatingPointError:
+            x, s, z, alpha, sigma = _step(cone, kkt, x, s, z, r_x, r_z)
+        except FloatingPointError as exc:
+            log.debug("ipm %3d: %s", iteration, exc)
             status = SolverStatus.NUMERICAL_FAILURE
             break
 
-        # reduced KKT matrix H = G^T W^{-2} G (+ regularization)
-        inv_eta2 = W.eta**-2
-        d = np.concatenate([z[:p] / s[:p], (-_REFLECT * inv_eta2).ravel()])
-        factor = _factor_kkt(pattern, cone.gram_entries(d, W.v, 2.0 * inv_eta2), kkt)
-        if factor is None:
-            status = SolverStatus.NUMERICAL_FAILURE
-            break
-
-        def newton_base(bx, bz, ds_rhs):
-            """The direction (dx, ds, dz, dst, dzt) and G dx."""
-            dt = _inv_mul(W.lam_parts, ds_rhs)
-            t = bz - W.apply(dt)
-            dx = cho_solve(factor, bx + cone.rmatvec(W.apply_inv_sq(t)))
-            g_dx = cone.matvec(dx)
-            dz = W.apply_inv_sq(g_dx - t)
-            dzt = W.apply(dz)
-            dst = dt - dzt
-            return (dx, W.apply(dst), dz, dst, dzt), g_dx
-
-        def newton(bx, bz, ds_rhs):
-            # the rhs -> direction map is linear, so iterative refinement is
-            # re-solving with the residual rhs; each pass gains a factor of
-            # roughly cond(H)*eps, so the deep endgame (per-block
-            # complementarity near 1e-13) needs several passes
-            direction, g_dx = newton_base(bx, bz, ds_rhs)
-            kept = None
-            for _ in range(8):
-                dx, ds, dz, dst, dzt = direction
-                e1 = bx - cone.rmatvec(dz)
-                # G dx of the base solve; a refined dx needs its own product
-                e2 = bz - ((cone.matvec(dx) if g_dx is None else g_dx) + ds)
-                g_dx = None
-                e3 = ds_rhs - _mul(W.lam, dst + dzt, p)
-                err = max(np.abs(e1).max(), np.abs(e2).max(initial=0.0), np.abs(e3).max(initial=0.0))
-                improved = kept is None or err < kept[0]
-                if improved:
-                    kept = (err, direction)
-                if err <= 1e-13 * (1.0 + gap) or not improved:
-                    break
-                (cx, cs_, cz, cst, czt), _ = newton_base(e1, e2, e3)
-                direction = (dx + cx, ds + cs_, dz + cz, dst + cst, dzt + czt)
-            return kept[1]
-
-        try:
-            # predictor (affine scaling) direction
-            lam_sq = _mul(W.lam, W.lam, p)
-            dx_a, ds_a, dz_a, dst_a, dzt_a = newton(-r_x, -r_z, -lam_sq)
-            alpha_aff = min(1.0, _max_step(W.lam_pair, (dst_a, dzt_a)))
-            gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
-            sigma = min(1.0, max(0.0, gap_aff / gap) ** 3) if gap > 0 else 0.0
-
-            # combined predictor-corrector direction
-            ds_rhs = sigma * mu * e - lam_sq - _mul(dst_a, dzt_a, p)
-            # free what only the predictor needed, which lowers peak memory
-            del d, lam_sq, dx_a, ds_a, dz_a, dst_a, dzt_a
-            dx, ds, dz, dst, dzt = newton(-r_x, -r_z, ds_rhs)
-        except ValueError:
-            # cho_solve rejects a non-finite right-hand side, which a zero
-            # in lam (an iterate on the cone boundary) produces
-            status = SolverStatus.NUMERICAL_FAILURE
-            break
-
-        alpha = min(1.0, STEP_FRACTION * _max_step(W.lam_pair, (dst, dzt)))
-        if alpha <= 1e-13:
-            status = SolverStatus.NUMERICAL_FAILURE
-            break
-
-        # keep the iterate strictly interior under floating-point rounding
-        for _ in range(30):
-            s_new = s + alpha * ds
-            z_new = z + alpha * dz
-            if _min_margin(s_new, p) > 0 and _min_margin(z_new, p) > 0:
-                break
-            alpha *= 0.7
-        else:
-            status = SolverStatus.NUMERICAL_FAILURE
-            break
-
-        x = x + alpha * dx
-        s = s_new
-        z = z_new
-        # and this direction before the next iteration's solves
-        del dx, ds, dz, dst, dzt
-
-    _, x, gap, pobj_min, dual = best
     return SolverResult(
         status=status,
         primal=x,
@@ -515,8 +443,84 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
         max_primal_residual=max(0.0, -_min_margin(h - cone.matvec(x), p)),
         max_dual_residual=dual,
         duality_gap=gap,
-        iterations=iters,
+        iterations=iteration,
     )
+
+
+def _step(cone: ConeProblem, kkt: np.ndarray, x, s, z, r_x, r_z):
+    """One predictor-corrector step from (x, s, z), whose residuals are
+    r_x = G^T z + c and r_z = G x + s - h: the next, strictly interior
+    iterate, the step length and sigma. Raises FloatingPointError if the
+    scaling, the KKT factor, a Newton solve or an interior step fails."""
+    p = cone.n_nonneg
+    gap = float(s @ z)
+    mu = gap / max(p + cone.n_soc, 1)
+    W = _Scaling(s, z, p)
+
+    # reduced KKT matrix H = G^T W^{-2} G (+ regularization)
+    inv_eta2 = W.eta**-2
+    d = np.concatenate([z[:p] / s[:p], (-_REFLECT * inv_eta2).ravel()])
+    factor = _factor_kkt(cone.gram, cone.gram_entries(d, W.v, 2.0 * inv_eta2), kkt)
+
+    def newton_base(bx, bz, ds_rhs):
+        """The direction (dx, ds, dz, dst, dzt) and G dx."""
+        dt = _inv_mul(W.lam_parts, ds_rhs)
+        t = bz - W.apply(dt)
+        dx = cho_solve(factor, bx + cone.rmatvec(W.apply_inv_sq(t)))
+        g_dx = cone.matvec(dx)
+        dz = W.apply_inv_sq(g_dx - t)
+        dzt = W.apply(dz)
+        dst = dt - dzt
+        return (dx, W.apply(dst), dz, dst, dzt), g_dx
+
+    def newton(bx, bz, ds_rhs):
+        # the rhs -> direction map is linear, so iterative refinement is
+        # re-solving with the residual rhs; each pass gains a factor of
+        # roughly cond(H)*eps, so the deep endgame (per-block
+        # complementarity near 1e-13) needs several passes
+        direction, g_dx = newton_base(bx, bz, ds_rhs)
+        kept = None
+        for _ in range(8):
+            dx, ds, dz, dst, dzt = direction
+            e1 = bx - cone.rmatvec(dz)
+            # G dx of the base solve; a refined dx needs its own product
+            e2 = bz - ((cone.matvec(dx) if g_dx is None else g_dx) + ds)
+            g_dx = None
+            e3 = ds_rhs - _mul(W.lam, dst + dzt, p)
+            err = max(np.abs(e1).max(), np.abs(e2).max(initial=0.0), np.abs(e3).max(initial=0.0))
+            improved = kept is None or err < kept[0]
+            if improved:
+                kept = (err, direction)
+            if err <= 1e-13 * (1.0 + gap) or not improved:
+                break
+            (cx, cs_, cz, cst, czt), _ = newton_base(e1, e2, e3)
+            direction = (dx + cx, ds + cs_, dz + cz, dst + cst, dzt + czt)
+        return kept[1]
+
+    # predictor (affine scaling) direction
+    lam_sq = _mul(W.lam, W.lam, p)
+    dx_a, ds_a, dz_a, dst_a, dzt_a = newton(-r_x, -r_z, -lam_sq)
+    alpha_aff = min(1.0, _max_step(W.lam_pair, (dst_a, dzt_a)))
+    gap_aff = float((s + alpha_aff * ds_a) @ (z + alpha_aff * dz_a))
+    sigma = min(1.0, max(0.0, gap_aff / gap) ** 3) if gap > 0 else 0.0
+
+    # combined predictor-corrector direction
+    ds_rhs = sigma * mu * _identity(p, cone.n_soc) - lam_sq - _mul(dst_a, dzt_a, p)
+    # free what only the predictor needed, which lowers peak memory
+    del d, lam_sq, dx_a, ds_a, dz_a, dst_a, dzt_a
+    dx, ds, dz, dst, dzt = newton(-r_x, -r_z, ds_rhs)
+
+    # the longest step, shrunk until rounding leaves the iterate interior
+    alpha = min(1.0, STEP_FRACTION * _max_step(W.lam_pair, (dst, dzt)))
+    for _ in range(30):
+        if alpha <= 1e-13:
+            break
+        s_new = s + alpha * ds
+        z_new = z + alpha * dz
+        if _min_margin(s_new, p) > 0 and _min_margin(z_new, p) > 0:
+            return x + alpha * dx, s_new, z_new, alpha, sigma
+        alpha *= 0.7
+    raise FloatingPointError("no interior step")
 
 
 def _initial_point(cone: ConeProblem, warm_start, kkt: np.ndarray):

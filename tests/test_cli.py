@@ -79,6 +79,13 @@ class TestSolve:
         [trace] = (tmp_path / "n006").glob("n006-trace-*.csv")
         assert trace.read_text().startswith("k,area,rel_step")
 
+    def test_out_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["solve", "--n", "6", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: failed to write run artifacts under {out / 'n006'}: ")
+
     def test_nonfinite_eps_is_usage_error(self, capsys):
         assert main(["solve", "--n", "6", "--eps", "inf"]) == 2
         captured = capsys.readouterr()

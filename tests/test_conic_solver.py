@@ -250,12 +250,16 @@ class TestSolverCertificates:
         assert warm.status is SolverStatus.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
 
-    def test_iteration_limit_returns_best_iterate(self, hexagon_restriction, monkeypatch):
+    def test_iteration_limit_returns_last_iterate(self, hexagon_restriction, monkeypatch, caplog):
         _, cone = hexagon_restriction
         monkeypatch.setattr(conic_solver, "MAX_ITERATIONS", 3)
-        res = solve(cone)
+        with caplog.at_level(logging.DEBUG, logger="optigon.solver"):
+            res = solve(cone)
         assert res.status is SolverStatus.ITERATION_LIMIT
-        assert np.isfinite(res.objective)
+        assert res.iterations == 3
+        # the objective of the iterate the last debug line describes
+        last = caplog.records[-1].getMessage()
+        assert last.startswith("ipm   3:") and f" pobj={res.objective:+.12e} " in last
         assert res.max_primal_residual < 1.0
 
     @pytest.mark.parametrize("cap", [None, 3])
@@ -292,18 +296,6 @@ class TestSolverCertificates:
         res = solve(ConeTemplate(12).at(z0), tol_solver=1e-12, warm_start=z0)
         assert res.status is SolverStatus.NUMERICAL_FAILURE
 
-    def test_nonfinite_reduced_kkt_matrix_is_numerical_failure(self, monkeypatch):
-        gram_entries = ConeProblem.gram_entries
-
-        def nan_gram(self, d, v=None, beta=None):
-            H = gram_entries(self, d, v, beta)
-            return np.full_like(H, np.nan) if v is not None else H
-
-        monkeypatch.setattr(ConeProblem, "gram_entries", nan_gram)
-        z0 = polygon_to_vector(build_pendant_polygon(6))
-        res = solve(ConeTemplate(6).at(z0), warm_start=z0)
-        assert res.status is SolverStatus.NUMERICAL_FAILURE
-
     def test_warm_start_shape_is_checked(self, hexagon_restriction):
         z0, cone = hexagon_restriction
         with pytest.raises(ValueError, match="warm start must have shape"):
@@ -316,6 +308,49 @@ class TestSolverCertificates:
         for tol in (True, "1e-9", None, math.nan, math.inf, 0.0):
             with pytest.raises(ValueError, match="tol_solver must be finite and positive"):
                 solve(cone, tol_solver=tol)
+
+
+def gram_times(factor):
+    """ConeProblem.gram_entries with the reduced KKT matrix of every IPM
+    iteration multiplied by factor."""
+    gram_entries = ConeProblem.gram_entries
+
+    def scaled(self, d, v=None, beta=None):
+        H = gram_entries(self, d, v, beta)
+        return H * factor if v is not None else H
+
+    return scaled
+
+
+class TestFailureExits:
+    """Every cause of NUMERICAL_FAILURE ends the solve through the one exit,
+    which logs the cause and returns the iterate the loop stopped at."""
+
+    CAUSES = {
+        "kkt_not_finite": ("reduced KKT matrix is not finite",
+                           lambda mp: mp.setattr(ConeProblem, "gram_entries", gram_times(np.nan))),
+        "kkt_indefinite": ("reduced KKT matrix is not positive definite",
+                           lambda mp: mp.setattr(ConeProblem, "gram_entries", gram_times(-1.0))),
+        # NaN entries in every Newton right-hand side
+        "rhs_not_finite": ("right-hand side is not finite",
+                           lambda mp: mp.setattr(conic_solver, "_inv_mul",
+                                                 lambda lam, d: np.full_like(d, np.nan))),
+        "no_interior_step": ("no interior step",
+                             lambda mp: mp.setattr(conic_solver, "STEP_FRACTION", 0.0)),
+    }
+
+    @pytest.mark.parametrize("cause", CAUSES)
+    def test_cause_is_numerical_failure(self, cause, monkeypatch, caplog):
+        message, patch = self.CAUSES[cause]
+        z0, cone = pendant_restriction(6)
+        patch(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="optigon.solver"):
+            res = solve(cone, warm_start=z0)
+        assert res.status is SolverStatus.NUMERICAL_FAILURE
+        *_, state, stop = (r.getMessage() for r in caplog.records)
+        assert stop == f"ipm {res.iterations:3d}: {message}"
+        assert state.startswith(f"ipm {res.iterations:3d}: pobj={res.objective:+.12e} ")
+        assert res.objective == float(-(cone.c @ res.primal))
 
 
 class TestInfeasible:
@@ -362,6 +397,15 @@ class TestConeAlgebra:
         W = _Scaling(s, z, self.P)
         assert W.apply(W.apply(z)) == pytest.approx(s, rel=1e-9)
         assert W.apply(z) == pytest.approx(W.lam, rel=1e-9)
+
+    @pytest.mark.parametrize("outside", ["s", "z"])
+    def test_scaling_rejects_iterate_outside_cone(self, outside):
+        rng = np.random.default_rng(6)
+        u = {"s": self.interior_point(rng), "z": self.interior_point(rng)}
+        soc = u[outside][self.P:].reshape(4, self.M)
+        soc[0, -1] = 0.5 * np.linalg.norm(soc[1:, -1])  # u_0 < |u_1| on the last block
+        with pytest.raises(FloatingPointError, match="left the interior"):
+            _Scaling(u["s"], u["z"], self.P)
 
     def test_scaling_round_trip(self):
         rng = np.random.default_rng(5)
@@ -467,13 +511,15 @@ class TestCholesky:
         assert np.array_equal(np.tril(dense_factor(H)), np.tril(ref[0]))
 
     def test_indefinite_and_nonfinite_give_no_factor(self):
-        assert dense_factor(-np.eye(3)) is None
-        assert dense_factor(np.full((3, 3), np.nan)) is None
+        with pytest.raises(FloatingPointError, match="not positive definite"):
+            dense_factor(-np.eye(3))
+        with pytest.raises(FloatingPointError, match="not finite"):
+            dense_factor(np.full((3, 3), np.nan))
         with pytest.raises(scipy.linalg.LinAlgError):
             cho_factor(-np.eye(3))
 
     def test_nonfinite_right_hand_side_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError):
             cho_solve(cho_factor(np.eye(3)), np.array([1.0, np.inf, 0.0]))
 
 
@@ -488,6 +534,18 @@ def test_import_leaves_scipy_sparse_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout.splitlines()
     assert out == [optigon.__file__, "False False", "False False"]
+
+
+def test_lapack_extension_not_found_is_import_error(tmp_path):
+    with pytest.raises(ImportError, match="_flapack not found in"):
+        conic_solver._load_lapack(tmp_path)
+
+
+def test_no_bundled_openblas_logs_one_warning(tmp_path, caplog):
+    with caplog.at_level(logging.WARNING, logger="optigon.solver"):
+        conic_solver._one_blas_thread(tmp_path)
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "no bundled OpenBLAS" in caplog.records[0].getMessage()
 
 
 def test_missing_lapack_extension_is_import_error(tmp_path):

@@ -1,6 +1,7 @@
 """Tables, SVG rendering, and run artifact export."""
 
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import optigon
-from optigon.ccp import CcpResult, CcpStatus, maximize_area, run_sweep
+from optigon.ccp import CcpResult, CcpStatus, failed_result, maximize_area, run_sweep
 from optigon.verification import verify_structure
 from optigon.geometry import (
     Polygon,
@@ -165,6 +166,10 @@ class TestTraceCsv:
         assert first_row[0] == "0"
         assert first_row[2] == ""  # no step before the first solve
 
+    def test_run_without_trace_is_rejected(self):
+        with pytest.raises(ValueError, match="n=6 has no trace: worker process died"):
+            trace_csv(failed_result(6, "worker process died"))
+
 
 class TestExportRun:
     def test_exports_four_files(self, hexagon_result, hexagon_report, tmp_path):
@@ -233,6 +238,13 @@ class TestExportRun:
         ]
         assert len(paths) == 8
         assert {p.parent.name for p in paths} == {"n006", "n008"}
+
+    def test_unwritable_target_is_os_error(self, hexagon_result, hexagon_report, tmp_path):
+        out = tmp_path / "out"
+        out.write_text("")  # a file where the directory tree would go
+        message = f"failed to write run artifacts under {out / 'n006'}: "
+        with pytest.raises(OSError, match=re.escape(message)):
+            export_run(hexagon_result, out, hexagon_report)
 
     def test_failed_run_rejected(self, hexagon_report):
         from optigon.ccp import CcpResult, CcpStatus

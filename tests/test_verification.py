@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from optigon.geometry import Polygon, build_pendant_polygon, diameter_graph
-from optigon.verification import report_to_json, unit_chord_pairs, verify_structure
+from optigon.verification import _pendant_cycle, report_to_json, unit_chord_pairs, verify_structure
 
 from shapes import build_regular_polygon
 
@@ -66,6 +66,13 @@ class TestPendantCycle:
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError, match="even"):
             verify_structure(build_regular_polygon(5), tol=1e-6)
+
+    def test_one_leaf_with_wrong_degrees_fails(self):
+        # leaf 3 on anchor 0 of the 5-cycle 0-1-2-4-5, whose chord 1-4
+        # gives two vertices off the anchor degree 3
+        edges = [(0, 3), (0, 1), (1, 2), (2, 4), (4, 5), (0, 5), (1, 4)]
+        assert _pendant_cycle(6, edges) == (False, 0, None)
+        assert _pendant_cycle(6, edges[:-1]) == (True, 5, 3)
 
 
 class TestAxialSymmetry:
