@@ -9,7 +9,6 @@ axial symmetry, unit chords).
 """
 
 from .ccp import (
-    CcpConfig,
     CcpResult,
     CcpStatus,
     maximize_area,

@@ -18,8 +18,9 @@ back, together with the pairs now within the margin, and the restriction is
 solved again. Distance constraints are not linearized, so a candidate that
 passes the guard satisfies the full restriction and is its optimum.
 
-Settings: the two fields of `CcpConfig`, epsilon and the tolerance
-tol_solver of every solve. The iteration caps are the constants
+Settings: epsilon alone (default EPSILON). Every solve of a run uses the
+tolerance min(TOL_SOLVER, epsilon / 100), tight enough that solver noise
+cannot trigger the stopping test. The iteration caps are the constants
 MAX_OUTER_ITERATIONS here and `conic_solver.MAX_ITERATIONS`. Every run
 records its iterates and warm-starts each subproblem at the current iterate.
 """
@@ -47,9 +48,9 @@ from .geometry import (
 )
 
 __all__ = [
-    "CcpConfig",
     "CcpResult",
     "CcpStatus",
+    "EPSILON",
     "IterateRecord",
     "MAX_OUTER_ITERATIONS",
     "SCREEN_MARGIN",
@@ -67,6 +68,8 @@ log = logging.getLogger("optigon.ccp")
 SCREEN_MARGIN = 0.02
 # outer iterations per run before OUTER_LIMIT
 MAX_OUTER_ITERATIONS = 1000
+# the default relative-step stopping threshold
+EPSILON = 1e-5
 
 
 class CcpStatus(enum.Enum):
@@ -74,25 +77,6 @@ class CcpStatus(enum.Enum):
     OUTER_LIMIT = "outer_limit"
     SUBPROBLEM_FAILURE = "subproblem_failure"
     FAILED = "failed"  # the run raised, or its worker process died
-
-
-@dataclass
-class CcpConfig:
-    """The run's settings: epsilon is the relative-step stopping threshold,
-    tol_solver the interior-point tolerance of every solve."""
-
-    epsilon: float = 1e-5
-    tol_solver: float = TOL_SOLVER
-
-    def validate(self) -> None:
-        require_positive_real("epsilon", self.epsilon)
-        require_positive_real("tol_solver", self.tol_solver)
-        # otherwise solver noise can trigger the outer stopping test
-        if self.tol_solver > self.epsilon / 100.0:
-            raise ValueError(
-                f"solver tolerance {self.tol_solver} must be <= epsilon/100 "
-                f"= {self.epsilon / 100.0}"
-            )
 
 
 @dataclass
@@ -133,22 +117,24 @@ class StepResult(NamedTuple):
     resolves: int
 
 
-def step(template: ConeTemplate, z_k: np.ndarray, cfg: CcpConfig) -> StepResult:
+def step(template: ConeTemplate, z_k: np.ndarray, tol_solver: float = TOL_SOLVER) -> StepResult:
     """One outer iteration: solve the convex restriction built at z_k on the
     distance pairs near unit distance, re-solving with any dropped pair the
     candidate violates until none is (see the module docstring). Each solve
     gets `template.at(z_k, keep)`, a new cone built for the current mask,
-    and warm-starts at z_k.
+    and warm-starts at z_k, with tolerance tol_solver.
 
-    Raises SubproblemFailure unless every solve reached optimality.
+    Raises SubproblemFailure, with the solver's cause, unless every solve
+    reached optimality.
     """
     keep = _near_unit(template.distance_sq(z_k))
     resolves = 0
     while True:
-        result = solve(template.at(z_k, keep), cfg.tol_solver, warm_start=z_k)
+        result = solve(template.at(z_k, keep), tol_solver, warm_start=z_k)
         if result.status is not SolverStatus.OPTIMAL:
+            cause = f": {result.cause}" if result.cause else ""
             raise SubproblemFailure(
-                f"subproblem solve failed with status {result.status.value} "
+                f"subproblem solve failed with status {result.status.value}{cause} "
                 f"(primal residual {result.max_primal_residual:.2e}, "
                 f"gap {result.duality_gap:.2e})",
                 result,
@@ -167,17 +153,18 @@ def _near_unit(d2: np.ndarray) -> np.ndarray:
 
 def maximize_area(
     n: int,
-    cfg: CcpConfig | None = None,
+    epsilon: float = EPSILON,
     initial: Polygon | None = None,
 ) -> CcpResult:
     """Run the outer loop for an n-gon and return the final polygon.
 
-    n must be even and >= 6 (ValueError otherwise), with or without an
-    initial polygon. The default initial iterate is the pendant-vertex
-    polygon. A supplied initial polygon must be feasible within TOL_FEAS.
+    n must be even and >= 6 and epsilon finite and positive (ValueError
+    otherwise). The default initial iterate is the pendant-vertex polygon.
+    A supplied initial polygon must be feasible within TOL_FEAS.
     """
-    cfg = cfg or CcpConfig()
-    cfg.validate()
+    require_positive_real("epsilon", epsilon)
+    # otherwise solver noise can trigger the stopping test
+    tol_solver = min(TOL_SOLVER, epsilon / 100.0)
     template = ConeTemplate(n)
     if initial is None:
         initial = build_pendant_polygon(n)
@@ -193,7 +180,7 @@ def maximize_area(
             f"initial polygon violates the program by {start.max_violation:.3e}"
         )
 
-    slack = 10.0 * cfg.tol_solver
+    slack = 10.0 * tol_solver
     area_cap = upper_bound(n) + slack
 
     status = CcpStatus.OUTER_LIMIT
@@ -202,7 +189,7 @@ def maximize_area(
     prev = start
     while k < MAX_OUTER_ITERATIONS:
         try:
-            z_next, solver_result, pairs_kept, resolves = step(template, z, cfg)
+            z_next, solver_result, pairs_kept, resolves = step(template, z, tol_solver)
         except SubproblemFailure as exc:
             status = CcpStatus.SUBPROBLEM_FAILURE
             message = str(exc)
@@ -240,7 +227,7 @@ def maximize_area(
             "n=%d k=%d area=%.10f rel_step=%.3e solver_iters=%d pairs=%d resolves=%d",
             n, k, rec.area, rel, solver_result.iterations, pairs_kept, resolves,
         )
-        if rel <= cfg.epsilon:
+        if rel <= epsilon:
             status = CcpStatus.CONVERGED
             break
 
@@ -255,12 +242,12 @@ def maximize_area(
     )
 
 
-def run_sweep(n_values, cfg: CcpConfig | None = None) -> list[CcpResult]:
+def run_sweep(n_values, epsilon: float = EPSILON) -> list[CcpResult]:
     """Independent runs for each n; failures are isolated per entry."""
     results = []
     for n in n_values:
         try:
-            results.append(maximize_area(n, cfg))
+            results.append(maximize_area(n, epsilon))
         except Exception as exc:  # noqa: BLE001 - sweep must never abort
             log.warning("n=%d failed: %s", n, exc)
             results.append(failed_result(n, str(exc)))

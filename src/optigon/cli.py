@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import reporting, verification
-from .ccp import CcpConfig, CcpResult, CcpStatus, failed_result, maximize_area, run_sweep
+from .ccp import EPSILON, CcpResult, CcpStatus, failed_result, maximize_area, run_sweep
 from .errors import InvalidPolygon, OptigonError
 from .geometry import load_polygon, pendant_area, require_even_ge6, upper_bound
 
@@ -89,17 +89,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--eps", type=float, default=CcpConfig.epsilon, help="relative-step stop threshold"
-    )
-    p.add_argument("--solver-tol", type=float, default=CcpConfig.tol_solver)
+    p.add_argument("--eps", type=float, default=EPSILON, help="relative-step stop threshold")
     p.add_argument("--out", type=Path, help="directory for run artifacts")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
 
 def _cmd_solve(args) -> int:
-    cfg = CcpConfig(epsilon=args.eps, tol_solver=args.solver_tol)
-    result = maximize_area(args.n, cfg)
+    result = maximize_area(args.n, args.eps)
     return _emit_results([result], args)
 
 
@@ -113,32 +109,31 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"empty range: --from {args.start} --to {args.stop}")
     for n in ns:
         require_even_ge6(n)
-    cfg = CcpConfig(epsilon=args.eps, tol_solver=args.solver_tol)
     if args.jobs > 1:
-        results = _pool_sweep(ns, cfg, args.jobs)
+        results = _pool_sweep(ns, args.eps, args.jobs)
     else:
-        results = run_sweep(ns, cfg)
+        results = run_sweep(ns, args.eps)
     return _emit_results(results, args)
 
 
-def _pool_sweep(ns: list[int], cfg: CcpConfig, jobs: int) -> list[CcpResult]:
+def _pool_sweep(ns: list[int], epsilon: float, jobs: int) -> list[CcpResult]:
     """Run each n in a process pool. A worker that dies breaks the pool and
     every entry still in it; those entries run again, each in a pool of its
     own, so only the entry whose worker dies again is lost."""
     results: dict[int, CcpResult] = {}
-    for n in _run_pool(ns, cfg, jobs, results):
-        if _run_pool([n], cfg, 1, results):
+    for n in _run_pool(ns, epsilon, jobs, results):
+        if _run_pool([n], epsilon, 1, results):
             results[n] = failed_result(n, "worker process died")
     return [results[n] for n in ns]
 
 
-def _run_pool(ns, cfg, jobs, results) -> list[int]:
+def _run_pool(ns, epsilon, jobs, results) -> list[int]:
     """Fill results for the entries that finish; return those the pool lost.
     The pool forks all its workers at once, so it gets no more workers than
     entries."""
     broken = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(ns))) as pool:
-        futures = {n: pool.submit(run_sweep, [n], cfg) for n in ns}
+        futures = {n: pool.submit(run_sweep, [n], epsilon) for n in ns}
         for n, future in futures.items():
             try:
                 results[n] = future.result()[0]

@@ -40,8 +40,9 @@ dpotrf rounds differently: results do not depend on the thread count.
 One iteration is `_step`. It raises FloatingPointError on an iterate
 outside the cone's interior, a reduced KKT matrix that is not finite or not
 positive definite, a non-finite Newton right-hand side, or no interior
-step; `_solve_inner` turns that error into NUMERICAL_FAILURE in one place.
-Whatever the status, the result is the iterate the loop stopped at.
+step; `_solve_inner` turns that error into NUMERICAL_FAILURE in one place
+and keeps its message as the result's cause. Whatever the status, the
+result is the iterate the loop stopped at.
 
 Settings: `solve` takes the tolerance tol_solver (default TOL_SOLVER); the
 iteration cap is the constant MAX_ITERATIONS. At DEBUG (`OPTIGON_LOG=debug`)
@@ -97,6 +98,7 @@ class SolverResult:
     max_dual_residual: float
     duality_gap: float
     iterations: int
+    cause: str = ""  # what ended a NUMERICAL_FAILURE solve
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +409,7 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
     c_scale = max(1.0, np.abs(c).max(initial=0.0))
 
     alpha = sigma = 0.0
+    cause = ""
     for iteration in range(MAX_ITERATIONS + 1):
         r_x = cone.rmatvec(z) + c
         r_z = cone.matvec(x) + s - h
@@ -432,7 +435,8 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
         try:
             x, s, z, alpha, sigma = _step(cone, kkt, x, s, z, r_x, r_z)
         except FloatingPointError as exc:
-            log.debug("ipm %3d: %s", iteration, exc)
+            cause = str(exc)
+            log.debug("ipm %3d: %s", iteration, cause)
             status = SolverStatus.NUMERICAL_FAILURE
             break
 
@@ -444,6 +448,7 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
         max_dual_residual=dual,
         duality_gap=gap,
         iterations=iteration,
+        cause=cause,
     )
 
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import Polygon, require_even_ge6
+from .geometry import Polygon, fan_cross, require_even_ge6
 
 __all__ = [
     "EvaluationReport",
@@ -335,7 +335,7 @@ def polygon_to_vector(polygon: Polygon) -> np.ndarray:
     z = np.zeros(3 * n - 4)
     z[: n - 1] = v[1:, 0]
     z[n - 1 : 2 * (n - 1)] = v[1:, 1]
-    z[2 * (n - 1) :] = (v[2:, 1] * v[1:-1, 0] - v[2:, 0] * v[1:-1, 1]) / 2.0
+    z[2 * (n - 1) :] = fan_cross(v) / 2.0
     return z
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidPolygon
 
 #: Feasibility tolerance for invariant checks (equals the outer loop's
-#: noise slack, 10 * tol_solver, at the default solver tolerance).
+#: noise slack, 10 * conic_solver.TOL_SOLVER, at the default epsilon).
 TOL_FEAS = 1e-8
 
 #: Tolerance for the unit-distance edges of a final polygon; iterates of a
@@ -60,9 +60,7 @@ class Polygon:
             raise InvalidPolygon(f"v_0 must be at the origin, got {tuple(v[0])}")
         if (v[:, 1] < -TOL_FEAS).any():
             raise InvalidPolygon("all vertices must satisfy y >= 0")
-        x, y = v[1:-1, 0], v[1:-1, 1]
-        xn, yn = v[2:, 0], v[2:, 1]
-        cross = yn * x - xn * y
+        cross = fan_cross(v)
         if (cross < -TOL_FEAS).any():
             i = int(np.argmin(cross)) + 1
             raise InvalidPolygon(
@@ -70,15 +68,20 @@ class Polygon:
             )
 
 
+def fan_cross(v: np.ndarray) -> np.ndarray:
+    """y_{i+1} x_i - x_{i+1} y_i for i = 1..n-2: twice the signed area of
+    each fan triangle (v_0, v_i, v_{i+1}) of vertices with v_0 at the origin."""
+    x, y = v[1:-1, 0], v[1:-1, 1]
+    xn, yn = v[2:, 0], v[2:, 1]
+    return yn * x - xn * y
+
+
 def area(polygon: Polygon) -> float:
     """Signed area via the fan from v_0: sum of (y_{i+1} x_i - x_{i+1} y_i)/2.
 
     Equals the shoelace area for a simple polygon anchored at the origin.
     """
-    v = polygon.vertices
-    x, y = v[1:-1, 0], v[1:-1, 1]
-    xn, yn = v[2:, 0], v[2:, 1]
-    return float(np.sum(yn * x - xn * y) / 2.0)
+    return float(np.sum(fan_cross(polygon.vertices)) / 2.0)
 
 
 def _distances(v: np.ndarray) -> np.ndarray:

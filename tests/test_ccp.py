@@ -1,20 +1,19 @@
 """Outer-loop behavior: published trajectory, ascent, feasibility, restarts."""
 
-import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from optigon import ccp, cli, conic_solver, verification
 from optigon.ccp import (
-    CcpConfig,
     CcpStatus,
     StepResult,
     maximize_area,
     run_sweep,
     step,
 )
-from optigon.conic_solver import SolverResult, SolverStatus, solve
+from optigon.conic_solver import TOL_SOLVER, SolverResult, SolverStatus, solve
 from optigon.errors import (
     AscentViolation,
     FeasibilityViolation,
@@ -83,37 +82,34 @@ class TestHexagonRun:
 class TestStep:
     def test_single_step_reaches_published_first_iterate(self):
         z0 = polygon_to_vector(build_pendant_polygon(6))
-        z1, result, *_ = step(ConeTemplate(6), z0, CcpConfig())
+        z1, result, *_ = step(ConeTemplate(6), z0)
         assert result.status is SolverStatus.OPTIMAL
         assert area(vector_to_polygon(z1, 6)) == pytest.approx(0.6749414624, abs=1e-6)
 
     def test_second_step(self):
         template = ConeTemplate(6)
-        cfg = CcpConfig()
         z0 = polygon_to_vector(build_pendant_polygon(6))
-        z1 = step(template, z0, cfg).z
-        z2 = step(template, z1, cfg).z
+        z1 = step(template, z0).z
+        z2 = step(template, z1).z
         assert area(vector_to_polygon(z2, 6)) == pytest.approx(0.6749808685, abs=1e-6)
 
     def test_step_preserves_feasibility_and_ascent(self):
         program = ConeTemplate(8)
         template = ConeTemplate(8)
-        cfg = CcpConfig()
         z = polygon_to_vector(build_pendant_polygon(8))
         for _ in range(3):
-            z_next = step(template, z, cfg).z
+            z_next = step(template, z).z
             assert program.evaluate(z_next).min_residual() >= -1e-8
             assert program.evaluate(z_next).objective >= (
-                program.evaluate(z).objective - cfg.tol_solver
+                program.evaluate(z).objective - TOL_SOLVER
             )
             z = z_next
 
     def test_step_from_critical_point_is_fixed(self, hexagon_result):
-        cfg = CcpConfig()
         z_star = polygon_to_vector(hexagon_result.polygon)
-        z_next = step(ConeTemplate(6), z_star, cfg).z
+        z_next = step(ConeTemplate(6), z_star).z
         rel = np.linalg.norm(z_next - z_star) / np.linalg.norm(z_next)
-        assert rel <= cfg.epsilon
+        assert rel <= ccp.EPSILON
         new_area = area(vector_to_polygon(z_next, 6))
         assert abs(new_area - hexagon_result.area) <= 1e-8
 
@@ -121,7 +117,17 @@ class TestStep:
         monkeypatch.setattr(conic_solver, "MAX_ITERATIONS", 2)
         z0 = polygon_to_vector(build_pendant_polygon(6))
         with pytest.raises(SubproblemFailure):
-            step(ConeTemplate(6), z0, CcpConfig())
+            step(ConeTemplate(6), z0)
+
+    def test_subproblem_failure_names_the_cause(self, monkeypatch):
+        # no step length keeps the iterate interior, so the first IPM step fails
+        monkeypatch.setattr(conic_solver, "STEP_FRACTION", 0.0)
+        z0 = polygon_to_vector(build_pendant_polygon(6))
+        with pytest.raises(SubproblemFailure) as info:
+            step(ConeTemplate(6), z0)
+        assert info.value.result.cause == "no interior step"
+        assert str(info.value).startswith(
+            "subproblem solve failed with status numerical_failure: no interior step (")
 
 
 class TestScreening:
@@ -132,10 +138,9 @@ class TestScreening:
     def test_keeping_every_pair_is_the_full_solve(self, monkeypatch, n):
         monkeypatch.setattr(ccp, "SCREEN_MARGIN", 1.0)
         template = ConeTemplate(n)
-        cfg = CcpConfig()
         z0 = polygon_to_vector(build_pendant_polygon(n))
-        full = solve(template.at(z0), cfg.tol_solver, warm_start=z0)
-        z1, screened, kept, resolves = step(template, z0, cfg)
+        full = solve(template.at(z0), TOL_SOLVER, warm_start=z0)
+        z1, screened, kept, resolves = step(template, z0)
         assert (kept, resolves) == (template.n_pairs, 0)
         assert np.array_equal(z1, full.primal)
         assert np.array_equal(screened.primal, full.primal)
@@ -151,14 +156,14 @@ class TestScreening:
         # they agree to ~2e-6, the IPM's own primal accuracy here)
         monkeypatch.setattr(ccp, "SCREEN_MARGIN", 0.0)
         template = ConeTemplate(12)
-        cfg = CcpConfig(tol_solver=1e-11)
+        tol = 1e-11
         z0 = polygon_to_vector(build_pendant_polygon(12))
-        z1, result, kept, resolves = step(template, z0, cfg)
+        z1, result, kept, resolves = step(template, z0, tol)
         assert resolves >= 1
         assert 0 < kept < template.n_pairs
-        full = solve(template.at(z0), cfg.tol_solver, warm_start=z0)
+        full = solve(template.at(z0), tol, warm_start=z0)
         assert np.abs(z1 - full.primal).max() <= 1e-7
-        assert template.evaluate(z1).min_residual() >= -cfg.tol_solver
+        assert template.evaluate(z1).min_residual() >= -tol
 
     def test_records_carry_screening_counts(self, hexagon_result):
         first, *steps = hexagon_result.trace
@@ -225,33 +230,45 @@ class TestInitialValidation:
 class TestConfig:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
-            CcpConfig(epsilon=0.0).validate()
+            maximize_area(6, epsilon=0.0)
 
     @pytest.mark.parametrize("epsilon", [float("inf"), float("nan")])
     def test_epsilon_must_be_finite(self, epsilon):
         with pytest.raises(ValueError, match="finite"):
-            CcpConfig(epsilon=epsilon).validate()
+            maximize_area(6, epsilon=epsilon)
 
     @pytest.mark.parametrize("epsilon", [True, "1e-5", None])
     def test_epsilon_must_be_a_real_number(self, epsilon):
         # True used to pass as 1.0; a string or None raised TypeError
         with pytest.raises(ValueError, match="epsilon"):
-            CcpConfig(epsilon=epsilon).validate()
+            maximize_area(6, epsilon=epsilon)
 
     @pytest.mark.parametrize("tol", [True, "1e-9", None, float("nan"), float("inf"), 0.0])
     def test_solver_tolerance_must_be_finite_and_positive(self, tol):
+        # step passes its tolerance to conic_solver.solve, which checks it
+        z0 = polygon_to_vector(build_pendant_polygon(6))
         with pytest.raises(ValueError, match="tol_solver must be finite and positive"):
-            CcpConfig(tol_solver=tol).validate()
+            step(ConeTemplate(6), z0, tol)
 
-    def test_solver_tolerance_coupling(self):
-        with pytest.raises(ValueError):
-            CcpConfig(epsilon=1e-5, tol_solver=1e-6).validate()
+    def test_solver_tolerance_coupling(self, monkeypatch):
+        # every solve of a run uses min(TOL_SOLVER, epsilon / 100)
+        tolerances = []
+
+        def recording_solve(cone, tol_solver, warm_start=None):
+            tolerances.append(tol_solver)
+            return solve(cone, tol_solver, warm_start)
+
+        monkeypatch.setattr(ccp, "solve", recording_solve)
+        for epsilon, expected in ((ccp.EPSILON, TOL_SOLVER), (1e-8, 1e-10)):
+            tolerances.clear()
+            assert maximize_area(6, epsilon=epsilon).converged
+            assert tolerances and set(tolerances) == {expected}
 
     def test_settable_fields(self):
-        # epsilon and tol_solver are the CLI's --eps and --solver-tol; the
+        # epsilon is the CLI's --eps and sets the solver tolerance; the
         # iteration caps are the constants ccp.MAX_OUTER_ITERATIONS and
         # conic_solver.MAX_ITERATIONS. A new setting changes this test on purpose.
-        assert [f.name for f in dataclasses.fields(CcpConfig)] == ["epsilon", "tol_solver"]
+        assert list(inspect.signature(maximize_area).parameters) == ["n", "epsilon", "initial"]
 
     def test_outer_limit_status(self, monkeypatch):
         monkeypatch.setattr(ccp, "MAX_OUTER_ITERATIONS", 2)
@@ -307,7 +324,7 @@ class TestInvariants:
         ids=["ascent", "feasibility", "upper_bound"],
     )
     def test_broken_step_raises_typed_error(self, monkeypatch, capsys, error, change):
-        def broken_step(template, z_k, cfg):
+        def broken_step(template, z_k, tol_solver):
             z = change(z_k.copy(), template.n)
             return StepResult(z, SolverResult(SolverStatus.OPTIMAL, z, 0.0, 0.0, 0.0, 0.0, 1), 0, 0)
 

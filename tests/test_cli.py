@@ -92,10 +92,23 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("error: epsilon must be finite")
 
+    def test_eps_whose_tolerance_underflows_is_usage_error(self, capsys):
+        # 5e-324 / 100 rounds to a solver tolerance of 0, which solve refuses
+        assert main(["solve", "--n", "6", "--eps", "5e-324"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol_solver must be finite and positive, got 0.0\n"
+
+    @pytest.mark.parametrize("eps", ["1e-7", "1e-8"])
+    def test_small_eps_tightens_the_solver(self, eps, capsys):
+        # the solver tolerance is min(1e-9, eps / 100), within eps / 100
+        assert main(["solve", "--n", "6", "--eps", eps]) == 0
+        assert "status=converged structure=pass" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", [["solve", "--n", "6"], ["sweep", "--from", "6", "--to", "8"]])
     def test_default_flags_are_the_default_config(self, argv):
         args = cli._build_parser().parse_args(argv)
-        assert ccp.CcpConfig(epsilon=args.eps, tol_solver=args.solver_tol) == ccp.CcpConfig()
+        assert args.eps == ccp.EPSILON
 
 
 class TestSweep:
@@ -131,10 +144,10 @@ class TestSweep:
     def test_crashed_worker_fails_only_its_entry(self, monkeypatch, capsys):
         solve = ccp.maximize_area
 
-        def crash_on_8(n, cfg=None, initial=None):
+        def crash_on_8(n, epsilon=ccp.EPSILON, initial=None):
             if n == 8:
                 os._exit(1)
-            return solve(n, cfg, initial)
+            return solve(n, epsilon, initial)
 
         monkeypatch.setattr(ccp, "maximize_area", crash_on_8)
         argv = ["sweep", "--from", "6", "--to", "10", "--jobs", "2", "--format", "csv"]
@@ -168,7 +181,7 @@ class TestSweep:
         ns = range(6, stop + 1, 2)
         results = {n: maximize_area(n) for n in ns}
         monkeypatch.setattr("optigon.cli.concurrent.futures.ProcessPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(cli, "run_sweep", lambda ns, cfg: [results[n] for n in ns])
+        monkeypatch.setattr(cli, "run_sweep", lambda ns, epsilon: [results[n] for n in ns])
         assert main(["sweep", "--from", "6", "--to", str(stop), "--jobs", str(jobs)]) == 0
         assert sizes == [workers]
         lines = capsys.readouterr().out.splitlines()
@@ -199,7 +212,7 @@ class TestSubproblemFailure:
 
     @pytest.fixture(autouse=True)
     def failing_solve(self, monkeypatch, status):
-        def solve(cone, cfg, warm_start=None):
+        def solve(cone, tol_solver, warm_start=None):
             return SolverResult(status, np.zeros(cone.dim), 0.0, 1.0, 1.0, 1.0, 3)
 
         monkeypatch.setattr(ccp, "solve", solve)
@@ -222,10 +235,10 @@ def test_sweep_entry_that_raised_has_status_failed(monkeypatch, capsys):
     # every subproblem of the n = 8 run succeeds; the run itself raises
     solve = ccp.maximize_area
 
-    def fail_8(n, cfg=None, initial=None):
+    def fail_8(n, epsilon=ccp.EPSILON, initial=None):
         if n == 8:
             raise AscentViolation("ascent violated", 1, np.zeros(20))
-        return solve(n, cfg, initial)
+        return solve(n, epsilon, initial)
 
     monkeypatch.setattr(ccp, "maximize_area", fail_8)
     assert main(["sweep", "--from", "6", "--to", "8", "--format", "json"]) == 1
@@ -238,16 +251,19 @@ class TestVerificationFailure:
     """A reported polygon that fails structure verification makes the exit
     code 1, for solve and for a sweep where only one entry fails."""
 
-    LOOSE = ["--eps", "0.05", "--solver-tol", "1e-4"]
+    # a solver tolerance of 1e-4 leaves the unit chords too inexact to pass
+    LOOSE_TOL = 1e-4
 
-    def test_solve_exits_1(self, capsys):
-        assert main(["solve", "--n", "6", *self.LOOSE]) == 1
+    def test_solve_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(ccp, "TOL_SOLVER", self.LOOSE_TOL)
+        assert main(["solve", "--n", "6", "--eps", "0.05"]) == 1
         assert "structure=FAIL" in capsys.readouterr().out
 
     def test_sweep_exits_1_when_one_entry_fails(self, monkeypatch, capsys):
-        loose = ccp.CcpConfig(epsilon=0.05, tol_solver=1e-4)
-        results = {6: maximize_area(6), 8: maximize_area(8, loose)}
-        monkeypatch.setattr(cli, "run_sweep", lambda ns, cfg: [results[n] for n in ns])
+        results = {6: maximize_area(6)}
+        monkeypatch.setattr(ccp, "TOL_SOLVER", self.LOOSE_TOL)
+        results[8] = maximize_area(8, 0.05)
+        monkeypatch.setattr(cli, "run_sweep", lambda ns, epsilon: [results[n] for n in ns])
         assert main(["sweep", "--from", "6", "--to", "8"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith("n=6 ") and "structure=pass" in line for line in lines)
@@ -256,8 +272,8 @@ class TestVerificationFailure:
     def test_sweep_keeps_every_entry_when_one_polygon_is_not_small(self, monkeypatch, capsys):
         solve = ccp.maximize_area
 
-        def widen_8(n, cfg=None, initial=None):
-            result = solve(n, cfg, initial)
+        def widen_8(n, epsilon=ccp.EPSILON, initial=None):
+            result = solve(n, epsilon, initial)
             if n != 8:
                 return result
             v = result.polygon.vertices.copy()
@@ -319,7 +335,7 @@ class TestVerifyOnce:
             calls.append(polygon)
             return real_verify(polygon, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_sweep", lambda ns, cfg: [results[n] for n in ns])
+        monkeypatch.setattr(cli, "run_sweep", lambda ns, epsilon: [results[n] for n in ns])
         monkeypatch.setattr(verification, "verify_structure", counting_verify)
         capsys.readouterr()
         out_dir = tmp_path / "out"
@@ -454,9 +470,10 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
-    @pytest.mark.parametrize("flag", [["--svg", "x.svg"], ["--trace"]])
+    @pytest.mark.parametrize("flag", [["--svg", "x.svg"], ["--trace"], ["--solver-tol", "1e-7"]])
     def test_removed_output_flags(self, flag, tmp_path, monkeypatch, capsys):
-        # --out DIR writes the drawing and the trace CSV of every run
+        # --out DIR writes the drawing and the trace CSV of every run; --eps
+        # sets the solver tolerance
         monkeypatch.chdir(tmp_path)
         assert main(["sweep", "--from", "6", "--to", "8", *flag]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err

@@ -187,7 +187,7 @@ class TestConeOperators:
 class TestAnalyticOptima:
     def test_max_x_on_unit_disc(self):
         res = solve(mini_cone([1.0, 0.0], ellipses=[DISC]))
-        assert res.status is SolverStatus.OPTIMAL
+        assert (res.status, res.cause) == (SolverStatus.OPTIMAL, "")
         assert res.objective == pytest.approx(1.0, abs=1e-8)
         assert res.primal == pytest.approx([1.0, 0.0], abs=1e-7)
 
@@ -324,7 +324,7 @@ def gram_times(factor):
 
 class TestFailureExits:
     """Every cause of NUMERICAL_FAILURE ends the solve through the one exit,
-    which logs the cause and returns the iterate the loop stopped at."""
+    which logs the cause and returns it with the iterate the loop stopped at."""
 
     CAUSES = {
         "kkt_not_finite": ("reduced KKT matrix is not finite",
@@ -347,6 +347,7 @@ class TestFailureExits:
         with caplog.at_level(logging.DEBUG, logger="optigon.solver"):
             res = solve(cone, warm_start=z0)
         assert res.status is SolverStatus.NUMERICAL_FAILURE
+        assert res.cause == message
         *_, state, stop = (r.getMessage() for r in caplog.records)
         assert stop == f"ipm {res.iterations:3d}: {message}"
         assert state.startswith(f"ipm {res.iterations:3d}: pobj={res.objective:+.12e} ")
@@ -366,10 +367,10 @@ class TestInfeasible:
         assert infeasible_lp.status is SolverStatus.NUMERICAL_FAILURE
 
     def test_step_raises_on_it(self, monkeypatch, infeasible_lp):
-        monkeypatch.setattr(ccp, "solve", lambda cone, cfg, warm_start=None: infeasible_lp)
+        monkeypatch.setattr(ccp, "solve", lambda cone, tol_solver, warm_start=None: infeasible_lp)
         z0 = polygon_to_vector(build_pendant_polygon(6))
         with pytest.raises(SubproblemFailure) as info:
-            ccp.step(ConeTemplate(6), z0, ccp.CcpConfig())
+            ccp.step(ConeTemplate(6), z0)
         assert info.value.result is infeasible_lp
 
 
