@@ -19,10 +19,11 @@ solved again. Distance constraints are not linearized, so a candidate that
 passes the guard satisfies the full restriction and is its optimum.
 
 Settings: epsilon alone (default EPSILON). Every solve of a run uses the
-tolerance min(TOL_SOLVER, epsilon / 100), tight enough that solver noise
-cannot trigger the stopping test. The iteration caps are the constants
-MAX_OUTER_ITERATIONS here and `conic_solver.MAX_ITERATIONS`. Every run
-records its iterates and warm-starts each subproblem at the current iterate.
+tolerance `solver_tolerance(epsilon)`, min(TOL_SOLVER, epsilon / 100),
+tight enough that solver noise cannot trigger the stopping test. The
+iteration caps are the constants MAX_OUTER_ITERATIONS here and
+`conic_solver.MAX_ITERATIONS`. Every run records its iterates and
+warm-starts each subproblem at the current iterate.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "failed_result",
     "maximize_area",
     "run_sweep",
+    "solver_tolerance",
     "step",
 ]
 
@@ -151,6 +153,20 @@ def _near_unit(d2: np.ndarray) -> np.ndarray:
     return np.sqrt(d2) >= 1.0 - SCREEN_MARGIN
 
 
+def solver_tolerance(epsilon: float) -> float:
+    """The interior-point tolerance of a run with stopping threshold
+    epsilon, min(TOL_SOLVER, epsilon / 100): tighter than epsilon, so that
+    solver noise cannot trigger the stopping test. Raises ValueError unless
+    epsilon is finite and positive and epsilon / 100 does not round to 0."""
+    require_positive_real("epsilon", epsilon)
+    tol_solver = min(TOL_SOLVER, epsilon / 100.0)
+    if tol_solver == 0.0:
+        raise ValueError(
+            f"epsilon must be large enough that epsilon / 100 is positive, got {epsilon!r}"
+        )
+    return tol_solver
+
+
 def maximize_area(
     n: int,
     epsilon: float = EPSILON,
@@ -158,13 +174,12 @@ def maximize_area(
 ) -> CcpResult:
     """Run the outer loop for an n-gon and return the final polygon.
 
-    n must be even and >= 6 and epsilon finite and positive (ValueError
-    otherwise). The default initial iterate is the pendant-vertex polygon.
-    A supplied initial polygon must be feasible within TOL_FEAS.
+    n must be even and >= 6, and solver_tolerance must accept epsilon
+    (ValueError otherwise). The default initial iterate is the
+    pendant-vertex polygon. A supplied initial polygon must be feasible
+    within TOL_FEAS.
     """
-    require_positive_real("epsilon", epsilon)
-    # otherwise solver noise can trigger the stopping test
-    tol_solver = min(TOL_SOLVER, epsilon / 100.0)
+    tol_solver = solver_tolerance(epsilon)
     template = ConeTemplate(n)
     if initial is None:
         initial = build_pendant_polygon(n)
@@ -243,7 +258,9 @@ def maximize_area(
 
 
 def run_sweep(n_values, epsilon: float = EPSILON) -> list[CcpResult]:
-    """Independent runs for each n; failures are isolated per entry."""
+    """Independent runs for each n; failures are isolated per entry. An
+    epsilon that solver_tolerance refuses raises ValueError before any run."""
+    solver_tolerance(epsilon)
     results = []
     for n in n_values:
         try:

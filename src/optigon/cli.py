@@ -11,7 +11,9 @@ import sys
 from pathlib import Path
 
 from . import reporting, verification
-from .ccp import EPSILON, CcpResult, CcpStatus, failed_result, maximize_area, run_sweep
+from .ccp import (
+    EPSILON, CcpResult, CcpStatus, failed_result, maximize_area, run_sweep, solver_tolerance,
+)
 from .errors import InvalidPolygon, OptigonError
 from .geometry import load_polygon, pendant_area, require_even_ge6, upper_bound
 
@@ -109,6 +111,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"empty range: --from {args.start} --to {args.stop}")
     for n in ns:
         require_even_ge6(n)
+    solver_tolerance(args.eps)  # once, not in each run
     if args.jobs > 1:
         results = _pool_sweep(ns, args.eps, args.jobs)
     else:

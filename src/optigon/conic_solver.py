@@ -169,6 +169,13 @@ def _inv_mul(lam_parts: tuple, d: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_positive(*arrays: np.ndarray) -> None:
+    """Raise FloatingPointError unless every entry is positive; a NaN is not."""
+    for a in arrays:
+        if not a.min(initial=np.inf) > 0:
+            raise FloatingPointError("cone iterate left the interior")
+
+
 class _Scaling:
     """Nesterov-Todd scaling W at (s, z): W z = W^{-1} s = lam. Its products
     take and return flat cone vectors of p orthant rows and m blocks."""
@@ -180,8 +187,7 @@ class _Scaling:
         self.m = m = s_soc.shape[1]
         rs = _jdet(s_soc)
         rz = _jdet(z_soc)
-        if (rs <= 0).any() or (rz <= 0).any():
-            raise FloatingPointError("cone iterate left the interior")
+        _require_positive(rs, rz)
         sbar = s_soc / np.sqrt(rs)
         zbar = z_soc / np.sqrt(rz)
         gamma = np.sqrt((1.0 + _bdot(sbar, zbar)) / 2.0)
@@ -190,6 +196,7 @@ class _Scaling:
         self.eta = (rs / rz) ** 0.25
         # reused by every product with W or W^{-2}
         self.v = self.wbar * _REFLECT
+        self.two_v = 2.0 * self.v
         self.eta_sq = self.eta**2
         self.w_nn_sq = self.w_nn**2
         self._wbar0_plus_1 = 1.0 + self.wbar[0]
@@ -202,8 +209,7 @@ class _Scaling:
         # the divisors of _inv_mul; rounding can leave them at or below zero
         # when s and z are interior only to machine precision
         lam_nn, lam_soc, lam_det = self.lam_parts
-        if not all((d > 0).all() for d in (lam_nn, lam_soc[0], lam_det)):
-            raise FloatingPointError("cone iterate left the interior")
+        _require_positive(lam_nn, lam_soc[0], lam_det)
         # both _max_step calls of an iteration stack two directions
         self.lam_pair = _tiled(self.lam_parts, 2)
 
@@ -232,10 +238,8 @@ class _Scaling:
         out = np.empty_like(u)
         np.divide(u[:p], self.w_nn_sq, out=out[:p])
         u_soc = u[p:].reshape(4, m)
-        v = self.v
-        scale = _bdot(v, u_soc)
-        scale *= 2.0
-        soc = np.multiply(scale, v, out=out[p:].reshape(4, m))
+        # (v^T u) (2 v) is (2 v^T u) v bit for bit: doubling is exact
+        soc = np.multiply(_bdot(self.v, u_soc), self.two_v, out=out[p:].reshape(4, m))
         soc -= u_soc * _REFLECT
         soc /= self.eta_sq
         return out
@@ -251,24 +255,24 @@ def _max_step(u_parts: tuple, dus: tuple[np.ndarray, ...]) -> float:
     d_nn = np.concatenate([du[:p] for du in dus])
     d_soc = np.concatenate([du[p:].reshape(4, -1) for du in dus], axis=1)
     neg = d_nn < 0
-    t_nn = (u_nn[neg] / -d_nn[neg]).min(initial=np.inf)
+    t = (u_nn[neg] / -d_nn[neg]).min(initial=np.inf)
     # jdet(u + t du) = c0 + c1 t + c2 t^2 on each block
     c1 = 2.0 * (2.0 * u_soc[0] * d_soc[0] - _bdot(u_soc, d_soc))
     c2 = _jdet(d_soc)
-    t = np.full(len(c0), np.inf)
     # c0 = jdet(u) is positive at an interior u, so it is its own |c0|
     quad = np.abs(c2) > 1e-14 * (c0 + np.abs(c1) + 1.0)
-    lin = ~quad & (c1 < 0)
-    t[lin] = -c0[lin] / c1[lin]
-    a, b, c = c2[quad], c1[quad], c0[quad]
-    disc = b * b - 4.0 * a * c
-    real = disc >= 0
-    sq = np.sqrt(np.where(real, disc, 0.0))
-    minus_b, two_a = -b, 2.0 * a
-    r1 = np.where(real, (minus_b - sq) / two_a, np.inf)
-    r2 = np.where(real, (minus_b + sq) / two_a, np.inf)
-    t[quad] = np.minimum(np.where(r1 > 0, r1, np.inf), np.where(r2 > 0, r2, np.inf))
-    return float(min(t_nn, t.min(initial=np.inf)))
+    if not quad.all():
+        # a block with c2 ~ 0 leaves the cone only if c1 < 0, at -c0 / c1
+        lin = ~quad & (c1 < 0)
+        if lin.any():
+            t = min(t, (-c0[lin] / c1[lin]).min())
+        c2, c1, c0 = c2[quad], c1[quad], c0[quad]
+    minus_b, two_a = -c1, 2.0 * c2
+    # a negative discriminant gives NaN roots, which fail the test > 0
+    with np.errstate(invalid="ignore"):
+        sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+        roots = np.concatenate(((minus_b - sq) / two_a, (minus_b + sq) / two_a))
+        return float(roots[roots > 0].min(initial=t))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +407,9 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
     # one buffer for every factorization saves the page faults of a fresh
     # dim x dim array per iteration
     kkt = np.empty((cone.dim, cone.dim))
-    x, s, z = _initial_point(cone, warm_start, kkt)
+    # the cone's identity, the central ray of the start and of each step
+    e = _identity(p, cone.n_soc)
+    x, s, z = _initial_point(cone, warm_start, kkt, e)
 
     h_scale = max(1.0, np.abs(h).max(initial=0.0))
     c_scale = max(1.0, np.abs(c).max(initial=0.0))
@@ -433,7 +439,7 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
             status = SolverStatus.ITERATION_LIMIT
             break
         try:
-            x, s, z, alpha, sigma = _step(cone, kkt, x, s, z, r_x, r_z)
+            x, s, z, alpha, sigma = _step(cone, kkt, e, x, s, z, r_x, r_z, gap)
         except FloatingPointError as exc:
             cause = str(exc)
             log.debug("ipm %3d: %s", iteration, cause)
@@ -452,13 +458,13 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
     )
 
 
-def _step(cone: ConeProblem, kkt: np.ndarray, x, s, z, r_x, r_z):
+def _step(cone: ConeProblem, kkt: np.ndarray, e, x, s, z, r_x, r_z, gap: float):
     """One predictor-corrector step from (x, s, z), whose residuals are
-    r_x = G^T z + c and r_z = G x + s - h: the next, strictly interior
-    iterate, the step length and sigma. Raises FloatingPointError if the
-    scaling, the KKT factor, a Newton solve or an interior step fails."""
+    r_x = G^T z + c and r_z = G x + s - h and whose gap is s^T z, for the
+    cone's identity e: the next, strictly interior iterate, the step length
+    and sigma. Raises FloatingPointError if the scaling, the KKT factor, a
+    Newton solve or an interior step fails."""
     p = cone.n_nonneg
-    gap = float(s @ z)
     mu = gap / max(p + cone.n_soc, 1)
     W = _Scaling(s, z, p)
 
@@ -492,7 +498,7 @@ def _step(cone: ConeProblem, kkt: np.ndarray, x, s, z, r_x, r_z):
             e2 = bz - ((cone.matvec(dx) if g_dx is None else g_dx) + ds)
             g_dx = None
             e3 = ds_rhs - _mul(W.lam, dst + dzt, p)
-            err = max(np.abs(e1).max(), np.abs(e2).max(initial=0.0), np.abs(e3).max(initial=0.0))
+            err = np.abs(np.concatenate((e1, e2, e3))).max()
             improved = kept is None or err < kept[0]
             if improved:
                 kept = (err, direction)
@@ -510,7 +516,7 @@ def _step(cone: ConeProblem, kkt: np.ndarray, x, s, z, r_x, r_z):
     sigma = min(1.0, max(0.0, gap_aff / gap) ** 3) if gap > 0 else 0.0
 
     # combined predictor-corrector direction
-    ds_rhs = sigma * mu * _identity(p, cone.n_soc) - lam_sq - _mul(dst_a, dzt_a, p)
+    ds_rhs = sigma * mu * e - lam_sq - _mul(dst_a, dzt_a, p)
     # free what only the predictor needed, which lowers peak memory
     del d, lam_sq, dx_a, ds_a, dz_a, dst_a, dzt_a
     dx, ds, dz, dst, dzt = newton(-r_x, -r_z, ds_rhs)
@@ -528,13 +534,12 @@ def _step(cone: ConeProblem, kkt: np.ndarray, x, s, z, r_x, r_z):
     raise FloatingPointError("no interior step")
 
 
-def _initial_point(cone: ConeProblem, warm_start, kkt: np.ndarray):
+def _initial_point(cone: ConeProblem, warm_start, kkt: np.ndarray, e: np.ndarray):
     """Least-squares start pushed strictly inside the cone, or a blend of
-    the warm-start point with the cone's central ray. kkt is a C-ordered
-    dim x dim buffer for the factorization of G^T G."""
+    the warm-start point with the cone's central ray e, its identity. kkt
+    is a C-ordered dim x dim buffer for the factorization of G^T G."""
     h, c, p = cone.h, cone.c, cone.n_nonneg
     n = cone.dim
-    e = _identity(p, cone.n_soc)
 
     # bincount sums G^T G's (i, j) and (j, i) terms in slot order, which
     # need not agree bit for bit, so its own lower triangle is factored:

@@ -3,7 +3,8 @@
 `restriction_residuals` and `fan_residuals` share no code with
 `optigon.formulation.ConeTemplate`, whose arrays the tests check against
 them; `mini_cone` builds the small cone problems that pin the solver to
-analytic optima.
+analytic optima; `max_step` is the solver's step-length formula in its
+first, case-by-case form, which its faster form must match bit for bit.
 """
 
 from itertools import combinations
@@ -66,3 +67,41 @@ def mini_cone(objective, halfplanes=(), ellipses=()):
         soc_cols=np.repeat(np.arange(dim)[:, None], m, axis=1),
         soc_coef=soc_coef,
     )
+
+
+def _bdot(u, v):
+    return np.add.reduce(u * v)
+
+
+def _jdet(u):
+    return 2.0 * u[0] ** 2 - _bdot(u, u)
+
+
+def max_step(u_parts, dus):
+    """Largest t with u + t*du inside R^p_+ x (Q^4)^m for every du in dus,
+    with u and the directions laid out as `conic_solver._max_step` takes
+    them. Each block's case (quadratic, linear with c1 < 0, or no root)
+    fills its own masked entries of t, and a negative discriminant is
+    masked before the square root."""
+    u_nn, u_soc, c0 = u_parts
+    p = len(u_nn) // len(dus)
+    d_nn = np.concatenate([du[:p] for du in dus])
+    d_soc = np.concatenate([du[p:].reshape(4, -1) for du in dus], axis=1)
+    neg = d_nn < 0
+    t_nn = (u_nn[neg] / -d_nn[neg]).min(initial=np.inf)
+    # jdet(u + t du) = c0 + c1 t + c2 t^2 on each block
+    c1 = 2.0 * (2.0 * u_soc[0] * d_soc[0] - _bdot(u_soc, d_soc))
+    c2 = _jdet(d_soc)
+    t = np.full(len(c0), np.inf)
+    quad = np.abs(c2) > 1e-14 * (c0 + np.abs(c1) + 1.0)
+    lin = ~quad & (c1 < 0)
+    t[lin] = -c0[lin] / c1[lin]
+    a, b, c = c2[quad], c1[quad], c0[quad]
+    disc = b * b - 4.0 * a * c
+    real = disc >= 0
+    sq = np.sqrt(np.where(real, disc, 0.0))
+    minus_b, two_a = -b, 2.0 * a
+    r1 = np.where(real, (minus_b - sq) / two_a, np.inf)
+    r2 = np.where(real, (minus_b + sq) / two_a, np.inf)
+    t[quad] = np.minimum(np.where(r1 > 0, r1, np.inf), np.where(r2 > 0, r2, np.inf))
+    return float(min(t_nn, t.min(initial=np.inf)))

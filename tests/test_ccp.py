@@ -11,6 +11,7 @@ from optigon.ccp import (
     StepResult,
     maximize_area,
     run_sweep,
+    solver_tolerance,
     step,
 )
 from optigon.conic_solver import TOL_SOLVER, SolverResult, SolverStatus, solve
@@ -264,6 +265,18 @@ class TestConfig:
             assert maximize_area(6, epsilon=epsilon).converged
             assert tolerances and set(tolerances) == {expected}
 
+    @pytest.mark.parametrize("epsilon", [5e-324, 2e-322])
+    def test_epsilon_whose_tolerance_underflows(self, monkeypatch, epsilon):
+        # epsilon / 100 rounds to 0; refused before the template is built
+        monkeypatch.setattr(ccp, "ConeTemplate", None)
+        with pytest.raises(ValueError, match=r"epsilon / 100 is positive, got"):
+            maximize_area(6, epsilon=epsilon)
+
+    def test_smallest_tolerance(self):
+        # 3e-322 / 100 rounds up to the smallest subnormal
+        assert solver_tolerance(3e-322) == 5e-324
+        assert solver_tolerance(ccp.EPSILON) == TOL_SOLVER
+
     def test_settable_fields(self):
         # epsilon is the CLI's --eps and sets the solver tolerance; the
         # iteration caps are the constants ccp.MAX_OUTER_ITERATIONS and
@@ -284,6 +297,12 @@ class TestSweep:
         for r in results:
             assert r.status is CcpStatus.CONVERGED
             assert r.area == pytest.approx(KNOWN_AREA[r.n], abs=1e-7)
+
+    @pytest.mark.parametrize("epsilon", [float("inf"), 0.0, 5e-324])
+    def test_bad_epsilon_raises_before_any_run(self, monkeypatch, epsilon):
+        monkeypatch.setattr(ccp, "maximize_area", None)
+        with pytest.raises(ValueError, match="epsilon must be"):
+            run_sweep([6, 8], epsilon)
 
     def test_empty_sweep(self):
         assert run_sweep([]) == []

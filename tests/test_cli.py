@@ -93,11 +93,13 @@ class TestSolve:
         assert captured.err.startswith("error: epsilon must be finite")
 
     def test_eps_whose_tolerance_underflows_is_usage_error(self, capsys):
-        # 5e-324 / 100 rounds to a solver tolerance of 0, which solve refuses
+        # 5e-324 / 100 rounds to a solver tolerance of 0
         assert main(["solve", "--n", "6", "--eps", "5e-324"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: tol_solver must be finite and positive, got 0.0\n"
+        assert captured.err == (
+            "error: epsilon must be large enough that epsilon / 100 is positive, got 5e-324\n"
+        )
 
     @pytest.mark.parametrize("eps", ["1e-7", "1e-8"])
     def test_small_eps_tightens_the_solver(self, eps, capsys):
@@ -112,6 +114,21 @@ class TestSolve:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("eps, reason", [
+        ("inf", "finite and positive, got inf"),
+        ("0", "finite and positive, got 0.0"),
+        ("5e-324", "large enough that epsilon / 100 is positive, got 5e-324"),
+    ])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_eps_is_one_usage_error(self, monkeypatch, capsys, eps, reason, jobs):
+        # checked once, before any run or pool starts
+        monkeypatch.setattr(cli, "run_sweep", None)
+        monkeypatch.setattr(cli, "_pool_sweep", None)
+        assert main(["sweep", "--from", "6", "--to", "8", "--eps", eps, "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: epsilon must be {reason}\n"
+
     def test_two_entry_sweep(self, capsys):
         assert main(["sweep", "--from", "6", "--to", "8"]) == 0
         out = capsys.readouterr().out

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import optigon
@@ -39,7 +39,7 @@ from optigon.errors import SubproblemFailure
 from optigon.formulation import ConeProblem, ConeTemplate, GramPattern, polygon_to_vector
 from optigon.geometry import build_pendant_polygon
 
-from reference_program import mini_cone
+from reference_program import max_step, mini_cone
 
 RNG = np.random.default_rng(7)
 
@@ -408,6 +408,27 @@ class TestConeAlgebra:
         with pytest.raises(FloatingPointError, match="left the interior"):
             _Scaling(u["s"], u["z"], self.P)
 
+    @pytest.mark.parametrize("outside", ["s", "z"])
+    @pytest.mark.parametrize("where", ["orthant", "block"])
+    def test_scaling_rejects_nan(self, outside, where):
+        rng = np.random.default_rng(8)
+        u = {"s": self.interior_point(rng), "z": self.interior_point(rng)}
+        u[outside][1 if where == "orthant" else self.P + 2] = np.nan
+        with pytest.raises(FloatingPointError, match="left the interior"):
+            _Scaling(u["s"], u["z"], self.P)
+
+    # a zero orthant entry of z would divide by zero before the check
+    @pytest.mark.parametrize("outside, where", [("s", "orthant"), ("s", "block"), ("z", "block")])
+    def test_scaling_rejects_boundary_point(self, outside, where):
+        rng = np.random.default_rng(9)
+        u = {"s": self.interior_point(rng), "z": self.interior_point(rng)}
+        if where == "orthant":
+            u[outside][0] = 0.0
+        else:  # (1, 1, 0, 0), whose determinant is 0 in floating point too
+            u[outside][self.P:].reshape(4, self.M)[:, 0] = (1.0, 1.0, 0.0, 0.0)
+        with pytest.raises(FloatingPointError, match="left the interior"):
+            _Scaling(u["s"], u["z"], self.P)
+
     def test_scaling_round_trip(self):
         rng = np.random.default_rng(5)
         s = self.interior_point(rng)
@@ -419,7 +440,101 @@ class TestConeAlgebra:
         assert W.apply(W.apply(W.apply_inv_sq(u))) == pytest.approx(u, abs=1e-10)
 
 
+# how a direction moves one block of an interior u; c0 + c1 t + c2 t^2 is
+# jdet(u + t d) on the block
+BLOCK_KINDS = (
+    "generic",  # c2 != 0: the quadratic case
+    "leaving_ray",  # d = (-|a|, a e_j): c2 = 0 exactly and c1 < 0, the linear case
+    "entering_ray",  # d = (|a|, a e_j): c2 = 0 and c1 > 0, no root
+    "toward_apex",  # d = -k u: a double root, whose discriminant rounds either way
+    "zero",  # no root
+)
+
+
+def step_case(p, kinds, nn_kinds, seed):
+    """A strictly interior u of p orthant entries and len(kinds[0]) blocks,
+    and one direction for each entry of kinds and nn_kinds: the kind of
+    each of its blocks, and "generic" or "zero" for its orthant part."""
+    rng = np.random.default_rng(seed)
+    m = len(kinds[0])
+    soc = rng.normal(size=(4, m))
+    soc[0] = np.linalg.norm(soc[1:], axis=0) + rng.uniform(0.01, 1.0, m)
+    u = np.concatenate([rng.uniform(0.01, 2.0, p), soc.ravel()])
+    dus = []
+    for block_kinds, nn_kind in zip(kinds, nn_kinds):
+        d_nn = rng.normal(size=p) * rng.uniform(0.1, 10.0) * (nn_kind == "generic")
+        d_soc = np.zeros((4, m))
+        for b, kind in enumerate(block_kinds):
+            a = rng.uniform(0.1, 10.0) * rng.choice((-1.0, 1.0))
+            if kind == "generic":
+                d_soc[:, b] = a * rng.normal(size=4)
+            elif kind in ("leaving_ray", "entering_ray"):
+                d_soc[0, b] = -abs(a) if kind == "leaving_ray" else abs(a)
+                d_soc[rng.integers(1, 4), b] = a
+            elif kind == "toward_apex":
+                d_soc[:, b] = -abs(a) * soc[:, b]
+        dus.append(np.concatenate([d_nn, d_soc.ravel()]))
+    return u, dus
+
+
+def block_coefficients(u, d, p):
+    """c0, c1, c2 and the discriminant of every block, as _max_step forms them."""
+    u_soc, d_soc = u[p:].reshape(4, -1), d[p:].reshape(4, -1)
+    c0 = 2.0 * u_soc[0] ** 2 - np.add.reduce(u_soc * u_soc)
+    c1 = 2.0 * (2.0 * u_soc[0] * d_soc[0] - np.add.reduce(u_soc * d_soc))
+    c2 = 2.0 * d_soc[0] ** 2 - np.add.reduce(d_soc * d_soc)
+    return c0, c1, c2, c1 * c1 - 4.0 * c2 * c0
+
+
+@st.composite
+def step_cases(draw):
+    """(p, kinds, nn_kinds, seed) for step_case: one or two directions."""
+    p = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 2))
+    kinds = draw(st.lists(st.lists(st.sampled_from(BLOCK_KINDS), min_size=m, max_size=m),
+                          min_size=k, max_size=k))
+    nn_kinds = draw(st.lists(st.sampled_from(("generic", "zero")), min_size=k, max_size=k))
+    return p, kinds, nn_kinds, draw(st.integers(0, 2**32 - 1))
+
+
 class TestStepLength:
+    @settings(max_examples=300, deadline=None)
+    @given(step_cases())
+    # the linear case, an empty orthant, and a zero direction (step inf)
+    @example((2, [["leaving_ray", "generic"]], ["generic"], 1))
+    @example((0, [["generic", "entering_ray"], ["toward_apex", "zero"]], ["zero", "zero"], 2))
+    @example((0, [["zero", "zero"]], ["zero"], 3))
+    def test_matches_the_case_by_case_formula(self, case):
+        # the solver's path: u's parts tiled once, then every direction
+        u, dus = step_case(*case)
+        u_parts = _tiled(_parts(u, case[0]), len(dus))
+        assert _max_step(u_parts, tuple(dus)) == max_step(u_parts, tuple(dus))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kinds_reach_their_cases(self, seed):
+        p = 2
+        kinds = ["generic", "leaving_ray", "entering_ray", "toward_apex", "zero"]
+        u, (d,) = step_case(p, [kinds], ["generic"], seed)
+        c0, c1, c2, disc = block_coefficients(u, d, p)
+        quad = np.abs(c2) > 1e-14 * (c0 + np.abs(c1) + 1.0)
+        assert quad.tolist() == [True, False, False, True, False]
+        assert c1[1] < 0 < c1[2] and c1[4] == 0
+
+    def test_toward_apex_can_round_the_discriminant_negative(self):
+        # a double root whose discriminant rounds below 0 has no real root
+        # in either form; seeds 0..19 give at least one
+        negative = 0
+        for seed in range(20):
+            u, (d,) = step_case(0, [["toward_apex"]], ["zero"], seed)
+            negative += block_coefficients(u, d, 0)[3][0] < 0
+            assert _max_step(_parts(u, 0), (d,)) == max_step(_parts(u, 0), (d,))
+        assert negative > 0
+
+    def test_zero_direction_never_leaves(self):
+        u, dus = step_case(3, [["zero"] * 4, ["zero"] * 4], ["zero", "zero"], 0)
+        assert _max_step(_tiled(_parts(u, 3), 2), tuple(dus)) == math.inf
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_two_directions_in_one_pass(self, p, m, seed):
