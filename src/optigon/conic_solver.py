@@ -121,7 +121,8 @@ def _min_margin(v: np.ndarray, p: int) -> float:
     soc = v[p:].reshape(4, -1)
     # u_0 - |u_1| per block, positive iff strictly interior
     margins = soc[0] - np.sqrt(np.maximum(_bdot(soc, soc) - soc[0] ** 2, 0.0))
-    return float(min(v[:p].min(initial=np.inf), margins.min(initial=np.inf)))
+    return float(min(np.minimum.reduce(v[:p], initial=np.inf),
+                     np.minimum.reduce(margins, initial=np.inf)))
 
 
 def _identity(p: int, m: int) -> np.ndarray:
@@ -142,7 +143,7 @@ def _tiled(parts: tuple, k: int) -> tuple:
 def _mul(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     """Jordan product: elementwise on the orthant, (u^T v, u_0 v_1 + v_0 u_1)
     on each block."""
-    out = np.empty_like(u)
+    out = np.empty(len(u))
     np.multiply(u[:p], v[:p], out=out[:p])
     u_soc, v_soc = u[p:].reshape(4, -1), v[p:].reshape(4, -1)
     soc = np.multiply(u_soc[0], v_soc, out=out[p:].reshape(4, -1))
@@ -155,7 +156,7 @@ def _inv_mul(lam_parts: tuple, d: np.ndarray) -> np.ndarray:
     """The solution x of lam o x = d, for lam_parts = _parts(lam, p)."""
     lam_nn, lam_soc, lam_det = lam_parts
     p = len(lam_nn)
-    out = np.empty_like(d)
+    out = np.empty(len(d))
     np.divide(d[:p], lam_nn, out=out[:p])
     d_soc = d[p:].reshape(lam_soc.shape)
     l0 = lam_soc[0]
@@ -172,7 +173,7 @@ def _inv_mul(lam_parts: tuple, d: np.ndarray) -> np.ndarray:
 def _require_positive(*arrays: np.ndarray) -> None:
     """Raise FloatingPointError unless every entry is positive; a NaN is not."""
     for a in arrays:
-        if not a.min(initial=np.inf) > 0:
+        if not np.minimum.reduce(a, initial=np.inf) > 0:
             raise FloatingPointError("cone iterate left the interior")
 
 
@@ -187,7 +188,7 @@ class _Scaling:
         self.m = m = s_soc.shape[1]
         rs = _jdet(s_soc)
         rz = _jdet(z_soc)
-        _require_positive(rs, rz)
+        _require_positive(s_nn, z_nn, rs, rz)  # before any division or sqrt
         sbar = s_soc / np.sqrt(rs)
         zbar = z_soc / np.sqrt(rz)
         gamma = np.sqrt((1.0 + _bdot(sbar, zbar)) / 2.0)
@@ -200,7 +201,7 @@ class _Scaling:
         self.eta_sq = self.eta**2
         self.w_nn_sq = self.w_nn**2
         self._wbar0_plus_1 = 1.0 + self.wbar[0]
-        self.lam = np.empty_like(s)
+        self.lam = np.empty(len(s))
         np.sqrt(s_nn * z_nn, out=self.lam[:p])
         lam_soc = self._wbar_mul(zbar, self.lam[p:].reshape(4, m))
         lam_soc *= (rs * rz) ** 0.25
@@ -226,7 +227,7 @@ class _Scaling:
     def apply(self, u: np.ndarray) -> np.ndarray:
         """W u."""
         p, m = self.p, self.m
-        out = np.empty_like(u)
+        out = np.empty(len(u))
         np.multiply(u[:p], self.w_nn, out=out[:p])
         soc = self._wbar_mul(u[p:].reshape(4, m), out[p:].reshape(4, m))
         soc *= self.eta
@@ -235,7 +236,7 @@ class _Scaling:
     def apply_inv_sq(self, u: np.ndarray) -> np.ndarray:
         """W^{-2} u; on a block (2 v v^T - J) u / eta^2 with v = J wbar."""
         p, m = self.p, self.m
-        out = np.empty_like(u)
+        out = np.empty(len(u))
         np.divide(u[:p], self.w_nn_sq, out=out[:p])
         u_soc = u[p:].reshape(4, m)
         # (v^T u) (2 v) is (2 v^T u) v bit for bit: doubling is exact
@@ -255,24 +256,24 @@ def _max_step(u_parts: tuple, dus: tuple[np.ndarray, ...]) -> float:
     d_nn = np.concatenate([du[:p] for du in dus])
     d_soc = np.concatenate([du[p:].reshape(4, -1) for du in dus], axis=1)
     neg = d_nn < 0
-    t = (u_nn[neg] / -d_nn[neg]).min(initial=np.inf)
+    t = np.minimum.reduce(u_nn[neg] / -d_nn[neg], initial=np.inf)
     # jdet(u + t du) = c0 + c1 t + c2 t^2 on each block
     c1 = 2.0 * (2.0 * u_soc[0] * d_soc[0] - _bdot(u_soc, d_soc))
     c2 = _jdet(d_soc)
     # c0 = jdet(u) is positive at an interior u, so it is its own |c0|
     quad = np.abs(c2) > 1e-14 * (c0 + np.abs(c1) + 1.0)
-    if not quad.all():
+    if not np.logical_and.reduce(quad):
         # a block with c2 ~ 0 leaves the cone only if c1 < 0, at -c0 / c1
         lin = ~quad & (c1 < 0)
-        if lin.any():
-            t = min(t, (-c0[lin] / c1[lin]).min())
+        if np.logical_or.reduce(lin):
+            t = min(t, np.minimum.reduce(-c0[lin] / c1[lin]))
         c2, c1, c0 = c2[quad], c1[quad], c0[quad]
     minus_b, two_a = -c1, 2.0 * c2
     # a negative discriminant gives NaN roots, which fail the test > 0
     with np.errstate(invalid="ignore"):
         sq = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
         roots = np.concatenate(((minus_b - sq) / two_a, (minus_b + sq) / two_a))
-        return float(roots[roots > 0].min(initial=t))
+        return float(np.minimum.reduce(roots[roots > 0], initial=t))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +341,7 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
 def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The solution x of A x = b, for c = cho_factor(A). Raises
     FloatingPointError on a non-finite b."""
-    if not np.isfinite(b).all():
+    if not np.logical_and.reduce(np.isfinite(b)):
         raise FloatingPointError("right-hand side is not finite")
     x, _ = dpotrs(c, b, lower=1)
     return x
@@ -364,7 +365,7 @@ def _factor_kkt(pattern: GramPattern, H: np.ndarray, kkt: np.ndarray) -> np.ndar
     upper = H[pattern.upper]
     upper += H[pattern.mirror]
     upper *= 0.5
-    if not np.isfinite(upper).all():
+    if not np.logical_and.reduce(np.isfinite(upper)):
         raise FloatingPointError("reduced KKT matrix is not finite")
     diagonal = kkt.ravel()[:: len(kkt) + 1]
     reg = REGULARIZATION
@@ -413,6 +414,7 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
 
     h_scale = max(1.0, np.abs(h).max(initial=0.0))
     c_scale = max(1.0, np.abs(c).max(initial=0.0))
+    minus_h = -h
 
     alpha = sigma = 0.0
     cause = ""
@@ -421,9 +423,9 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
         r_z = cone.matvec(x) + s - h
         gap = float(s @ z)
         pobj_min = float(c @ x)
-        dobj_min = float(-h @ z)
-        pres = float(np.abs(r_z).max(initial=0.0) / h_scale)
-        dual = float(np.abs(r_x).max())
+        dobj_min = float(minus_h @ z)
+        pres = float(np.maximum.reduce(np.abs(r_z), initial=0.0) / h_scale)
+        dual = float(np.maximum.reduce(np.abs(r_x)))
         dres = dual / c_scale
 
         log.debug(
@@ -498,7 +500,7 @@ def _step(cone: ConeProblem, kkt: np.ndarray, e, x, s, z, r_x, r_z, gap: float):
             e2 = bz - ((cone.matvec(dx) if g_dx is None else g_dx) + ds)
             g_dx = None
             e3 = ds_rhs - _mul(W.lam, dst + dzt, p)
-            err = np.abs(np.concatenate((e1, e2, e3))).max()
+            err = np.maximum.reduce(np.abs(np.concatenate((e1, e2, e3))))
             improved = kept is None or err < kept[0]
             if improved:
                 kept = (err, direction)

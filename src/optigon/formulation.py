@@ -34,6 +34,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+# np.einsum(*operands, out=out) is c_einsum(*operands, out=out) behind a
+# Python wrapper and its dispatcher; the G products call it directly. Its
+# home is numpy._core on numpy >= 2, whose numpy.core shim warns on import.
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum
+
 from .errors import DimensionMismatch
 from .geometry import Polygon, fan_cross, require_even_ge6
 
@@ -171,7 +179,7 @@ class ConeProblem:
         p = self.n_nonneg
         out = np.empty(self.n_rows)
         np.negative(x[self.nn_cols], out=out[:p])
-        np.einsum("jkb,kb->jb", self.soc_coef, x[self.soc_cols], out=out[p:].reshape(4, -1))
+        c_einsum("jkb,kb->jb", self.soc_coef, x[self.soc_cols], out=out[p:].reshape(4, -1))
         return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
@@ -179,8 +187,8 @@ class ConeProblem:
         p = self.n_nonneg
         weights = self._slot_weights
         np.negative(y[:p], out=weights[:p])
-        np.einsum("jkb,jb->kb", self.soc_coef, y[p:].reshape(4, -1),
-                  out=weights[p:].reshape(self.soc_cols.shape))
+        c_einsum("jkb,jb->kb", self.soc_coef, y[p:].reshape(4, -1),
+                 out=weights[p:].reshape(self.soc_cols.shape))
         return np.bincount(self.cols, weights, minlength=self.dim)
 
     def gram_entries(
@@ -193,9 +201,9 @@ class ConeProblem:
         term is d_r = (-1) d_r (-1) on its column's diagonal."""
         p = self.n_nonneg
         A = self.soc_coef
-        soc = np.einsum("jkb,jlb->klb", A * d[p:].reshape(4, 1, -1), A)
+        soc = c_einsum("jkb,jlb->klb", A * d[p:].reshape(4, 1, -1), A)
         if v is not None:
-            u = np.einsum("jkb,jb->kb", A, v)
+            u = c_einsum("jkb,jb->kb", A, v)
             soc += (beta * u)[:, None, :] * u[None, :, :]
         gram = self.gram
         return np.bincount(

@@ -417,8 +417,8 @@ class TestConeAlgebra:
         with pytest.raises(FloatingPointError, match="left the interior"):
             _Scaling(u["s"], u["z"], self.P)
 
-    # a zero orthant entry of z would divide by zero before the check
-    @pytest.mark.parametrize("outside, where", [("s", "orthant"), ("s", "block"), ("z", "block")])
+    @pytest.mark.parametrize("outside, where",
+                             [("s", "orthant"), ("s", "block"), ("z", "orthant"), ("z", "block")])
     def test_scaling_rejects_boundary_point(self, outside, where):
         rng = np.random.default_rng(9)
         u = {"s": self.interior_point(rng), "z": self.interior_point(rng)}
@@ -426,6 +426,15 @@ class TestConeAlgebra:
             u[outside][0] = 0.0
         else:  # (1, 1, 0, 0), whose determinant is 0 in floating point too
             u[outside][self.P:].reshape(4, self.M)[:, 0] = (1.0, 1.0, 0.0, 0.0)
+        with pytest.raises(FloatingPointError, match="left the interior"):
+            _Scaling(u["s"], u["z"], self.P)
+
+    # checked before s / z and its square root, which would warn instead
+    @pytest.mark.parametrize("outside", ["s", "z"])
+    def test_scaling_rejects_negative_orthant_entry(self, outside):
+        rng = np.random.default_rng(10)
+        u = {"s": self.interior_point(rng), "z": self.interior_point(rng)}
+        u[outside][2] = -0.5
         with pytest.raises(FloatingPointError, match="left the interior"):
             _Scaling(u["s"], u["z"], self.P)
 
@@ -635,19 +644,22 @@ class TestCholesky:
             cho_factor(-np.eye(3))
 
     def test_nonfinite_right_hand_side_raises(self):
-        with pytest.raises(FloatingPointError):
-            cho_solve(cho_factor(np.eye(3)), np.array([1.0, np.inf, 0.0]))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(FloatingPointError, match="right-hand side is not finite"):
+                cho_solve(cho_factor(np.eye(3)), np.array([1.0, bad, 0.0]))
 
 
 def test_import_leaves_scipy_sparse_unloaded():
     # a fresh interpreter that imports this same optigon package, then its
-    # CLI; the LAPACK routines come from scipy's extension file alone
+    # CLI; the LAPACK routines come from scipy's extension file alone, and
+    # no import goes through a deprecated numpy module such as numpy.core
     src = str(Path(optigon.__file__).resolve().parents[1])
     loaded = "print(*(m in sys.modules for m in ('scipy.linalg', 'scipy.sparse')))"
     code = f"import sys; sys.path.insert(0, {src!r}); import optigon; " \
         f"print(optigon.__file__); {loaded}; import optigon.cli; {loaded}"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", code],
+        capture_output=True, text=True, check=True,
     ).stdout.splitlines()
     assert out == [optigon.__file__, "False False", "False False"]
 
