@@ -8,8 +8,9 @@ sys.settrace tracer that records the lines run in src/optigon. A function
 line is a line of any code object nested in a module's code: function and
 class bodies, lambdas and comprehensions, but not module-level statements.
 Tests that run optigon in a subprocess or a pool worker are not seen.
-Prints `path:line: source` for each unrun line, then the count, and exits
-with pytest's status. Tracing makes the suite run several times slower.
+Prints `path:line: source` for each unrun line, then the count. Exits
+with pytest's status if the suite failed, else 1 if any function line went
+unrun, else 0. Tracing makes the suite run several times slower.
 """
 
 import sys
@@ -83,7 +84,7 @@ def main(argv: list[str]) -> int:
                 unrun += 1
                 print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
     print(f"{unrun} of {total} function lines in src/optigon not run")
-    return int(status)
+    return int(status) or int(unrun > 0)
 
 
 if __name__ == "__main__":

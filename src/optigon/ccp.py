@@ -22,8 +22,8 @@ Settings: epsilon alone (default EPSILON). Every solve of a run uses the
 tolerance `solver_tolerance(epsilon)`, min(TOL_SOLVER, epsilon / 100),
 tight enough that solver noise cannot trigger the stopping test. The
 iteration caps are the constants MAX_OUTER_ITERATIONS here and
-`conic_solver.MAX_ITERATIONS`. Every run records its iterates and
-warm-starts each subproblem at the current iterate.
+`conic_solver.MAX_ITERATIONS`. Every run records its iterates and starts
+each subproblem's solve at the current iterate, which is feasible for it.
 """
 
 from __future__ import annotations
@@ -110,10 +110,10 @@ class CcpResult:
 
 
 class StepResult(NamedTuple):
-    """The next iterate, the result of the step's final solve, the distance
-    pairs in that solve's cone, and the solves repeated by the guard."""
+    """The result of the step's final solve, whose primal is the next
+    iterate, the distance pairs in that solve's cone, and the solves
+    repeated by the guard."""
 
-    z: np.ndarray
     solver: SolverResult
     pairs_kept: int
     resolves: int
@@ -124,7 +124,7 @@ def step(template: ConeTemplate, z_k: np.ndarray, tol_solver: float = TOL_SOLVER
     distance pairs near unit distance, re-solving with any dropped pair the
     candidate violates until none is (see the module docstring). Each solve
     gets `template.at(z_k, keep)`, a new cone built for the current mask,
-    and warm-starts at z_k, with tolerance tol_solver.
+    and starts at z_k, with tolerance tol_solver.
 
     Raises SubproblemFailure, with the solver's cause, unless every solve
     reached optimality.
@@ -132,7 +132,7 @@ def step(template: ConeTemplate, z_k: np.ndarray, tol_solver: float = TOL_SOLVER
     keep = _near_unit(template.distance_sq(z_k))
     resolves = 0
     while True:
-        result = solve(template.at(z_k, keep), tol_solver, warm_start=z_k)
+        result = solve(template.at(z_k, keep), z_k, tol_solver)
         if result.status is not SolverStatus.OPTIMAL:
             cause = f": {result.cause}" if result.cause else ""
             raise SubproblemFailure(
@@ -144,7 +144,7 @@ def step(template: ConeTemplate, z_k: np.ndarray, tol_solver: float = TOL_SOLVER
         d2 = template.distance_sq(result.primal)
         violated = ~keep & (d2 > 1.0)
         if not violated.any():
-            return StepResult(result.primal, result, int(keep.sum()), resolves)
+            return StepResult(result, int(keep.sum()), resolves)
         keep |= violated | _near_unit(d2)
         resolves += 1
 
@@ -204,13 +204,14 @@ def maximize_area(
     prev = start
     while k < MAX_OUTER_ITERATIONS:
         try:
-            z_next, solver_result, pairs_kept, resolves = step(template, z, tol_solver)
+            solver_result, pairs_kept, resolves = step(template, z, tol_solver)
         except SubproblemFailure as exc:
             status = CcpStatus.SUBPROBLEM_FAILURE
             message = str(exc)
             log.warning("n=%d: %s", n, message)
             break
         k += 1
+        z_next = solver_result.primal
         rel = float(np.linalg.norm(z_next - z)) / max(float(np.linalg.norm(z_next)), 1e-300)
         z = z_next
 

@@ -5,9 +5,9 @@ Solves a `ConeProblem` (one per solve, built by `formulation.ConeTemplate.at`)
     minimize c^T x   subject to   G x + s = h,   s in R^p_+ x (Q^4)^m.
 
 The outer loop passes `ConeTemplate.at(z, keep)`, the restriction at z
-holding only the distance blocks of the pairs near unit distance; each
-re-solve after the outer loop's guard adds dropped pairs is one more call
-here.
+holding only the distance blocks of the pairs near unit distance, and starts
+the solve at z, which is feasible for it; each re-solve after the outer
+loop's guard adds dropped pairs is one more call here.
 
 Every block is Q^4, and G is held in fixed-shape arrays: coefficients of
 shape (4, K, m) over K <= 5 columns per block, and the nonnegative rows,
@@ -44,11 +44,12 @@ step; `_solve_inner` turns that error into NUMERICAL_FAILURE in one place
 and keeps its message as the result's cause. Whatever the status, the
 result is the iterate the loop stopped at.
 
-Settings: `solve` takes the tolerance tol_solver (default TOL_SOLVER); the
-iteration cap is the constant MAX_ITERATIONS. At DEBUG (`OPTIGON_LOG=debug`)
-the `optigon.solver` logger writes one line per IPM iteration: primal and
-dual objective, gap, both residuals, and the step length and sigma of the
-step that led there; a failed solve adds one line naming the cause.
+Settings: `solve` takes the primal start and the tolerance tol_solver
+(default TOL_SOLVER); the iteration cap is the constant MAX_ITERATIONS. At
+DEBUG (`OPTIGON_LOG=debug`) the `optigon.solver` logger writes one line per
+IPM iteration: primal and dual objective, gap, both residuals, and the step
+length and sigma of the step that led there; a failed solve adds one line
+naming the cause.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ class _Scaling:
         self.m = m = s_soc.shape[1]
         rs = _jdet(s_soc)
         rz = _jdet(z_soc)
-        _require_positive(s_nn, z_nn, rs, rz)  # before any division or sqrt
+        # before any division or sqrt; a block of -Q^4 has a positive jdet too
+        _require_positive(s_nn, z_nn, s_soc[0], z_soc[0], rs, rz)
         sbar = s_soc / np.sqrt(rs)
         zbar = z_soc / np.sqrt(rz)
         gamma = np.sqrt((1.0 + _bdot(sbar, zbar)) / 2.0)
@@ -382,25 +384,23 @@ def _factor_kkt(pattern: GramPattern, H: np.ndarray, kkt: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 # main solver
 
-def solve(
-    cone: ConeProblem,
-    tol_solver: float = TOL_SOLVER,
-    warm_start: np.ndarray | None = None,
-) -> SolverResult:
-    """Solve the cone problem to duality-gap-certified optimality.
+def solve(cone: ConeProblem, start: np.ndarray, tol_solver: float = TOL_SOLVER) -> SolverResult:
+    """Solve the cone problem to duality-gap-certified optimality, starting
+    from the primal point start, a vector of shape (cone.dim,).
 
     On OPTIMAL the primal vector satisfies every constraint within
     tol_solver and the reported objective is within the duality gap of the
     true optimum. Every breakdown ends NUMERICAL_FAILURE; then, and on
     ITERATION_LIMIT, the result is the iterate the loop stopped at. A failed
-    warm-started solve is not retried cold. Deterministic for fixed inputs.
-    Raises ValueError unless tol_solver is a finite positive real number.
+    solve is not retried. Deterministic for fixed inputs. Raises ValueError
+    unless tol_solver is a finite positive real number and start has that
+    shape.
     """
     require_positive_real("tol_solver", tol_solver)
-    return _solve_inner(cone, tol_solver, warm_start)
+    return _solve_inner(cone, start, tol_solver)
 
 
-def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
+def _solve_inner(cone: ConeProblem, start: np.ndarray, tol_solver: float):
     p = cone.n_nonneg
     h = cone.h
     c = cone.c
@@ -410,7 +410,7 @@ def _solve_inner(cone: ConeProblem, tol_solver: float, warm_start):
     kkt = np.empty((cone.dim, cone.dim))
     # the cone's identity, the central ray of the start and of each step
     e = _identity(p, cone.n_soc)
-    x, s, z = _initial_point(cone, warm_start, kkt, e)
+    x, s, z = _initial_point(cone, start, kkt, e)
 
     h_scale = max(1.0, np.abs(h).max(initial=0.0))
     c_scale = max(1.0, np.abs(c).max(initial=0.0))
@@ -536,20 +536,16 @@ def _step(cone: ConeProblem, kkt: np.ndarray, e, x, s, z, r_x, r_z, gap: float):
     raise FloatingPointError("no interior step")
 
 
-def _initial_point(cone: ConeProblem, warm_start, kkt: np.ndarray, e: np.ndarray):
-    """Least-squares start pushed strictly inside the cone, or a blend of
-    the warm-start point with the cone's central ray e, its identity. kkt
-    is a C-ordered dim x dim buffer for the factorization of G^T G."""
+def _initial_point(cone: ConeProblem, start: np.ndarray, kkt: np.ndarray, e: np.ndarray):
+    """The primal start with its slack blended toward the cone's central ray
+    e, its identity, and the least-squares dual, each pushed strictly inside
+    the cone. kkt is a C-ordered dim x dim buffer for the factorization of
+    G^T G. Raises ValueError unless start has shape (cone.dim,)."""
     h, c, p = cone.h, cone.c, cone.n_nonneg
     n = cone.dim
-
-    # bincount sums G^T G's (i, j) and (j, i) terms in slot order, which
-    # need not agree bit for bit, so its own lower triangle is factored:
-    # the mirror of each upper entry of kkt is a lower entry of G^T G
-    pattern = cone.gram
-    _scatter_upper(pattern, cone.gram_entries(np.ones(cone.n_rows))[pattern.mirror], kkt)
-    kkt.flat[:: n + 1] += 1e-12 * max(1.0, np.trace(kkt) / max(n, 1))
-    factor = cho_factor(kkt.T)
+    x = np.asarray(start, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"start must have shape ({n},), got {x.shape}")
 
     def push(v, target):
         margin = _min_margin(v, p)
@@ -557,17 +553,15 @@ def _initial_point(cone: ConeProblem, warm_start, kkt: np.ndarray, e: np.ndarray
             return v + (target - margin) * e
         return v
 
-    if warm_start is not None:
-        x = np.asarray(warm_start, dtype=float)
-        if x.shape != (n,):
-            raise ValueError(f"warm start must have shape ({n},), got {x.shape}")
-        # shift toward the cone's central ray, then enforce an interior margin
-        s = push(0.99 * (h - cone.matvec(x)) + 0.01 * e, 1e-4)
-    else:
-        x = cho_solve(factor, cone.rmatvec(h))
-        s = h - cone.matvec(x)
-        s = push(s, 1.0) if _min_margin(s, p) <= 1e-10 else s
+    # shift toward the cone's central ray, then enforce an interior margin
+    s = push(0.99 * (h - cone.matvec(x)) + 0.01 * e, 1e-4)
 
-    z = cone.matvec(cho_solve(factor, -c))
+    # bincount sums G^T G's (i, j) and (j, i) terms in slot order, which
+    # need not agree bit for bit, so its own lower triangle is factored:
+    # the mirror of each upper entry of kkt is a lower entry of G^T G
+    pattern = cone.gram
+    _scatter_upper(pattern, cone.gram_entries(np.ones(cone.n_rows))[pattern.mirror], kkt)
+    kkt.flat[:: n + 1] += 1e-12 * max(1.0, np.trace(kkt) / max(n, 1))
+    z = cone.matvec(cho_solve(cho_factor(kkt.T), -c))
     z = push(z, 1.0) if _min_margin(z, p) <= 1e-10 else z
     return x, s, z

@@ -18,9 +18,10 @@ class InfeasibleInitial(OptigonError, ValueError):
 
 
 class SubproblemFailure(OptigonError, RuntimeError):
-    """A convex subproblem solve did not reach optimality."""
+    """A convex subproblem solve did not reach optimality. Carries the
+    solver's result."""
 
-    def __init__(self, message, result=None):
+    def __init__(self, message, result):
         super().__init__(message)
         self.result = result
 

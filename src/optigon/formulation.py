@@ -269,14 +269,11 @@ class ConeTemplate:
         self._c[u] = -1.0
         self._nn_cols = np.concatenate([y, u])
 
-    def at(self, c: np.ndarray, keep: np.ndarray | None = None) -> ConeProblem:
+    def at(self, c: np.ndarray, keep: np.ndarray) -> ConeProblem:
         """The restriction at reference point c, holding the distance blocks
         of the pairs where the boolean mask `keep` (one entry per pair, in
-        block order) is true, or of every pair when keep is None; every other
-        row is kept."""
+        block order) is true; every other row is kept."""
         c = _checked(c, self.dim)
-        if keep is None:
-            keep = np.ones(self.n_pairs, dtype=bool)
         keep = np.asarray(keep)
         if keep.dtype != bool or keep.shape != (self.n_pairs,):
             raise ValueError(f"keep must be a boolean mask of shape ({self.n_pairs},)")

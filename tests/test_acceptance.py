@@ -184,7 +184,7 @@ def test_criterion_7_property_suite(runs):
         (mini_cone([1.0, 0.0], ellipses=[(0.5, 1.0, 0.0, 0.0)]), 2.0),
     ]
     for cone, expected in analytic:
-        res = solve(cone)
+        res = solve(cone, np.zeros(2))
         if res.status is not SolverStatus.OPTIMAL or abs(res.objective - expected) > 1e-8:
             failures.append(f"analytic optimum {expected} missed: {res.objective}")
 
@@ -198,7 +198,7 @@ def test_criterion_7_property_suite(runs):
     # restriction minus program is gbar - g, whose gradient vanishes at c
     step_size = 1e-6
     c = rng.uniform(-1, 1, 14)
-    cone = restriction.at(c)
+    cone = restriction.at(c, np.ones(restriction.n_pairs, dtype=bool))
     for j in range(14):
         zp, zm = c.copy(), c.copy()
         zp[j] += step_size

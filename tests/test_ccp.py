@@ -83,15 +83,15 @@ class TestHexagonRun:
 class TestStep:
     def test_single_step_reaches_published_first_iterate(self):
         z0 = polygon_to_vector(build_pendant_polygon(6))
-        z1, result, *_ = step(ConeTemplate(6), z0)
+        result, *_ = step(ConeTemplate(6), z0)
         assert result.status is SolverStatus.OPTIMAL
-        assert area(vector_to_polygon(z1, 6)) == pytest.approx(0.6749414624, abs=1e-6)
+        assert area(vector_to_polygon(result.primal, 6)) == pytest.approx(0.6749414624, abs=1e-6)
 
     def test_second_step(self):
         template = ConeTemplate(6)
         z0 = polygon_to_vector(build_pendant_polygon(6))
-        z1 = step(template, z0).z
-        z2 = step(template, z1).z
+        z1 = step(template, z0).solver.primal
+        z2 = step(template, z1).solver.primal
         assert area(vector_to_polygon(z2, 6)) == pytest.approx(0.6749808685, abs=1e-6)
 
     def test_step_preserves_feasibility_and_ascent(self):
@@ -99,7 +99,7 @@ class TestStep:
         template = ConeTemplate(8)
         z = polygon_to_vector(build_pendant_polygon(8))
         for _ in range(3):
-            z_next = step(template, z).z
+            z_next = step(template, z).solver.primal
             assert program.evaluate(z_next).min_residual() >= -1e-8
             assert program.evaluate(z_next).objective >= (
                 program.evaluate(z).objective - TOL_SOLVER
@@ -108,7 +108,7 @@ class TestStep:
 
     def test_step_from_critical_point_is_fixed(self, hexagon_result):
         z_star = polygon_to_vector(hexagon_result.polygon)
-        z_next = step(ConeTemplate(6), z_star).z
+        z_next = step(ConeTemplate(6), z_star).solver.primal
         rel = np.linalg.norm(z_next - z_star) / np.linalg.norm(z_next)
         assert rel <= ccp.EPSILON
         new_area = area(vector_to_polygon(z_next, 6))
@@ -140,10 +140,9 @@ class TestScreening:
         monkeypatch.setattr(ccp, "SCREEN_MARGIN", 1.0)
         template = ConeTemplate(n)
         z0 = polygon_to_vector(build_pendant_polygon(n))
-        full = solve(template.at(z0), TOL_SOLVER, warm_start=z0)
-        z1, screened, kept, resolves = step(template, z0)
+        full = solve(template.at(z0, np.ones(template.n_pairs, dtype=bool)), z0, TOL_SOLVER)
+        screened, kept, resolves = step(template, z0)
         assert (kept, resolves) == (template.n_pairs, 0)
-        assert np.array_equal(z1, full.primal)
         assert np.array_equal(screened.primal, full.primal)
         assert (screened.status, screened.objective, screened.max_primal_residual,
                 screened.max_dual_residual, screened.duality_gap, screened.iterations) == (
@@ -159,10 +158,11 @@ class TestScreening:
         template = ConeTemplate(12)
         tol = 1e-11
         z0 = polygon_to_vector(build_pendant_polygon(12))
-        z1, result, kept, resolves = step(template, z0, tol)
+        result, kept, resolves = step(template, z0, tol)
+        z1 = result.primal
         assert resolves >= 1
         assert 0 < kept < template.n_pairs
-        full = solve(template.at(z0), tol, warm_start=z0)
+        full = solve(template.at(z0, np.ones(template.n_pairs, dtype=bool)), z0, tol)
         assert np.abs(z1 - full.primal).max() <= 1e-7
         assert template.evaluate(z1).min_residual() >= -tol
 
@@ -255,9 +255,9 @@ class TestConfig:
         # every solve of a run uses min(TOL_SOLVER, epsilon / 100)
         tolerances = []
 
-        def recording_solve(cone, tol_solver, warm_start=None):
+        def recording_solve(cone, start, tol_solver):
             tolerances.append(tol_solver)
-            return solve(cone, tol_solver, warm_start)
+            return solve(cone, start, tol_solver)
 
         monkeypatch.setattr(ccp, "solve", recording_solve)
         for epsilon, expected in ((ccp.EPSILON, TOL_SOLVER), (1e-8, 1e-10)):
@@ -345,7 +345,7 @@ class TestInvariants:
     def test_broken_step_raises_typed_error(self, monkeypatch, capsys, error, change):
         def broken_step(template, z_k, tol_solver):
             z = change(z_k.copy(), template.n)
-            return StepResult(z, SolverResult(SolverStatus.OPTIMAL, z, 0.0, 0.0, 0.0, 0.0, 1), 0, 0)
+            return StepResult(SolverResult(SolverStatus.OPTIMAL, z, 0.0, 0.0, 0.0, 0.0, 1), 0, 0)
 
         monkeypatch.setattr(ccp, "step", broken_step)
         with pytest.raises(error) as info:

@@ -229,7 +229,7 @@ class TestSubproblemFailure:
 
     @pytest.fixture(autouse=True)
     def failing_solve(self, monkeypatch, status):
-        def solve(cone, tol_solver, warm_start=None):
+        def solve(cone, start, tol_solver):
             return SolverResult(status, np.zeros(cone.dim), 0.0, 1.0, 1.0, 1.0, 3)
 
         monkeypatch.setattr(ccp, "solve", solve)

@@ -47,8 +47,11 @@ DISC = (1.0, 1.0, 0.0, 0.0)  # the unit disc as a mini_cone ellipse (s_0, s_1, c
 
 
 def pendant_restriction(n):
+    """The pendant n-gon's vector z0 and the restriction at z0 on every
+    distance pair."""
+    template = ConeTemplate(n)
     z0 = polygon_to_vector(build_pendant_polygon(n))
-    return z0, ConeTemplate(n).at(z0)
+    return z0, template.at(z0, np.ones(template.n_pairs, dtype=bool))
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +149,8 @@ class TestConeOperators:
         # tolerance of test_rmatvec_is_transpose lets through
         template = ConeTemplate(n)
         z0 = polygon_to_vector(build_pendant_polygon(n))
-        keep = ccp._near_unit(template.distance_sq(z0)) if screened else None
+        keep = (ccp._near_unit(template.distance_sq(z0)) if screened
+                else np.ones(template.n_pairs, dtype=bool))
         cone = template.at(z0, keep)
         assert not screened or 0 < keep.sum() < template.n_pairs
         rng = np.random.default_rng(n)
@@ -186,24 +190,24 @@ class TestConeOperators:
 
 class TestAnalyticOptima:
     def test_max_x_on_unit_disc(self):
-        res = solve(mini_cone([1.0, 0.0], ellipses=[DISC]))
+        res = solve(mini_cone([1.0, 0.0], ellipses=[DISC]), np.zeros(2))
         assert (res.status, res.cause) == (SolverStatus.OPTIMAL, "")
         assert res.objective == pytest.approx(1.0, abs=1e-8)
         assert res.primal == pytest.approx([1.0, 0.0], abs=1e-7)
 
     def test_max_diagonal_on_unit_disc(self):
-        res = solve(mini_cone([1.0, 1.0], ellipses=[DISC]))
+        res = solve(mini_cone([1.0, 1.0], ellipses=[DISC]), np.zeros(2))
         assert res.status is SolverStatus.OPTIMAL
         assert res.objective == pytest.approx(math.sqrt(2.0), abs=1e-8)
 
     def test_max_x_on_ellipse(self):
-        res = solve(mini_cone([1.0, 0.0], ellipses=[(0.5, 1.0, 0.0, 0.0)]))
+        res = solve(mini_cone([1.0, 0.0], ellipses=[(0.5, 1.0, 0.0, 0.0)]), np.zeros(2))
         assert res.status is SolverStatus.OPTIMAL
         assert res.objective == pytest.approx(2.0, abs=1e-8)
 
     def test_max_y_on_two_disc_intersection(self):
         discs = [(1.0, 1.0, 0.5, 0.0), (1.0, 1.0, -0.5, 0.0)]
-        res = solve(mini_cone([0.0, 1.0], ellipses=discs))
+        res = solve(mini_cone([0.0, 1.0], ellipses=discs), np.zeros(2))
         assert res.status is SolverStatus.OPTIMAL
         assert res.objective == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-8)
         assert res.primal == pytest.approx([0.0, math.sqrt(3.0) / 2.0], abs=1e-7)
@@ -211,7 +215,7 @@ class TestAnalyticOptima:
     def test_pure_linear_program(self):
         # 0 <= x <= 1, 0 <= y <= 2
         box = [([-1.0, 0.0], 1.0), ([0.0, -1.0], 2.0), ([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)]
-        res = solve(mini_cone([1.0, 2.0], halfplanes=box))
+        res = solve(mini_cone([1.0, 2.0], halfplanes=box), np.zeros(2))
         assert res.status is SolverStatus.OPTIMAL
         assert res.objective == pytest.approx(5.0, abs=1e-8)
 
@@ -221,40 +225,33 @@ class TestAnalyticOptima:
         st.floats(-2, 2, allow_nan=False),
     )
     def test_linear_objective_on_disc_matches_norm(self, cx, cy):
-        res = solve(mini_cone([cx, cy], ellipses=[DISC]))
+        res = solve(mini_cone([cx, cy], ellipses=[DISC]), np.zeros(2))
         assert res.status is SolverStatus.OPTIMAL
         assert res.objective == pytest.approx(math.hypot(cx, cy), abs=1e-7)
 
 
 class TestSolverCertificates:
     def test_optimal_status_implies_tolerances(self, hexagon_restriction):
-        _, cone = hexagon_restriction
-        res = solve(cone)
+        z0, cone = hexagon_restriction
+        res = solve(cone, z0)
         assert res.status is SolverStatus.OPTIMAL
         assert res.max_primal_residual <= TOL_SOLVER
         assert res.max_dual_residual <= TOL_SOLVER
         assert res.duality_gap <= TOL_SOLVER * max(1.0, abs(res.objective))
 
     def test_determinism(self, hexagon_restriction):
-        _, cone = hexagon_restriction
-        first = solve(cone)
-        second = solve(cone)
+        z0, cone = hexagon_restriction
+        first = solve(cone, z0)
+        second = solve(cone, z0)
         assert first.objective == second.objective
         assert np.array_equal(first.primal, second.primal)
         assert first.iterations == second.iterations
 
-    def test_warm_start_reaches_same_optimum(self, hexagon_restriction):
-        z0, cone = hexagon_restriction
-        cold = solve(cone)
-        warm = solve(cone, warm_start=z0)
-        assert warm.status is SolverStatus.OPTIMAL
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
-
     def test_iteration_limit_returns_last_iterate(self, hexagon_restriction, monkeypatch, caplog):
-        _, cone = hexagon_restriction
+        z0, cone = hexagon_restriction
         monkeypatch.setattr(conic_solver, "MAX_ITERATIONS", 3)
         with caplog.at_level(logging.DEBUG, logger="optigon.solver"):
-            res = solve(cone)
+            res = solve(cone, z0)
         assert res.status is SolverStatus.ITERATION_LIMIT
         assert res.iterations == 3
         # the objective of the iterate the last debug line describes
@@ -269,7 +266,7 @@ class TestSolverCertificates:
         z0, cone = pendant_restriction(16)
         if cap is not None:
             monkeypatch.setattr(conic_solver, "MAX_ITERATIONS", cap)
-        res = solve(cone, warm_start=z0)
+        res = solve(cone, z0)
         expected = SolverStatus.OPTIMAL if cap is None else SolverStatus.ITERATION_LIMIT
         assert res.status is expected
         assert res.objective == float(-(cone.c @ res.primal))
@@ -277,9 +274,9 @@ class TestSolverCertificates:
         assert res.max_primal_residual == max(0.0, -margin)
 
     def test_debug_log_line_per_iteration(self, hexagon_restriction, caplog):
-        _, cone = hexagon_restriction
+        z0, cone = hexagon_restriction
         with caplog.at_level(logging.DEBUG, logger="optigon.solver"):
-            res = solve(cone)
+            res = solve(cone, z0)
         lines = [r.getMessage() for r in caplog.records if r.name == "optigon.solver"]
         assert len(lines) == res.iterations + 1
         for line in lines:
@@ -289,25 +286,25 @@ class TestSolverCertificates:
         assert last_pobj == pytest.approx(res.objective, rel=1e-11)
 
     def test_nonfinite_newton_step_is_numerical_failure(self):
-        # warm-started at the pendant 12-gon, rounding leaves a block of lam
-        # on the cone boundary, where the Newton right-hand side would be
+        # started at the pendant 12-gon, rounding leaves a block of lam on
+        # the cone boundary, where the Newton right-hand side would be
         # non-finite; the scaling rejects it
-        z0 = polygon_to_vector(build_pendant_polygon(12))
-        res = solve(ConeTemplate(12).at(z0), tol_solver=1e-12, warm_start=z0)
+        z0, cone = pendant_restriction(12)
+        res = solve(cone, z0, tol_solver=1e-12)
         assert res.status is SolverStatus.NUMERICAL_FAILURE
 
-    def test_warm_start_shape_is_checked(self, hexagon_restriction):
+    def test_start_shape_is_checked(self, hexagon_restriction):
         z0, cone = hexagon_restriction
-        with pytest.raises(ValueError, match="warm start must have shape"):
-            solve(cone, warm_start=z0[:-1])
+        with pytest.raises(ValueError, match="start must have shape"):
+            solve(cone, z0[:-1])
 
     def test_config_validation(self, hexagon_restriction):
-        _, cone = hexagon_restriction
-        # an infinite tolerance would accept the warm start after 0 iterations
+        z0, cone = hexagon_restriction
+        # an infinite tolerance would accept the start after 0 iterations
         # True used to pass as 1.0; a string or None raised TypeError
         for tol in (True, "1e-9", None, math.nan, math.inf, 0.0):
             with pytest.raises(ValueError, match="tol_solver must be finite and positive"):
-                solve(cone, tol_solver=tol)
+                solve(cone, z0, tol_solver=tol)
 
 
 def gram_times(factor):
@@ -345,7 +342,7 @@ class TestFailureExits:
         z0, cone = pendant_restriction(6)
         patch(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="optigon.solver"):
-            res = solve(cone, warm_start=z0)
+            res = solve(cone, z0)
         assert res.status is SolverStatus.NUMERICAL_FAILURE
         assert res.cause == message
         *_, state, stop = (r.getMessage() for r in caplog.records)
@@ -361,13 +358,13 @@ class TestInfeasible:
     @pytest.fixture(scope="class")
     def infeasible_lp(self):
         # x >= 2 and x <= 1
-        return solve(mini_cone([1.0], halfplanes=[([1.0], -2.0), ([-1.0], 1.0)]))
+        return solve(mini_cone([1.0], halfplanes=[([1.0], -2.0), ([-1.0], 1.0)]), np.zeros(1))
 
     def test_infeasible_lp_is_numerical_failure(self, infeasible_lp):
         assert infeasible_lp.status is SolverStatus.NUMERICAL_FAILURE
 
     def test_step_raises_on_it(self, monkeypatch, infeasible_lp):
-        monkeypatch.setattr(ccp, "solve", lambda cone, tol_solver, warm_start=None: infeasible_lp)
+        monkeypatch.setattr(ccp, "solve", lambda cone, start, tol_solver: infeasible_lp)
         z0 = polygon_to_vector(build_pendant_polygon(6))
         with pytest.raises(SubproblemFailure) as info:
             ccp.step(ConeTemplate(6), z0)
@@ -437,6 +434,14 @@ class TestConeAlgebra:
         u[outside][2] = -0.5
         with pytest.raises(FloatingPointError, match="left the interior"):
             _Scaling(u["s"], u["z"], self.P)
+
+    def test_scaling_rejects_block_of_negative_cone(self):
+        # s's block (-2, 0.5, 0.1, 0.2) lies in -Q^4: its jdet is positive,
+        # and gamma's square root would warn instead
+        s = np.array([1.0, -2.0, 0.5, 0.1, 0.2])
+        z = np.array([1.0, 1.5, 0.2, 0.1, 0.3])
+        with pytest.raises(FloatingPointError, match="left the interior"):
+            _Scaling(s, z, 1)
 
     def test_scaling_round_trip(self):
         rng = np.random.default_rng(5)
@@ -564,8 +569,9 @@ class TestCholesky:
     the symmetrized, regularized matrix."""
 
     @staticmethod
-    def first_iteration_terms(cone):
-        """(d, v, beta) of G^T W^{-2} G in the first IPM iteration on cone."""
+    def first_iteration_terms(cone, start):
+        """(d, v, beta) of G^T W^{-2} G in the first IPM iteration on cone
+        from start."""
         gram_entries = ConeProblem.gram_entries
         built = []
 
@@ -577,15 +583,14 @@ class TestCholesky:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ConeProblem, "gram_entries", recording_gram)
             mp.setattr(conic_solver, "MAX_ITERATIONS", 1)
-            solve(cone)
+            solve(cone, start)
         return built[0]
 
     @pytest.fixture(scope="class")
     def reduced_kkt(self):
         # G^T W^{-2} G as built in the first IPM iteration at the pendant 16-gon
-        z0 = polygon_to_vector(build_pendant_polygon(16))
-        cone = ConeTemplate(16).at(z0)
-        return cone, self.first_iteration_terms(cone)
+        z0, cone = pendant_restriction(16)
+        return cone, self.first_iteration_terms(cone, z0)
 
     @staticmethod
     def reference(H, reg):
@@ -607,7 +612,7 @@ class TestCholesky:
         keep = ccp._near_unit(template.distance_sq(z0))
         cone = template.at(z0, keep)
         assert 0 < keep.sum() < template.n_pairs
-        terms = self.first_iteration_terms(cone)
+        terms = self.first_iteration_terms(cone, z0)
         ref = self.reference(dense_gram(cone, *terms), REGULARIZATION)
         assert np.array_equal(np.tril(pattern_factor(cone, *terms)), np.tril(ref[0]))
 
@@ -625,7 +630,7 @@ class TestCholesky:
         for cone in cones:
             fresh = ConeProblem(cone.c, cone.h, cone.nn_cols, cone.soc_cols.copy(),
                                 cone.soc_coef)
-            terms = self.first_iteration_terms(cone)
+            terms = self.first_iteration_terms(cone, z0)
             assert np.array_equal(np.tril(pattern_factor(cone, *terms)),
                                   np.tril(pattern_factor(fresh, *terms)))
 
@@ -736,7 +741,7 @@ def _grid_search(c, center, half_width, step):
 
 def test_hexagon_restriction_against_grid_oracle(hexagon_restriction):
     z0, cone = hexagon_restriction
-    res = solve(cone)
+    res = solve(cone, z0)
     assert res.status is SolverStatus.OPTIMAL
 
     center = (z0[0], z0[5], z0[1], z0[6])  # (x1, y1, x2, y2) at the reference

@@ -20,6 +20,9 @@ from reference_program import fan_residuals, restriction_residuals
 
 RNG = np.random.default_rng(20240817)
 
+# the mask of `ConeTemplate(6).at` that keeps every distance pair
+EVERY_PAIR6 = np.ones(ConeTemplate(6).n_pairs, dtype=bool)
+
 
 # positions in z = (x_1..x_{n-1}, y_1..y_{n-1}, u_1..u_{n-2}) of x_i, y_i, u_i
 def x_at(i):
@@ -46,14 +49,14 @@ def pendant6_vector():
 
 class TestBuildProgram:
     def test_dimension_and_family_counts(self, template6, pendant6_vector):
-        cone = template6.at(pendant6_vector)
+        cone = template6.at(pendant6_vector, EVERY_PAIR6)
         assert template6.dim == 14
         assert (template6.n_pairs, cone.n_nonneg, cone.n_soc) == (10, 5 + 4, 10 + 5 + 4)
 
     def test_counts_formula_general(self):
         for n in (6, 8, 14, 16):
             template = ConeTemplate(n)
-            cone = template.at(np.zeros(template.dim))
+            cone = template.at(np.zeros(template.dim), np.ones(template.n_pairs, dtype=bool))
             assert template.n_pairs == (n - 1) * (n - 2) // 2
             assert cone.n_nonneg == (n - 1) + (n - 2)
             assert cone.n_soc == template.n_pairs + (n - 1) + (n - 2)
@@ -113,7 +116,7 @@ class TestEvaluate:
 
 class TestBuildRestriction:
     def test_residuals_agree_at_reference_point(self, pendant6_vector):
-        restricted = ConeTemplate(6).at(pendant6_vector).residuals(pendant6_vector)
+        restricted = ConeTemplate(6).at(pendant6_vector, EVERY_PAIR6).residuals(pendant6_vector)
         original = restriction_residuals(6, pendant6_vector, pendant6_vector)
         assert np.abs(original - restricted).max() < 1e-12
 
@@ -123,7 +126,7 @@ class TestBuildRestriction:
         #     <= 2(b'+a)(y'+x) - (b'+a)^2 + 2(a'-b)(x'-y) - (a'-b)^2
         # where (a, b) is the reference point
         c = RNG.uniform(-1.0, 1.0, 14)
-        cone = ConeTemplate(6).at(c)
+        cone = ConeTemplate(6).at(c, EVERY_PAIR6)
         for i in range(1, 5):
             xi, yi, ui = x_at(i), y_at(6, i), u_at(6, i)
             xn, yn = x_at(i + 1), y_at(6, i + 1)
@@ -140,7 +143,7 @@ class TestBuildRestriction:
                 assert cone.residuals(z)[i - 5] == pytest.approx(rhs - lhs, abs=1e-10)
 
     def test_restriction_feasible_implies_original_feasible(self, template6, pendant6_vector):
-        restriction = ConeTemplate(6).at(pendant6_vector)
+        restriction = ConeTemplate(6).at(pendant6_vector, EVERY_PAIR6)
         found = 0
         attempts = 0
         while found < 100 and attempts < 20000:
@@ -155,28 +158,28 @@ class TestBuildRestriction:
 
     def test_objective_is_unchanged_linear_form(self, pendant6_vector):
         # minimize -sum u_i, whatever the reference point
-        cone = ConeTemplate(6).at(pendant6_vector)
+        cone = ConeTemplate(6).at(pendant6_vector, EVERY_PAIR6)
         assert np.array_equal(cone.c, np.r_[np.zeros(10), -np.ones(4)])
 
     def test_convex_families_pass_through(self, pendant6_vector):
         # only the four triangle-area blocks depend on the reference point
         template = ConeTemplate(6)
-        first = template.at(pendant6_vector)
+        first = template.at(pendant6_vector, EVERY_PAIR6)
         coef, h = first.soc_coef.copy(), first.h.copy()
-        second = template.at(RNG.uniform(-1.0, 1.0, 14))
+        second = template.at(RNG.uniform(-1.0, 1.0, 14), EVERY_PAIR6)
         assert np.array_equal(second.soc_coef[:, :, :-4], coef[:, :, :-4])
         assert np.array_equal(second.h[:9], h[:9])
         assert np.array_equal(second.h[9:].reshape(4, -1)[:, :-4], h[9:].reshape(4, -1)[:, :-4])
 
     def test_dimension_mismatch(self, template6):
         with pytest.raises(DimensionMismatch):
-            template6.at(np.zeros(15))
+            template6.at(np.zeros(15), EVERY_PAIR6)
 
     def test_rejects_nonfinite_reference(self, template6):
         bad = np.zeros(14)
         bad[0] = np.inf
         with pytest.raises(DimensionMismatch):
-            template6.at(bad)
+            template6.at(bad, EVERY_PAIR6)
 
 
 def reference_points(n):
@@ -197,9 +200,10 @@ class TestConeTemplate:
         # closed-form residuals of the restriction at every point; each block
         # is ((1 + b)/2, l_1, l_2, (1 - b)/2), whose rows 0 and 3 sum to 1
         template = ConeTemplate(n)
+        every = np.ones(template.n_pairs, dtype=bool)
         points = reference_points(n)
         for c in points:
-            cone = template.at(c)
+            cone = template.at(c, every)
             assert np.array_equal(cone.c, np.r_[np.zeros(2 * n - 2), -np.ones(n - 2)])
             for z in points:
                 np.testing.assert_allclose(
@@ -211,14 +215,16 @@ class TestConeTemplate:
     def test_rewrite_keeps_no_state(self):
         first, second = reference_points(8)[:2]
         template = ConeTemplate(8)
-        template.at(second)
-        fresh = ConeTemplate(8).at(first)
-        cone = template.at(first)
+        every = np.ones(template.n_pairs, dtype=bool)
+        template.at(second, every)
+        fresh = ConeTemplate(8).at(first, every)
+        cone = template.at(first, every)
         assert np.array_equal(cone.soc_coef, fresh.soc_coef)
         assert np.array_equal(cone.h, fresh.h)
 
     def test_block_shape(self):
-        cone = ConeTemplate(16).at(reference_points(16)[0])
+        template = ConeTemplate(16)
+        cone = template.at(reference_points(16)[0], np.ones(template.n_pairs, dtype=bool))
         m = 15 * 14 // 2 + 15 + 14
         assert cone.soc_coef.shape == (4, 5, m)
         assert cone.soc_cols.shape == (5, m)
@@ -241,7 +247,7 @@ class TestConeTemplate:
         rng = np.random.default_rng(n)
         keep = rng.random(template.n_pairs) < 0.3
         for z in reference_points(n):
-            full = template.at(z)
+            full = template.at(z, np.ones(template.n_pairs, dtype=bool))
             sub = template.at(z, keep)
             blocks = np.concatenate([keep, np.ones(full.n_soc - template.n_pairs, bool)])
             rows = np.concatenate(
@@ -258,9 +264,11 @@ class TestConeTemplate:
     def test_evaluate_is_the_full_restriction_at_z(self, n):
         # the closed-form distance residuals are the distance blocks' own
         template = ConeTemplate(n)
+        every = np.ones(template.n_pairs, dtype=bool)
         rng = np.random.default_rng(n)
         for z in [*reference_points(n), *rng.uniform(-2.0, 2.0, (20, 3 * n - 4))]:
-            assert np.array_equal(template.evaluate(z).residuals, template.at(z).residuals(z))
+            assert np.array_equal(template.evaluate(z).residuals,
+                                  template.at(z, every).residuals(z))
 
     def test_template_holds_pair_columns_only(self):
         # the distance pairs are ~n^2/2 of the blocks; at n = 512 their
@@ -286,9 +294,9 @@ class TestConeTemplate:
     def test_rejects_bad_reference(self):
         template = ConeTemplate(6)
         with pytest.raises(DimensionMismatch):
-            template.at(np.zeros(3))
+            template.at(np.zeros(3), EVERY_PAIR6)
         with pytest.raises(DimensionMismatch):
-            template.at(np.full(14, np.nan))
+            template.at(np.full(14, np.nan), EVERY_PAIR6)
 
 
 class TestTangentUnderestimation:
@@ -301,14 +309,14 @@ class TestTangentUnderestimation:
         rng = np.random.default_rng(seed)
         z = rng.uniform(-1.5, 1.5, 14)
         c = rng.uniform(-1.5, 1.5, 14)
-        restricted = ConeTemplate(6).at(c).residuals(z)
+        restricted = ConeTemplate(6).at(c, EVERY_PAIR6).residuals(z)
         assert (restricted <= ConeTemplate(6).evaluate(z).residuals + 1e-10).all()
 
     def test_equality_at_reference(self):
         c = polygon_to_vector(build_pendant_polygon(6))
         expected = restriction_residuals(6, c, c)
         expected[-4:] = fan_residuals(6, c)
-        restricted = ConeTemplate(6).at(c).residuals(c)
+        restricted = ConeTemplate(6).at(c, EVERY_PAIR6).residuals(c)
         np.testing.assert_allclose(restricted, expected, rtol=0, atol=1e-12)
 
 
@@ -319,7 +327,7 @@ class TestGradients:
         step = 1e-6
         for trial in range(5):
             c = RNG.uniform(-1.0, 1.0, 14)
-            cone = restriction.at(c)
+            cone = restriction.at(c, EVERY_PAIR6)
             for j in range(14):
                 zp, zm = c.copy(), c.copy()
                 zp[j] += step
