@@ -29,13 +29,16 @@ Problem sizes here (dim <= 380, a few thousand blocks) make dense
 reduced-KKT linear algebra adequate. No randomness anywhere: results are
 deterministic.
 
-The factorization and the solves call LAPACK's dpotrf/dpotrs directly,
-loaded from scipy's extension file without importing scipy.linalg. The
-buffer is C-ordered and holds the matrix in its upper triangle, so its
-transpose, a Fortran-ordered view with the matrix in the lower triangle, is
-factored in place without a copy. Importing this module sets the OpenBLAS
-that scipy bundles to one thread for the whole process, since its threaded
-dpotrf rounds differently: results do not depend on the thread count.
+The factorization and the solves call LAPACK's dpotrf/dpotrs through
+ctypes, from the OpenBLAS that scipy's wheels bundle, or else from the file
+of scipy's `_flapack` extension, whose dependencies supply them; neither
+scipy.linalg nor the extension module is imported. ctypes releases the GIL
+during each call. The buffer is C-ordered and holds the matrix in its upper
+triangle, so its transpose, a Fortran-ordered view with the matrix in the
+lower triangle, is factored in place without a copy. Importing this module
+sets the library the routines come from to one thread for the whole
+process, since threaded dpotrf rounds differently: results do not depend on
+the thread count.
 
 One iteration is `_step`. It raises FloatingPointError on an iterate
 outside the cone's interior, a reduced KKT matrix that is not finite or not
@@ -59,7 +62,6 @@ import enum
 import importlib.machinery
 import importlib.util
 import logging
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -281,71 +283,116 @@ def _max_step(u_parts: tuple, dus: tuple[np.ndarray, ...]) -> float:
 # ---------------------------------------------------------------------------
 # dense Cholesky through LAPACK
 
-def _load_lapack(where: Path):
-    """dpotrf and dpotrs of the `_flapack` extension in where, scipy's
-    linalg directory, loaded from its file.
+def _symbol(lib: ctypes.CDLL, name: str):
+    """The function name of lib or its dependencies, with the prefix scipy's
+    wheels give it or without; None if there is neither."""
+    return getattr(lib, f"scipy_{name}", None) or getattr(lib, name, None)
+
+
+def _load_lapack(libs: Path, linalg: Path):
+    """LAPACK's dpotrf and dpotrs as ctypes functions, from the OpenBLAS that
+    scipy's wheels bundle in libs, with scipy's symbol prefix or without it.
+    If no bundled library has both, they come from the file of scipy's
+    `_flapack` extension in linalg, scipy's linalg directory: ctypes opens
+    it without running the module's init, and its dependencies supply the
+    routines. Raises ImportError if neither place has them.
 
     scipy.linalg.lapack exports the same routines, but importing it loads all
     of scipy.linalg: `import optigon.cli` then takes 555 modules and 56.9 MB
-    peak RSS, against 238 and 32.0 MB this way (Python 3.11, numpy 2.4, scipy
-    1.17). find_spec on a top-level package does not run its __init__."""
-    name = "scipy.linalg._flapack"
-    paths = [where / f"_flapack{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((p for p in paths if p.is_file()), None)
-    if path is None:
-        raise ImportError(f"scipy's LAPACK extension _flapack not found in {where}")
-    registered = name in sys.modules
-    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
-    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-    loader.exec_module(module)
-    if not registered:  # single-phase init put the module in sys.modules
-        sys.modules.pop(name, None)
-    return module.dpotrf, module.dpotrs
+    peak RSS, against 238 and 32.0 MB without it (Python 3.11, numpy 2.4,
+    scipy 1.17). Running `_flapack`'s init alone still costs about 2 MB of a
+    run's peak RSS.
 
-
-def _one_blas_thread(libs: Path) -> None:
-    """Run the OpenBLAS that scipy's wheels bundle in libs on one thread,
-    for the whole process: its threaded dpotrf rounds differently from the
-    serial one, so the iterates would depend on the number of cores. Unlike
-    OPENBLAS_NUM_THREADS, the setter acts after the library has loaded.
-    Logs a warning if no bundled OpenBLAS has a setter, as with a scipy
-    built against a system BLAS."""
-    for lib_path in sorted(libs.glob("lib*openblas*.so")):
-        lib = ctypes.CDLL(str(lib_path))
-        for symbol in ("scipy_openblas_set_num_threads64_",
-                       "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
-            set_threads = getattr(lib, symbol, None)
-            if set_threads is not None:
+    The library the routines come from is set to one thread for the whole
+    process: its threaded dpotrf rounds differently from the serial one, so
+    the iterates would depend on the number of cores. Unlike
+    OPENBLAS_NUM_THREADS, the setter acts after the library has loaded. Logs
+    a warning if the library has no setter, as with a scipy built against
+    another BLAS."""
+    paths = sorted(libs.glob("lib*openblas*.so"))
+    paths += [linalg / f"_flapack{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    for path in filter(Path.is_file, paths):
+        lib = ctypes.CDLL(str(path))
+        routines = [_symbol(lib, "dpotrf_"), _symbol(lib, "dpotrs_")]
+        if None not in routines:
+            set_threads = _symbol(lib, "openblas_set_num_threads")
+            if set_threads is None:
+                log.warning("no OpenBLAS thread setter in %s: results may depend on its "
+                            "thread count", path)
+            else:
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
                 set_threads(1)
-                return
-    log.warning("no bundled OpenBLAS in %s: results may depend on its thread count", libs)
+            # every argument by reference, then uplo's hidden length
+            for routine, pointers in zip(routines, (5, 8)):
+                routine.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t]
+                routine.restype = None
+            return routines
+    raise ImportError(f"LAPACK's dpotrf and dpotrs are in no OpenBLAS bundled in {libs} "
+                      f"and not in scipy's _flapack extension in {linalg}")
 
 
 _SCIPY = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
-dpotrf, dpotrs = _load_lapack(_SCIPY / "linalg")
-_one_blas_thread(_SCIPY.parent / "scipy.libs")
+dpotrf, dpotrs = _load_lapack(_SCIPY.parent / "scipy.libs", _SCIPY / "linalg")
+# the arguments every call passes alike: uplo "L", nrhs 1 and uplo's length
+_LOWER = ctypes.byref(ctypes.c_char(b"L"))
+_ONE = ctypes.byref(ctypes.c_int(1))
+_UPLO_LEN = ctypes.c_size_t(1)
+
+
+def _fortran_matrix(a: np.ndarray) -> np.ndarray:
+    """a if it is a writable Fortran-ordered float64 square matrix, else such
+    a copy of it; ValueError unless a is square. LAPACK would read a
+    C-ordered buffer as the transpose."""
+    shape, flags = a.shape, a.flags
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    if a.dtype == np.float64 and flags.f_contiguous and flags.writeable:
+        return a
+    return np.array(a, dtype=np.float64, order="F")
+
+
+def _data(a: np.ndarray):
+    """A reference to the data of a, a writable Fortran-ordered float64
+    array: a.T, the same memory, is C-ordered, as from_buffer requires."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a.T))
+
+
+def _check(routine, info: ctypes.c_int) -> None:
+    """LinAlgError unless the info that routine returned is 0."""
+    if info.value != 0:
+        raise LinAlgError(f"{routine.__name__} returned info={info.value}")
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:
     """Cholesky factor of the symmetric matrix whose lower triangle is a's.
 
-    A Fortran-ordered a is factored in place; any other is copied first.
-    The factor is the lower triangle of the result. Raises LinAlgError if
-    the matrix is not positive definite.
+    A writable Fortran-ordered float64 a is factored in place; any other is
+    copied first. The factor is the lower triangle of the result, and the
+    strict upper triangle is left as it was. Raises LinAlgError if the
+    matrix is not positive definite, and ValueError unless a is square.
+    ctypes releases the GIL while dpotrf runs.
     """
-    c, info = dpotrf(a, lower=1, overwrite_a=1, clean=0)
-    if info != 0:
-        raise LinAlgError(f"dpotrf returned info={info}")
-    return c
+    a = _fortran_matrix(a)
+    dim, info = ctypes.byref(ctypes.c_int(len(a))), ctypes.c_int()
+    dpotrf(_LOWER, dim, _data(a), dim, ctypes.byref(info), _UPLO_LEN)
+    _check(dpotrf, info)
+    return a
 
 
 def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solution x of A x = b, for c = cho_factor(A). Raises
-    FloatingPointError on a non-finite b."""
+    """The solution x of A x = b, a new vector, for c = cho_factor(A) and a
+    vector b. A C-ordered or read-only c is copied first. Raises
+    FloatingPointError on a non-finite b, and ValueError unless c is square
+    and b has its length. ctypes releases the GIL while dpotrs runs."""
     if not np.logical_and.reduce(np.isfinite(b)):
         raise FloatingPointError("right-hand side is not finite")
-    x, _ = dpotrs(c, b, lower=1)
+    c = _fortran_matrix(c)
+    if b.shape != (len(c),):
+        raise ValueError(f"expected a right-hand side of shape {(len(c),)}, got {b.shape}")
+    x = b.astype(np.float64)
+    dim, info = ctypes.byref(ctypes.c_int(len(c))), ctypes.c_int()
+    dpotrs(_LOWER, dim, _ONE, _data(c), dim, _data(x), dim, ctypes.byref(info), _UPLO_LEN)
+    _check(dpotrs, info)
     return x
 
 

@@ -653,36 +653,113 @@ class TestCholesky:
             with pytest.raises(FloatingPointError, match="right-hand side is not finite"):
                 cho_solve(cho_factor(np.eye(3)), np.array([1.0, bad, 0.0]))
 
+    def test_c_ordered_and_read_only_operands_match_scipy(self, reduced_kkt):
+        # LAPACK reads a C-ordered factor as its transpose, whose lower
+        # triangle is the matrix's upper one, so it must be copied first;
+        # read-only operands are copied too and left as they were
+        cone, terms = reduced_kkt
+        H = dense_gram(cone, *terms)
+        ref = self.reference(H, REGULARIZATION)
+        b = np.random.default_rng(1).normal(size=len(H))
+        expected = scipy.linalg.cho_solve(ref, b)
+        c = pattern_factor(cone, *terms)
+        assert np.array_equal(cho_solve(np.ascontiguousarray(c), b), expected)
+        a = np.asfortranarray(0.5 * (H + H.T) + REGULARIZATION * np.eye(len(H)))
+        frozen = [a.copy(order="F"), c.copy(order="F"), b.copy()]
+        for array in frozen:
+            array.setflags(write=False)
+        factor = cho_factor(frozen[0])
+        assert np.array_equal(frozen[0], a)
+        assert np.array_equal(np.tril(factor), np.tril(ref[0]))
+        assert np.array_equal(cho_solve(frozen[1], frozen[2]), expected)
+
+    def test_solve_returns_a_new_vector(self):
+        b = np.array([4.0, 8.0, 2.0])
+        x = cho_solve(cho_factor(4.0 * np.eye(3)), b)
+        assert x is not b and np.array_equal(b, [4.0, 8.0, 2.0])
+        assert np.array_equal(x, [1.0, 2.0, 0.5])
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (1, 2, 2)])
+    def test_non_square_matrix_raises(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            cho_factor(np.ones(shape))
+        with pytest.raises(ValueError, match="square matrix"):
+            cho_solve(np.ones(shape), np.ones(3))
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
+    def test_right_hand_side_of_another_shape_raises(self, shape):
+        with pytest.raises(ValueError, match="right-hand side of shape"):
+            cho_solve(cho_factor(np.eye(3)), np.ones(shape))
+
+    def test_flapack_file_fallback_matches_the_bundled_library(self, reduced_kkt, tmp_path,
+                                                               monkeypatch):
+        # a bundled library without LAPACK's routines, then `_flapack`'s
+        # file, opened by ctypes, whose dependencies supply them
+        import _ctypes
+
+        (tmp_path / "libopenblas_stub.so").symlink_to(_ctypes.__file__)
+        cone, terms = reduced_kkt
+        b = np.random.default_rng(0).normal(size=cone.dim)
+        bundled = pattern_factor(cone, *terms)
+        expected = cho_solve(bundled, b)
+        routines = conic_solver._load_lapack(tmp_path, conic_solver._SCIPY / "linalg")
+        assert routines[0] is not conic_solver.dpotrf
+        monkeypatch.setattr(conic_solver, "dpotrf", routines[0])
+        monkeypatch.setattr(conic_solver, "dpotrs", routines[1])
+        fallback = pattern_factor(cone, *terms)
+        assert np.array_equal(fallback, bundled)
+        assert np.array_equal(cho_solve(fallback, b), expected)
+
 
 def test_import_leaves_scipy_sparse_unloaded():
     # a fresh interpreter that imports this same optigon package, then its
-    # CLI; the LAPACK routines come from scipy's extension file alone, and
-    # no import goes through a deprecated numpy module such as numpy.core
+    # CLI, and factors a 3 x 3 matrix: LAPACK comes from scipy's bundled
+    # OpenBLAS through ctypes, so neither scipy.linalg nor the `_flapack`
+    # extension is imported, nor, on Linux, is `_flapack`'s file mapped; no
+    # import goes through a deprecated numpy module such as numpy.core
     src = str(Path(optigon.__file__).resolve().parents[1])
-    loaded = "print(*(m in sys.modules for m in ('scipy.linalg', 'scipy.sparse')))"
+    loaded = "print(*(m in sys.modules for m in " \
+        "('scipy.linalg', 'scipy.sparse', 'scipy.linalg._flapack')))"
+    mapped = "print(sys.platform == 'linux' and '_flapack' in open('/proc/self/maps').read())"
     code = f"import sys; sys.path.insert(0, {src!r}); import optigon; " \
-        f"print(optigon.__file__); {loaded}; import optigon.cli; {loaded}"
+        f"print(optigon.__file__); {loaded}; import optigon.cli; {loaded}; " \
+        "import numpy as np; from optigon.conic_solver import cho_factor; " \
+        f"cho_factor(np.eye(3)); {loaded}; {mapped}"
     out = subprocess.run(
         [sys.executable, "-W", "error::DeprecationWarning", "-c", code],
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    assert out == [optigon.__file__, "False False", "False False"]
+    assert out == [optigon.__file__] + ["False False False"] * 3 + ["False"]
 
 
 def test_lapack_extension_not_found_is_import_error(tmp_path):
-    with pytest.raises(ImportError, match="_flapack not found in"):
-        conic_solver._load_lapack(tmp_path)
+    # an empty libs directory, or none, and a linalg directory without
+    # `_flapack`: the message names both places
+    (tmp_path / "scipy.libs").mkdir()
+    (tmp_path / "linalg").mkdir()
+    for libs in (tmp_path / "scipy.libs", tmp_path / "missing"):
+        with pytest.raises(ImportError) as raised:
+            conic_solver._load_lapack(libs, tmp_path / "linalg")
+        assert str(libs) in str(raised.value)
+        assert str(tmp_path / "linalg") in str(raised.value)
 
 
-def test_no_bundled_openblas_logs_one_warning(tmp_path, caplog):
+def test_no_thread_setter_logs_one_warning(monkeypatch, caplog):
+    # the bundled OpenBLAS as if it had no setter, as with another BLAS
+    symbol = conic_solver._symbol
+    monkeypatch.setattr(conic_solver, "_symbol",
+                        lambda lib, name: None if "threads" in name else symbol(lib, name))
     with caplog.at_level(logging.WARNING, logger="optigon.solver"):
-        conic_solver._one_blas_thread(tmp_path)
+        routines = conic_solver._load_lapack(conic_solver._SCIPY.parent / "scipy.libs",
+                                             conic_solver._SCIPY / "linalg")
     assert [r.levelname for r in caplog.records] == ["WARNING"]
-    assert "no bundled OpenBLAS" in caplog.records[0].getMessage()
+    assert "no OpenBLAS thread setter in" in caplog.records[0].getMessage()
+    assert None not in routines
 
 
 def test_missing_lapack_extension_is_import_error(tmp_path):
-    # a scipy package without linalg/_flapack ahead of the real one
+    # a scipy package with neither scipy.libs nor linalg/_flapack ahead of
+    # the real one
     (tmp_path / "scipy").mkdir()
     (tmp_path / "scipy" / "__init__.py").write_text("")
     src = str(Path(optigon.__file__).resolve().parents[1])
@@ -690,7 +767,8 @@ def test_missing_lapack_extension_is_import_error(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode != 0
     last = proc.stderr.strip().splitlines()[-1]
-    assert last.startswith("ImportError:") and str(tmp_path / "scipy" / "linalg") in last
+    assert last.startswith("ImportError:")
+    assert str(tmp_path / "scipy.libs") in last and str(tmp_path / "scipy" / "linalg") in last
 
 
 # ---------------------------------------------------------------------------
