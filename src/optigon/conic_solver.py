@@ -24,7 +24,9 @@ KKT matrix H = G^T W^{-2} G. The cone's `gram` pattern, found once per
 cone, fixes where H has entries; each iteration sums the per-block K x K
 pieces into those entries alone (`ConeProblem.gram_entries`), forms
 0.5 (H + H^T) on the triangle that dpotrf reads, and scatters it into one
-zeroed dim x dim buffer per solve.
+zeroed dim x dim buffer per solve. A solve finds the pattern first and
+allocates that buffer after, so the pattern's dim x dim scratch is freed
+before the buffer exists.
 Problem sizes here (dim <= 380, a few thousand blocks) make dense
 reduced-KKT linear algebra adequate. No randomness anywhere: results are
 deterministic.
@@ -452,8 +454,10 @@ def _solve_inner(cone: ConeProblem, start: np.ndarray, tol_solver: float):
     h = cone.h
     c = cone.c
 
-    # one buffer for every factorization saves the page faults of a fresh
-    # dim x dim array per iteration
+    # the pattern first: its dim x dim scratch is freed before the buffer reuses it
+    cone.gram
+    # then one buffer per solve for every factorization, which saves the
+    # page faults of a fresh dim x dim array per iteration
     kkt = np.empty((cone.dim, cone.dim))
     # the cone's identity, the central ray of the start and of each step
     e = _identity(p, cone.n_soc)

@@ -9,6 +9,7 @@ import logging
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -633,6 +634,33 @@ class TestCholesky:
             terms = self.first_iteration_terms(cone, z0)
             assert np.array_equal(np.tril(pattern_factor(cone, *terms)),
                                   np.tril(pattern_factor(fresh, *terms)))
+
+    def test_pattern_is_built_before_the_kkt_buffer(self, monkeypatch):
+        # GramPattern.of's dense dim x dim scratch is freed before the
+        # solve's dim x dim KKT buffer exists, so the two never add up in
+        # the peak: when the pattern of the screened restriction at the
+        # pendant 64-gon is built, less than one buffer's worth is live
+        # above the level at the start of the solve
+        template = ConeTemplate(64)
+        z0 = polygon_to_vector(build_pendant_polygon(64))
+        cone = template.at(z0, ccp._near_unit(template.distance_sq(z0)))
+        of = GramPattern.of.__func__
+        live = []
+
+        def spy(cls, flat, dim):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return of(cls, flat, dim)
+
+        monkeypatch.setattr(GramPattern, "of", classmethod(spy))
+        monkeypatch.setattr(conic_solver, "MAX_ITERATIONS", 0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            solve(cone, z0)
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 1
+        assert live[0] - start < cone.dim**2 * 8
 
     def test_escalated_regularization_matches_scipy(self):
         # 1e-12 leaves the smallest eigenvalue negative; 1e-10 does not
