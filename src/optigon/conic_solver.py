@@ -20,14 +20,8 @@ through views into one new output array.
 
 Primal-dual method: Nesterov-Todd scaling per block, Mehrotra
 predictor-corrector steps, and a dense Cholesky factorization of the reduced
-KKT matrix H = G^T W^{-2} G. The cone's `gram` pattern, found once per
-cone, fixes where H has entries; each iteration sums the per-block K x K
-pieces into those entries alone (`ConeProblem.gram_entries`), forms
-0.5 (H + H^T) on the triangle that dpotrf reads, and scatters it into one
-zeroed dim x dim buffer per solve. A solve finds the pattern first and
-allocates that buffer after, so the pattern's dim x dim scratch is freed
-before the buffer exists.
-Problem sizes here (dim <= 380, a few thousand blocks) make dense
+KKT matrix H = G^T W^{-2} G, which one `_ReducedKkt` per solve assembles and
+factors. Problem sizes here (dim <= 380, a few thousand blocks) make dense
 reduced-KKT linear algebra adequate. No randomness anywhere: results are
 deterministic.
 
@@ -35,12 +29,9 @@ The factorization and the solves call LAPACK's dpotrf/dpotrs through
 ctypes, from the OpenBLAS that scipy's wheels bundle, or else from the file
 of scipy's `_flapack` extension, whose dependencies supply them; neither
 scipy.linalg nor the extension module is imported. ctypes releases the GIL
-during each call. The buffer is C-ordered and holds the matrix in its upper
-triangle, so its transpose, a Fortran-ordered view with the matrix in the
-lower triangle, is factored in place without a copy. Importing this module
-sets the library the routines come from to one thread for the whole
-process, since threaded dpotrf rounds differently: results do not depend on
-the thread count.
+during each call. Importing this module sets the library the routines come
+from to one thread for the whole process, since threaded dpotrf rounds
+differently: results do not depend on the thread count.
 
 One iteration is `_step`. It raises FloatingPointError on an iterate
 outside the cone's interior, a reduced KKT matrix that is not finite or not
@@ -70,7 +61,7 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import LinAlgError  # scipy.linalg.LinAlgError is this class
 
-from .formulation import ConeProblem, GramPattern
+from .formulation import ConeProblem, c_einsum
 from .geometry import require_positive_real
 
 __all__ = ["ConeProblem", "SolverResult", "SolverStatus", "solve"]
@@ -341,16 +332,15 @@ _ONE = ctypes.byref(ctypes.c_int(1))
 _UPLO_LEN = ctypes.c_size_t(1)
 
 
-def _fortran_matrix(a: np.ndarray) -> np.ndarray:
-    """a if it is a writable Fortran-ordered float64 square matrix, else such
-    a copy of it; ValueError unless a is square. LAPACK would read a
-    C-ordered buffer as the transpose."""
+def _require_fortran_matrix(a: np.ndarray) -> None:
+    """ValueError unless a is a writable Fortran-ordered float64 square
+    matrix: LAPACK would read a C-ordered one as its transpose, and ctypes
+    reads and writes dim x dim doubles at a's address whatever a is."""
     shape, flags = a.shape, a.flags
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"expected a square matrix, got shape {shape}")
-    if a.dtype == np.float64 and flags.f_contiguous and flags.writeable:
-        return a
-    return np.array(a, dtype=np.float64, order="F")
+    if not (a.dtype == np.float64 and flags.f_contiguous and flags.writeable):
+        raise ValueError("expected a writable Fortran-ordered float64 matrix")
 
 
 def _data(a: np.ndarray):
@@ -368,13 +358,13 @@ def _check(routine, info: ctypes.c_int) -> None:
 def cho_factor(a: np.ndarray) -> np.ndarray:
     """Cholesky factor of the symmetric matrix whose lower triangle is a's.
 
-    A writable Fortran-ordered float64 a is factored in place; any other is
-    copied first. The factor is the lower triangle of the result, and the
-    strict upper triangle is left as it was. Raises LinAlgError if the
-    matrix is not positive definite, and ValueError unless a is square.
-    ctypes releases the GIL while dpotrf runs.
+    a, a writable Fortran-ordered float64 square matrix, is factored in
+    place: the factor is its lower triangle, and the strict upper triangle
+    is left as it was. Raises LinAlgError if the matrix is not positive
+    definite, and ValueError on any other a. ctypes releases the GIL while
+    dpotrf runs.
     """
-    a = _fortran_matrix(a)
+    _require_fortran_matrix(a)
     dim, info = ctypes.byref(ctypes.c_int(len(a))), ctypes.c_int()
     dpotrf(_LOWER, dim, _data(a), dim, ctypes.byref(info), _UPLO_LEN)
     _check(dpotrf, info)
@@ -383,12 +373,12 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
 
 def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The solution x of A x = b, a new vector, for c = cho_factor(A) and a
-    vector b. A C-ordered or read-only c is copied first. Raises
-    FloatingPointError on a non-finite b, and ValueError unless c is square
-    and b has its length. ctypes releases the GIL while dpotrs runs."""
+    vector b. Raises FloatingPointError on a non-finite b, and ValueError
+    unless c is a writable Fortran-ordered float64 square matrix and b has
+    its length. ctypes releases the GIL while dpotrs runs."""
     if not np.logical_and.reduce(np.isfinite(b)):
         raise FloatingPointError("right-hand side is not finite")
-    c = _fortran_matrix(c)
+    _require_fortran_matrix(c)
     if b.shape != (len(c),):
         raise ValueError(f"expected a right-hand side of shape {(len(c),)}, got {b.shape}")
     x = b.astype(np.float64)
@@ -398,36 +388,102 @@ def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _scatter_upper(pattern: GramPattern, upper: np.ndarray, kkt: np.ndarray) -> None:
-    """Zero kkt and write upper at the pattern's upper-triangle entries.
-    kkt.T, the same memory in Fortran order, then holds them in the lower
-    triangle that dpotrf reads."""
-    kkt.fill(0.0)
-    kkt.ravel()[pattern.upper_flat] = upper
+class _ReducedKkt:
+    """The reduced KKT matrix G^T M G of one cone, for one solve.
 
+    Its pattern, the entries (i, j) where the matrix can be nonzero, follows
+    from the cone's columns alone and is found once. Each assembly sums the
+    per-block K x K pieces into those entries alone. Each factorization
+    forms 0.5 (H + H^T) on the upper triangle and scatters it into one
+    zeroed C-ordered dim x dim buffer. Its transpose, the same memory in
+    Fortran order with the matrix in the lower triangle that dpotrf reads,
+    is factored in place without a copy. The pattern's dim x dim scratch is
+    freed before the buffer is allocated, which then reuses its memory.
+    """
 
-def _factor_kkt(pattern: GramPattern, H: np.ndarray, kkt: np.ndarray) -> np.ndarray:
-    """Cholesky factor of 0.5 (H + H^T) + reg I for the first reg of
-    REGULARIZATION, 100 REGULARIZATION, ... <= 1e-6 that makes it positive
-    definite; FloatingPointError if none does or H is not finite. H is given
-    by its values at pattern.entries; the matrix is symmetrized and checked
-    on the triangle dpotrf reads only, and factored in place in kkt, a
-    C-ordered dim x dim buffer."""
-    upper = H[pattern.upper]
-    upper += H[pattern.mirror]
-    upper *= 0.5
-    if not np.logical_and.reduce(np.isfinite(upper)):
-        raise FloatingPointError("reduced KKT matrix is not finite")
-    diagonal = kkt.ravel()[:: len(kkt) + 1]
-    reg = REGULARIZATION
-    while reg <= 1e-6:
-        _scatter_upper(pattern, upper, kkt)
-        diagonal += reg
-        try:
-            return cho_factor(kkt.T)
-        except LinAlgError:
-            reg *= 100.0
-    raise FloatingPointError("reduced KKT matrix is not positive definite")
+    def __init__(self, cone: ConeProblem):
+        self.cone = cone
+        dim = cone.dim
+        cols = cone.soc_cols
+        # one term per nonnegative row, then one per slot pair (k, l) of
+        # every block, in `assemble`'s order
+        flat = np.concatenate([cone.nn_cols * (dim + 1),
+                               (cols[:, None, :] * dim + cols[None, :, :]).ravel()])
+        # a dense marker instead of np.unique: the first integer sort of a
+        # process pages in about 0.7 MB of numpy's sort kernels
+        present = np.zeros(dim * dim, dtype=bool)
+        present[flat] = True
+        entries = np.flatnonzero(present)  # sorted flat indices i dim + j
+        position = np.empty(dim * dim, dtype=np.intp)  # of each flat index in entries
+        position[entries] = np.arange(len(entries))
+        row, col = np.divmod(entries, dim)
+        self.n_entries = len(entries)
+        self.slot_entry = position[flat]  # the entry each term adds into
+        self.upper = np.flatnonzero(row <= col)
+        self.mirror = position[col[self.upper] * dim + row[self.upper]]  # of (j, i)
+        self.upper_flat = entries[self.upper]
+        # the dim x dim scratch goes before the buffer, which reuses its memory
+        del flat, present, entries, position, row, col
+        # one buffer for every factorization of the solve, which saves the
+        # page faults of a fresh dim x dim array per iteration
+        self.buffer = np.empty((dim, dim))
+
+    def assemble(self, d: np.ndarray, v: np.ndarray | None = None,
+                 beta: np.ndarray | None = None) -> np.ndarray:
+        """G^T M G at the pattern's entries, for M = diag(d), plus
+        beta_b v_b v_b^T on each block b when v (shape (4, m)) and beta
+        (shape (m,)) are given. Each entry sums its slot-pair terms in slot
+        order, as a dense bincount over the same terms would; a sign row's
+        term is d_r = (-1) d_r (-1) on its column's diagonal."""
+        cone = self.cone
+        p = cone.n_nonneg
+        A = cone.soc_coef
+        soc = c_einsum("jkb,jlb->klb", A * d[p:].reshape(4, 1, -1), A)
+        if v is not None:
+            u = c_einsum("jkb,jb->kb", A, v)
+            soc += (beta * u)[:, None, :] * u[None, :, :]
+        return np.bincount(self.slot_entry, np.concatenate([d[:p], soc.ravel()]),
+                           minlength=self.n_entries)
+
+    def _scatter(self, upper: np.ndarray) -> None:
+        """Zero the buffer and write upper at the pattern's upper-triangle
+        entries."""
+        self.buffer.fill(0.0)
+        self.buffer.ravel()[self.upper_flat] = upper
+
+    def factor(self, H: np.ndarray) -> np.ndarray:
+        """Cholesky factor of 0.5 (H + H^T) + reg I for the first reg of
+        REGULARIZATION, 100 REGULARIZATION, ... <= 1e-6 that makes it positive
+        definite; FloatingPointError if none does or H is not finite. H is
+        given by its values at the pattern's entries; the matrix is
+        symmetrized and checked on the triangle dpotrf reads only."""
+        upper = H[self.upper]
+        upper += H[self.mirror]
+        upper *= 0.5
+        if not np.logical_and.reduce(np.isfinite(upper)):
+            raise FloatingPointError("reduced KKT matrix is not finite")
+        diagonal = self.buffer.ravel()[:: len(self.buffer) + 1]
+        reg = REGULARIZATION
+        while reg <= 1e-6:
+            self._scatter(upper)
+            diagonal += reg
+            try:
+                return cho_factor(self.buffer.T)
+            except LinAlgError:
+                reg *= 100.0
+        raise FloatingPointError("reduced KKT matrix is not positive definite")
+
+    def start_factor(self) -> np.ndarray:
+        """Cholesky factor of G^T G, shifted by 1e-12 times its mean
+        diagonal entry (at least 1e-12)."""
+        # bincount sums G^T G's (i, j) and (j, i) terms in slot order, which
+        # need not agree bit for bit, so its own lower triangle is factored:
+        # the mirror of each upper entry of the buffer is a lower entry of G^T G
+        self._scatter(self.assemble(np.ones(self.cone.n_rows))[self.mirror])
+        buffer = self.buffer
+        n = len(buffer)
+        buffer.flat[:: n + 1] += 1e-12 * max(1.0, np.trace(buffer) / max(n, 1))
+        return cho_factor(buffer.T)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +510,10 @@ def _solve_inner(cone: ConeProblem, start: np.ndarray, tol_solver: float):
     h = cone.h
     c = cone.c
 
-    # the pattern first: its dim x dim scratch is freed before the buffer reuses it
-    cone.gram
-    # then one buffer per solve for every factorization, which saves the
-    # page faults of a fresh dim x dim array per iteration
-    kkt = np.empty((cone.dim, cone.dim))
+    kkt = _ReducedKkt(cone)
     # the cone's identity, the central ray of the start and of each step
     e = _identity(p, cone.n_soc)
-    x, s, z = _initial_point(cone, start, kkt, e)
+    x, s, z = _initial_point(kkt, start, e)
 
     h_scale = max(1.0, np.abs(h).max(initial=0.0))
     c_scale = max(1.0, np.abs(c).max(initial=0.0))
@@ -492,7 +544,7 @@ def _solve_inner(cone: ConeProblem, start: np.ndarray, tol_solver: float):
             status = SolverStatus.ITERATION_LIMIT
             break
         try:
-            x, s, z, alpha, sigma = _step(cone, kkt, e, x, s, z, r_x, r_z, gap)
+            x, s, z, alpha, sigma = _step(kkt, e, x, s, z, r_x, r_z, gap)
         except FloatingPointError as exc:
             cause = str(exc)
             log.debug("ipm %3d: %s", iteration, cause)
@@ -511,12 +563,13 @@ def _solve_inner(cone: ConeProblem, start: np.ndarray, tol_solver: float):
     )
 
 
-def _step(cone: ConeProblem, kkt: np.ndarray, e, x, s, z, r_x, r_z, gap: float):
-    """One predictor-corrector step from (x, s, z), whose residuals are
-    r_x = G^T z + c and r_z = G x + s - h and whose gap is s^T z, for the
-    cone's identity e: the next, strictly interior iterate, the step length
-    and sigma. Raises FloatingPointError if the scaling, the KKT factor, a
-    Newton solve or an interior step fails."""
+def _step(kkt: _ReducedKkt, e, x, s, z, r_x, r_z, gap: float):
+    """One predictor-corrector step on kkt's cone from (x, s, z), whose
+    residuals are r_x = G^T z + c and r_z = G x + s - h and whose gap is
+    s^T z, for the cone's identity e: the next, strictly interior iterate,
+    the step length and sigma. Raises FloatingPointError if the scaling, the
+    KKT factor, a Newton solve or an interior step fails."""
+    cone = kkt.cone
     p = cone.n_nonneg
     mu = gap / max(p + cone.n_soc, 1)
     W = _Scaling(s, z, p)
@@ -524,7 +577,7 @@ def _step(cone: ConeProblem, kkt: np.ndarray, e, x, s, z, r_x, r_z, gap: float):
     # reduced KKT matrix H = G^T W^{-2} G (+ regularization)
     inv_eta2 = W.eta**-2
     d = np.concatenate([z[:p] / s[:p], (-_REFLECT * inv_eta2).ravel()])
-    factor = _factor_kkt(cone.gram, cone.gram_entries(d, W.v, 2.0 * inv_eta2), kkt)
+    factor = kkt.factor(kkt.assemble(d, W.v, 2.0 * inv_eta2))
 
     def newton_base(bx, bz, ds_rhs):
         """The direction (dx, ds, dz, dst, dzt) and G dx."""
@@ -587,11 +640,12 @@ def _step(cone: ConeProblem, kkt: np.ndarray, e, x, s, z, r_x, r_z, gap: float):
     raise FloatingPointError("no interior step")
 
 
-def _initial_point(cone: ConeProblem, start: np.ndarray, kkt: np.ndarray, e: np.ndarray):
-    """The primal start with its slack blended toward the cone's central ray
-    e, its identity, and the least-squares dual, each pushed strictly inside
-    the cone. kkt is a C-ordered dim x dim buffer for the factorization of
-    G^T G. Raises ValueError unless start has shape (cone.dim,)."""
+def _initial_point(kkt: _ReducedKkt, start: np.ndarray, e: np.ndarray):
+    """The primal start on kkt's cone with its slack blended toward the
+    cone's central ray e, its identity, and the least-squares dual, each
+    pushed strictly inside the cone. Raises ValueError unless start has
+    shape (cone.dim,)."""
+    cone = kkt.cone
     h, c, p = cone.h, cone.c, cone.n_nonneg
     n = cone.dim
     x = np.asarray(start, dtype=float)
@@ -607,12 +661,6 @@ def _initial_point(cone: ConeProblem, start: np.ndarray, kkt: np.ndarray, e: np.
     # shift toward the cone's central ray, then enforce an interior margin
     s = push(0.99 * (h - cone.matvec(x)) + 0.01 * e, 1e-4)
 
-    # bincount sums G^T G's (i, j) and (j, i) terms in slot order, which
-    # need not agree bit for bit, so its own lower triangle is factored:
-    # the mirror of each upper entry of kkt is a lower entry of G^T G
-    pattern = cone.gram
-    _scatter_upper(pattern, cone.gram_entries(np.ones(cone.n_rows))[pattern.mirror], kkt)
-    kkt.flat[:: n + 1] += 1e-12 * max(1.0, np.trace(kkt) / max(n, 1))
-    z = cone.matvec(cho_solve(cho_factor(kkt.T), -c))
+    z = cone.matvec(cho_solve(kkt.start_factor(), -c))
     z = push(z, 1.0) if _min_margin(z, p) <= 1e-10 else z
     return x, s, z

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 # np.einsum(*operands, out=out) is c_einsum(*operands, out=out) behind a
-# Python wrapper and its dispatcher; the G products call it directly. Its
-# home is numpy._core on numpy >= 2, whose numpy.core shim warns on import.
+# Python wrapper and its dispatcher; the G products and the solver's KKT
+# assembly call it directly. Its home is numpy._core on numpy >= 2, whose
+# numpy.core shim warns on import.
 try:
     from numpy._core.multiarray import c_einsum
 except ImportError:  # numpy 1.x
@@ -49,7 +49,6 @@ __all__ = [
     "EvaluationReport",
     "ConeProblem",
     "ConeTemplate",
-    "GramPattern",
     "polygon_to_vector",
     "vector_to_polygon",
 ]
@@ -76,42 +75,6 @@ def _checked(z: np.ndarray, dim: int) -> np.ndarray:
     return z
 
 
-class GramPattern(NamedTuple):
-    """The entries of a dim x dim matrix sum_t w_t e_{i_t} e_{j_t}^T, for
-    fixed term positions (i_t, j_t) that hold (j, i) wherever they hold
-    (i, j), and the triangle of them that LAPACK's dpotrf reads.
-
-    entries: the sorted flat indices i dim + j of the entries (C order).
-    slot_entry: the position in entries that each term adds into.
-    upper: the positions in entries of the entries with i <= j. A C-ordered
-        matrix's transpose is the same memory in Fortran order, in which
-        these are the lower triangle.
-    mirror: for each of those, the position in entries of (j, i).
-    upper_flat: entries[upper].
-    """
-
-    entries: np.ndarray
-    slot_entry: np.ndarray
-    upper: np.ndarray
-    mirror: np.ndarray
-    upper_flat: np.ndarray
-
-    @classmethod
-    def of(cls, flat: np.ndarray, dim: int) -> GramPattern:
-        """The pattern of terms at flat indices flat."""
-        # a dense marker instead of np.unique: the first integer sort of a
-        # process pages in about 0.7 MB of numpy's sort kernels
-        present = np.zeros(dim * dim, dtype=bool)
-        present[flat] = True
-        entries = np.flatnonzero(present)
-        position = np.empty(dim * dim, dtype=np.intp)  # of each flat index in entries
-        position[entries] = np.arange(len(entries))
-        row, col = np.divmod(entries, dim)
-        upper = np.flatnonzero(row <= col)
-        mirror = position[col[upper] * dim + row[upper]]
-        return cls(entries, position[flat], upper, mirror, entries[upper])
-
-
 @dataclass(frozen=True, eq=False)
 class ConeProblem:
     """minimize c^T x subject to G x + s = h, s in R^p_+ x (Q^4)^m.
@@ -122,10 +85,6 @@ class ConeProblem:
     sum_k soc_coef[j, k, b] x[soc_cols[k, b]]; unused slots carry a zero
     coefficient. h, like every cone vector, holds the p nonnegative rows,
     then row 0 of every block, row 1 of every block, and so on.
-
-    The reduced KKT matrix G^T M G is never formed densely: `gram` is where
-    it has entries, found once per cone, and `gram_entries` gives its values
-    there.
     """
 
     c: np.ndarray
@@ -162,18 +121,6 @@ class ConeProblem:
         """rmatvec's buffer of one weight per slot, in `cols` order."""
         return np.empty(len(self.cols))
 
-    @cached_property
-    def gram(self) -> GramPattern:
-        """The pattern of G^T M G: one term per nonnegative row, then one per
-        slot pair (k, l) of every block, in `gram_entries`' order."""
-        dim = self.dim
-        cols = self.soc_cols
-        return GramPattern.of(
-            np.concatenate([self.nn_cols * (dim + 1),
-                            (cols[:, None, :] * dim + cols[None, :, :]).ravel()]),
-            dim,
-        )
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """G x."""
         p = self.n_nonneg
@@ -190,26 +137,6 @@ class ConeProblem:
         c_einsum("jkb,jb->kb", self.soc_coef, y[p:].reshape(4, -1),
                  out=weights[p:].reshape(self.soc_cols.shape))
         return np.bincount(self.cols, weights, minlength=self.dim)
-
-    def gram_entries(
-        self, d: np.ndarray, v: np.ndarray | None = None, beta: np.ndarray | None = None
-    ) -> np.ndarray:
-        """G^T M G at `gram.entries`, for M = diag(d), plus
-        beta_b v_b v_b^T on each block b when v (shape (4, m)) and beta
-        (shape (m,)) are given. Each entry sums its slot-pair terms in slot
-        order, as a dense bincount over the same terms would; a sign row's
-        term is d_r = (-1) d_r (-1) on its column's diagonal."""
-        p = self.n_nonneg
-        A = self.soc_coef
-        soc = c_einsum("jkb,jlb->klb", A * d[p:].reshape(4, 1, -1), A)
-        if v is not None:
-            u = c_einsum("jkb,jb->kb", A, v)
-            soc += (beta * u)[:, None, :] * u[None, :, :]
-        gram = self.gram
-        return np.bincount(
-            gram.slot_entry, np.concatenate([d[:p], soc.ravel()]),
-            minlength=len(gram.entries),
-        )
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Restriction residuals at x: b(x) for a nonnegative row, and

@@ -24,12 +24,12 @@ from optigon.conic_solver import (
     REGULARIZATION,
     TOL_SOLVER,
     SolverStatus,
-    _factor_kkt,
     _inv_mul,
     _max_step,
     _min_margin,
     _mul,
     _parts,
+    _ReducedKkt,
     _Scaling,
     _tiled,
     cho_factor,
@@ -37,7 +37,7 @@ from optigon.conic_solver import (
     solve,
 )
 from optigon.errors import SubproblemFailure
-from optigon.formulation import ConeProblem, ConeTemplate, GramPattern, polygon_to_vector
+from optigon.formulation import ConeProblem, ConeTemplate, polygon_to_vector
 from optigon.geometry import build_pendant_polygon
 
 from reference_program import max_step, mini_cone
@@ -65,7 +65,7 @@ def dense_G(cone):
 
 
 def dense_gram(cone, d, v=None, beta=None):
-    """G^T M G of `ConeProblem.gram_entries` in a dense dim x dim array,
+    """G^T M G of `_ReducedKkt.assemble` in a dense dim x dim array,
     summed term by term in slot order from nn_cols and soc_*: the per-entry
     sums the pattern's bincount must reproduce bit for bit."""
     p = cone.n_nonneg
@@ -104,14 +104,27 @@ def slot_order_products(cone, x, y):
 
 def pattern_factor(cone, d, v=None, beta=None):
     """The reduced KKT factor of the pattern path, as the IPM computes it."""
-    kkt = np.empty((cone.dim, cone.dim))
-    return _factor_kkt(cone.gram, cone.gram_entries(d, v, beta), kkt)
+    kkt = _ReducedKkt(cone)
+    return kkt.factor(kkt.assemble(d, v, beta))
 
 
 def dense_factor(H):
-    """_factor_kkt on a dense H, through a pattern holding every entry."""
-    n = len(H)
-    return _factor_kkt(GramPattern.of(np.arange(n * n), n), H.ravel(), np.empty_like(H))
+    """_ReducedKkt.factor on a dense 3 x 3 H, through the pattern of one
+    block over columns 0, 1, 2, 0, 0, whose slot pairs hold every entry."""
+    cone = ConeProblem(c=np.zeros(3), h=np.zeros(4), nn_cols=np.zeros(0, dtype=np.intp),
+                       soc_cols=np.array([[0], [1], [2], [0], [0]]),
+                       soc_coef=np.zeros((4, 5, 1)))
+    kkt = _ReducedKkt(cone)
+    assert kkt.n_entries == H.size
+    return kkt.factor(H.ravel())
+
+
+def pattern_entries(cone):
+    """The sorted flat indices i dim + j of every slot-pair term of G^T M G:
+    where `_ReducedKkt.assemble` gives its values."""
+    dim, cols = cone.dim, cone.soc_cols
+    return np.unique(np.concatenate([cone.nn_cols * (dim + 1),
+                                     (cols[:, None, :] * dim + cols[None, :, :]).ravel()]))
 
 
 class TestLift:
@@ -136,7 +149,7 @@ class TestLift:
 
 
 class TestConeOperators:
-    """matvec, rmatvec and gram_entries against dense products with G, and
+    """matvec, rmatvec and the KKT assembly against dense products with G, and
     matvec and rmatvec against their slot-order sums bit for bit."""
 
     @pytest.fixture(params=["hexagon", "octagon"])
@@ -174,11 +187,12 @@ class TestConeOperators:
             rows = p + b + m * np.arange(4)  # row j of block b
             M[np.ix_(rows, rows)] += beta[b] * np.outer(v[:, b], v[:, b])
         G = dense_G(cone)
-        entries = cone.gram.entries
+        entries = pattern_entries(cone)
+        kkt = _ReducedKkt(cone)
 
         def gram(*args):
             H = np.zeros(cone.dim * cone.dim)
-            H[entries] = cone.gram_entries(*args)
+            H[entries] = kkt.assemble(*args)
             return H.reshape(cone.dim, cone.dim)
 
         assert gram(d, v, beta) == pytest.approx(G.T @ M @ G, abs=1e-12)
@@ -309,12 +323,12 @@ class TestSolverCertificates:
 
 
 def gram_times(factor):
-    """ConeProblem.gram_entries with the reduced KKT matrix of every IPM
+    """_ReducedKkt.assemble with the reduced KKT matrix of every IPM
     iteration multiplied by factor."""
-    gram_entries = ConeProblem.gram_entries
+    assemble = _ReducedKkt.assemble
 
     def scaled(self, d, v=None, beta=None):
-        H = gram_entries(self, d, v, beta)
+        H = assemble(self, d, v, beta)
         return H * factor if v is not None else H
 
     return scaled
@@ -326,9 +340,9 @@ class TestFailureExits:
 
     CAUSES = {
         "kkt_not_finite": ("reduced KKT matrix is not finite",
-                           lambda mp: mp.setattr(ConeProblem, "gram_entries", gram_times(np.nan))),
+                           lambda mp: mp.setattr(_ReducedKkt, "assemble", gram_times(np.nan))),
         "kkt_indefinite": ("reduced KKT matrix is not positive definite",
-                           lambda mp: mp.setattr(ConeProblem, "gram_entries", gram_times(-1.0))),
+                           lambda mp: mp.setattr(_ReducedKkt, "assemble", gram_times(-1.0))),
         # NaN entries in every Newton right-hand side
         "rhs_not_finite": ("right-hand side is not finite",
                            lambda mp: mp.setattr(conic_solver, "_inv_mul",
@@ -573,16 +587,16 @@ class TestCholesky:
     def first_iteration_terms(cone, start):
         """(d, v, beta) of G^T W^{-2} G in the first IPM iteration on cone
         from start."""
-        gram_entries = ConeProblem.gram_entries
+        assemble = _ReducedKkt.assemble
         built = []
 
         def recording_gram(self, d, v=None, beta=None):
             if v is not None:
                 built.append((d.copy(), v.copy(), beta.copy()))
-            return gram_entries(self, d, v, beta)
+            return assemble(self, d, v, beta)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ConeProblem, "gram_entries", recording_gram)
+            mp.setattr(_ReducedKkt, "assemble", recording_gram)
             mp.setattr(conic_solver, "MAX_ITERATIONS", 1)
             solve(cone, start)
         return built[0]
@@ -635,32 +649,35 @@ class TestCholesky:
             assert np.array_equal(np.tril(pattern_factor(cone, *terms)),
                                   np.tril(pattern_factor(fresh, *terms)))
 
-    def test_pattern_is_built_before_the_kkt_buffer(self, monkeypatch):
-        # GramPattern.of's dense dim x dim scratch is freed before the
-        # solve's dim x dim KKT buffer exists, so the two never add up in
-        # the peak: when the pattern of the screened restriction at the
-        # pendant 64-gon is built, less than one buffer's worth is live
-        # above the level at the start of the solve
-        template = ConeTemplate(64)
-        z0 = polygon_to_vector(build_pendant_polygon(64))
+    def test_pattern_is_built_before_the_kkt_buffer(self):
+        # the pattern's dense dim x dim scratch is freed before the dim x dim
+        # KKT buffer exists, so the two never add up in the peak: building
+        # the KKT of the screened restriction at the pendant 128-gon peaks
+        # less than one buffer's worth above what the built object keeps
+        template = ConeTemplate(128)
+        z0 = polygon_to_vector(build_pendant_polygon(128))
         cone = template.at(z0, ccp._near_unit(template.distance_sq(z0)))
-        of = GramPattern.of.__func__
-        live = []
-
-        def spy(cls, flat, dim):
-            live.append(tracemalloc.get_traced_memory()[0])
-            return of(cls, flat, dim)
-
-        monkeypatch.setattr(GramPattern, "of", classmethod(spy))
-        monkeypatch.setattr(conic_solver, "MAX_ITERATIONS", 0)
         tracemalloc.start()
         try:
-            start = tracemalloc.get_traced_memory()[0]
-            solve(cone, z0)
+            kkt = _ReducedKkt(cone)
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(live) == 1
-        assert live[0] - start < cone.dim**2 * 8
+        assert kkt.buffer.nbytes == cone.dim**2 * 8
+        assert peak - kept < kkt.buffer.nbytes
+
+    def test_solve_leaves_no_kkt_state_on_its_cone(self):
+        # the KKT pattern and buffer belong to one solve: afterwards the
+        # cone holds its arrays, as they were, the shape caches and the
+        # slot columns only
+        template = ConeTemplate(16)
+        z0 = polygon_to_vector(build_pendant_polygon(16))
+        cone = template.at(z0, ccp._near_unit(template.distance_sq(z0)))
+        before = {name: array.tobytes() for name, array in vars(cone).items()}
+        assert solve(cone, z0).status is SolverStatus.OPTIMAL
+        assert set(vars(cone)) == set(before) | {
+            "dim", "n_nonneg", "n_soc", "n_rows", "cols", "_slot_weights"}
+        assert {name: vars(cone)[name].tobytes() for name in before} == before
 
     def test_escalated_regularization_matches_scipy(self):
         # 1e-12 leaves the smallest eigenvalue negative; 1e-10 does not
@@ -674,36 +691,35 @@ class TestCholesky:
         with pytest.raises(FloatingPointError, match="not finite"):
             dense_factor(np.full((3, 3), np.nan))
         with pytest.raises(scipy.linalg.LinAlgError):
-            cho_factor(-np.eye(3))
+            cho_factor(np.asfortranarray(-np.eye(3)))
 
     def test_nonfinite_right_hand_side_raises(self):
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(FloatingPointError, match="right-hand side is not finite"):
-                cho_solve(cho_factor(np.eye(3)), np.array([1.0, bad, 0.0]))
+                cho_solve(cho_factor(np.asfortranarray(np.eye(3))), np.array([1.0, bad, 0.0]))
 
-    def test_c_ordered_and_read_only_operands_match_scipy(self, reduced_kkt):
-        # LAPACK reads a C-ordered factor as its transpose, whose lower
-        # triangle is the matrix's upper one, so it must be copied first;
-        # read-only operands are copied too and left as they were
-        cone, terms = reduced_kkt
-        H = dense_gram(cone, *terms)
-        ref = self.reference(H, REGULARIZATION)
-        b = np.random.default_rng(1).normal(size=len(H))
-        expected = scipy.linalg.cho_solve(ref, b)
-        c = pattern_factor(cone, *terms)
-        assert np.array_equal(cho_solve(np.ascontiguousarray(c), b), expected)
-        a = np.asfortranarray(0.5 * (H + H.T) + REGULARIZATION * np.eye(len(H)))
-        frozen = [a.copy(order="F"), c.copy(order="F"), b.copy()]
-        for array in frozen:
-            array.setflags(write=False)
-        factor = cho_factor(frozen[0])
-        assert np.array_equal(frozen[0], a)
-        assert np.array_equal(np.tril(factor), np.tril(ref[0]))
-        assert np.array_equal(cho_solve(frozen[1], frozen[2]), expected)
+    @pytest.mark.parametrize("operand", ["c_ordered", "read_only", "float32"])
+    def test_other_operands_are_refused_and_left_alone(self, operand):
+        # LAPACK would read a C-ordered matrix as its transpose, and ctypes
+        # would write into a read-only one or read float32 as float64; the
+        # solver passes only writable Fortran-ordered float64 matrices
+        a = np.asfortranarray(np.array([[4.0, 2.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]]))
+        if operand == "c_ordered":
+            a = np.ascontiguousarray(a)
+        elif operand == "read_only":
+            a.setflags(write=False)
+        else:
+            a = a.astype(np.float32)
+        before = a.copy(order="A")
+        with pytest.raises(ValueError, match="writable Fortran-ordered float64"):
+            cho_factor(a)
+        with pytest.raises(ValueError, match="writable Fortran-ordered float64"):
+            cho_solve(a, np.ones(3))
+        assert a.tobytes(order="A") == before.tobytes(order="A")
 
     def test_solve_returns_a_new_vector(self):
         b = np.array([4.0, 8.0, 2.0])
-        x = cho_solve(cho_factor(4.0 * np.eye(3)), b)
+        x = cho_solve(cho_factor(np.asfortranarray(4.0 * np.eye(3))), b)
         assert x is not b and np.array_equal(b, [4.0, 8.0, 2.0])
         assert np.array_equal(x, [1.0, 2.0, 0.5])
 
@@ -717,7 +733,7 @@ class TestCholesky:
     @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
     def test_right_hand_side_of_another_shape_raises(self, shape):
         with pytest.raises(ValueError, match="right-hand side of shape"):
-            cho_solve(cho_factor(np.eye(3)), np.ones(shape))
+            cho_solve(cho_factor(np.asfortranarray(np.eye(3))), np.ones(shape))
 
     def test_flapack_file_fallback_matches_the_bundled_library(self, reduced_kkt, tmp_path,
                                                                monkeypatch):
@@ -752,7 +768,7 @@ def test_import_leaves_scipy_sparse_unloaded():
     code = f"import sys; sys.path.insert(0, {src!r}); import optigon; " \
         f"print(optigon.__file__); {loaded}; import optigon.cli; {loaded}; " \
         "import numpy as np; from optigon.conic_solver import cho_factor; " \
-        f"cho_factor(np.eye(3)); {loaded}; {mapped}"
+        f"cho_factor(np.asfortranarray(np.eye(3))); {loaded}; {mapped}"
     out = subprocess.run(
         [sys.executable, "-W", "error::DeprecationWarning", "-c", code],
         capture_output=True, text=True, check=True,
