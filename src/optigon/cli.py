@@ -111,7 +111,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"empty range: --from {args.start} --to {args.stop}")
     for n in ns:
         require_even_ge6(n)
-    solver_tolerance(args.eps)  # once, not in each run
+    solver_tolerance(args.eps)  # refuse a bad --eps before a pool starts
     if args.jobs > 1:
         results = _pool_sweep(ns, args.eps, args.jobs)
     else:

@@ -116,11 +116,6 @@ class ConeProblem:
         """The column of every slot: nonnegative rows, then blocks."""
         return np.concatenate([self.nn_cols, self.soc_cols.ravel()])
 
-    @cached_property
-    def _slot_weights(self) -> np.ndarray:
-        """rmatvec's buffer of one weight per slot, in `cols` order."""
-        return np.empty(len(self.cols))
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """G x."""
         p = self.n_nonneg
@@ -132,7 +127,7 @@ class ConeProblem:
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """G^T y."""
         p = self.n_nonneg
-        weights = self._slot_weights
+        weights = np.empty(len(self.cols))
         np.negative(y[:p], out=weights[:p])
         c_einsum("jkb,jb->kb", self.soc_coef, y[p:].reshape(4, -1),
                  out=weights[p:].reshape(self.soc_cols.shape))

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InvalidPolygon
 
-#: Feasibility tolerance for invariant checks (equals the outer loop's
-#: noise slack, 10 * conic_solver.TOL_SOLVER, at the default epsilon).
+#: Feasibility tolerance of Polygon.validate and of a run's start polygon;
+#: the outer loop's own checks use its noise slack, 10 * tol_solver.
 TOL_FEAS = 1e-8
 
 #: Tolerance for the unit-distance edges of a final polygon; iterates of a
