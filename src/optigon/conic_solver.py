@@ -70,7 +70,7 @@ log = logging.getLogger("optigon.solver")
 
 # fraction of the distance to the cone boundary taken by each step
 STEP_FRACTION = 0.99
-# initial diagonal shift of the reduced KKT matrix
+# diagonal shift of the reduced KKT matrix
 REGULARIZATION = 1e-12
 # interior-point iterations per solve before ITERATION_LIMIT
 MAX_ITERATIONS = 200
@@ -452,26 +452,21 @@ class _ReducedKkt:
         self.buffer.ravel()[self.upper_flat] = upper
 
     def factor(self, H: np.ndarray) -> np.ndarray:
-        """Cholesky factor of 0.5 (H + H^T) + reg I for the first reg of
-        REGULARIZATION, 100 REGULARIZATION, ... <= 1e-6 that makes it positive
-        definite; FloatingPointError if none does or H is not finite. H is
-        given by its values at the pattern's entries; the matrix is
-        symmetrized and checked on the triangle dpotrf reads only."""
+        """Cholesky factor of 0.5 (H + H^T) + REGULARIZATION I;
+        FloatingPointError if H is not finite or that matrix is not positive
+        definite. H is given by its values at the pattern's entries; the
+        matrix is symmetrized and checked on the triangle dpotrf reads only."""
         upper = H[self.upper]
         upper += H[self.mirror]
         upper *= 0.5
         if not np.logical_and.reduce(np.isfinite(upper)):
             raise FloatingPointError("reduced KKT matrix is not finite")
-        diagonal = self.buffer.ravel()[:: len(self.buffer) + 1]
-        reg = REGULARIZATION
-        while reg <= 1e-6:
-            self._scatter(upper)
-            diagonal += reg
-            try:
-                return cho_factor(self.buffer.T)
-            except LinAlgError:
-                reg *= 100.0
-        raise FloatingPointError("reduced KKT matrix is not positive definite")
+        self._scatter(upper)
+        self.buffer.ravel()[:: len(self.buffer) + 1] += REGULARIZATION
+        try:
+            return cho_factor(self.buffer.T)
+        except LinAlgError:
+            raise FloatingPointError("reduced KKT matrix is not positive definite") from None
 
     def start_factor(self) -> np.ndarray:
         """Cholesky factor of G^T G, shifted by 1e-12 times its mean

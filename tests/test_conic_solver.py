@@ -609,12 +609,13 @@ class TestCholesky:
         return cone, self.first_iteration_terms(cone, z0)
 
     @staticmethod
-    def reference(H, reg):
-        return scipy.linalg.cho_factor(0.5 * (H + H.T) + reg * np.eye(len(H)), lower=True)
+    def reference(H):
+        return scipy.linalg.cho_factor(0.5 * (H + H.T) + REGULARIZATION * np.eye(len(H)),
+                                       lower=True)
 
     def test_factor_and_solve_match_scipy(self, reduced_kkt):
         cone, terms = reduced_kkt
-        ref = self.reference(dense_gram(cone, *terms), REGULARIZATION)
+        ref = self.reference(dense_gram(cone, *terms))
         c = pattern_factor(cone, *terms)
         assert np.array_equal(np.tril(c), np.tril(ref[0]))
         b = np.random.default_rng(0).normal(size=len(c))
@@ -629,7 +630,7 @@ class TestCholesky:
         cone = template.at(z0, keep)
         assert 0 < keep.sum() < template.n_pairs
         terms = self.first_iteration_terms(cone, z0)
-        ref = self.reference(dense_gram(cone, *terms), REGULARIZATION)
+        ref = self.reference(dense_gram(cone, *terms))
         assert np.array_equal(np.tril(pattern_factor(cone, *terms)), np.tril(ref[0]))
 
     def test_factor_does_not_depend_on_earlier_restrictions(self):
@@ -705,11 +706,21 @@ class TestCholesky:
             sys.setswitchinterval(interval)
         assert [primal == serial for primal in primals] == [True] * 20
 
-    def test_escalated_regularization_matches_scipy(self):
-        # 1e-12 leaves the smallest eigenvalue negative; 1e-10 does not
-        H = np.diag([2.0, 1.0, -5e-11])
-        ref = self.reference(H, 100 * REGULARIZATION)
-        assert np.array_equal(np.tril(dense_factor(H)), np.tril(ref[0]))
+    def test_one_shift_and_one_factorization(self, monkeypatch):
+        # REGULARIZATION leaves the smallest eigenvalue negative, and no
+        # larger shift is tried: the factorization fails after one call
+        calls = []
+
+        def counting_cho_factor(a):
+            calls.append(a.copy(order="A"))
+            return cho_factor(a)
+
+        monkeypatch.setattr(conic_solver, "cho_factor", counting_cho_factor)
+        with pytest.raises(FloatingPointError,
+                           match="^reduced KKT matrix is not positive definite$"):
+            dense_factor(np.diag([2.0, 1.0, -5e-11]))
+        assert len(calls) == 1
+        assert np.array_equal(np.diag(calls[0]), np.array([2.0, 1.0, -5e-11]) + REGULARIZATION)
 
     def test_indefinite_and_nonfinite_give_no_factor(self):
         with pytest.raises(FloatingPointError, match="not positive definite"):

@@ -70,5 +70,9 @@ def test_forced_dispatch_keeps_the_count_and_names_itself():
     run = _digest_run(16, OPENBLAS_CORETYPE="Haswell",
                       NPY_DISABLE_CPU_FEATURES=" ".join(avx512))
     assert run.stdout.startswith("n=16 outer_iterations=44 ")
-    dispatch = re.fullmatch(r"dispatch: openblas=(\S+) numpy=(\S+)\n", run.stderr)
+    # the build line names the versions and OpenBLAS's config string, which
+    # holds spaces and the core name again
+    dispatch = re.fullmatch(r"dispatch: openblas=(\S+) numpy=(\S+)\n"
+                            r"build: numpy=\S+ scipy=\S+ openblas=(.+)\n", run.stderr)
     assert dispatch and dispatch[1] == "Haswell" and dispatch[2] not in avx512
+    assert "Haswell" in dispatch[3].split()
